@@ -22,7 +22,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, check_noise_threshold, load_config
 from .errors import ConfigError, NumericalError
 from .lyapunov import noise_limit_xi
 from .scaling import (
@@ -125,32 +125,40 @@ def _base_report(command: str, cfg: ExperimentConfig, p_star: float, elapsed: fl
     }
 
 
+def _quantity_result(cfg, sweep, name, xi=None):
+    """Series, fit and verdict of one quantity as a report entry, plus the fit
+    (None when the series admits no power-law fit; the entry then carries
+    ``fit_error`` and the reason is printed)."""
+    errs = sweep.stderrs.get(name)
+    result = {
+        "p_values": [float(p) for p in sweep.p_values],
+        "values": [float(v) for v in sweep.quantities[name]],
+        "stderr": None if errs is None else [float(e) for e in errs],
+        "provenance": sweep.provenance[name],
+        "fit": None,
+        "verdict": None,
+    }
+    window = cfg.fit_windows.get(name, "last_decade")
+    # a failed fit (zero noise, degenerate series) must not discard the data
+    try:
+        fit = fit_quantity(sweep, name, window)
+        verdict = classify_warning_sign(sweep, name, xi=xi, window=window)
+    except NumericalError as exc:
+        result["fit_error"] = str(exc)
+        print(f"{name}: no power-law fit ({exc})")
+        return result, None
+    result["fit"] = _fit_payload(fit)
+    result["verdict"] = _verdict_payload(verdict)
+    return result, fit
+
+
 def _sweep_report(command, cfg, args, sweep, xi, elapsed, seed_record=None) -> dict:
     results = {}
     for name in sweep.quantities:
-        window = cfg.fit_windows.get(name, "last_decade")
-        # a failed fit (zero noise, degenerate series) must not discard the data
-        try:
-            fit = fit_quantity(sweep, name, window)
-            verdict = classify_warning_sign(sweep, name, xi=xi, window=window)
-        except NumericalError as exc:
-            fit = verdict = None
-            fit_error = str(exc)
-        errs = sweep.stderrs.get(name)
-        results[name] = {
-            "p_values": [float(p) for p in sweep.p_values],
-            "values": [float(v) for v in sweep.quantities[name]],
-            "stderr": None if errs is None else [float(e) for e in errs],
-            "provenance": sweep.provenance[name],
-            "fit": None if fit is None else _fit_payload(fit),
-            "verdict": None if verdict is None else _verdict_payload(verdict),
-        }
-        if fit is None:
-            results[name]["fit_error"] = fit_error
-            print(f"{name}: no power-law fit ({fit_error})")
-        else:
+        results[name], fit = _quantity_result(cfg, sweep, name, xi)
+        if fit is not None:
             print(f"{name}: exponent {fit.exponent:.6g} (r^2 {fit.r_squared:.6g}) "
-                  f"-> {verdict.classification}")
+                  f"-> {results[name]['verdict']['classification']}")
     report = _base_report(command, cfg, sweep.p_star, elapsed)
     report["results"] = results
     report["mixing_warning"] = sweep.mixing_warning
@@ -238,21 +246,8 @@ def cmd_weyl(args) -> int:
         vector = build_weyl_sequence(model, k, center)
         defect = weyl_defect(model, vector, model.esssup)
         defects[k] = defect
-        window = cfg.fit_windows.get(name, "last_decade")
-        try:
-            fit = fit_quantity(sweep, name, window)
-            verdict = classify_warning_sign(sweep, name, window=window)
-        except NumericalError:
-            fit = verdict = None
-        weyl_results[name] = {
-            "p_values": [float(p) for p in sweep.p_values],
-            "values": [float(v) for v in sweep.quantities[name]],
-            "stderr": None,
-            "provenance": "analytic",
-            "fit": None if fit is None else _fit_payload(fit),
-            "verdict": None if verdict is None else _verdict_payload(verdict),
-            "defect": defect,
-        }
+        weyl_results[name], fit = _quantity_result(cfg, sweep, name)
+        weyl_results[name]["defect"] = defect
         exp_col = "nan" if fit is None else f"{fit.exponent:.4f}"
         r2_col = "nan" if fit is None else f"{fit.r_squared:.5f}"
         print(f"{k:>6} {defect:>14.6e} {exp_col:>10} {r2_col:>8}")
@@ -275,6 +270,7 @@ def cmd_validate(args) -> int:
     p_star = bifurcation_parameter(model, cfg.p_star_bracket)
     grid = _materialize_grid(cfg, p_star)
     if isinstance(model, SpectralModel):
+        check_noise_threshold(cfg, p_star)
         violations = curve_continuity_violations(model, grid, cfg.lipschitz_budget)
         if violations:
             for cid, p_lo, p_hi, jump in violations:

@@ -24,6 +24,10 @@ from .spectrum import (
 )
 
 _FORMATS = ("csv", "json")
+_SIGMA_P_STAR = 0.0  # default threshold of a power_of_p noise law
+# relative slack between a declared and the computed p*, far above the 1e-12
+# bisection tolerance of the root find
+_P_STAR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,7 @@ def _build_sigma(raw, path: str):
     if kind == "power_of_p":
         scale = _as_number(raw.get("scale", 1.0), f"{path}.scale")
         exponent = _as_number(_require(raw, "exponent", path), f"{path}.exponent")
-        p_star = _as_number(raw.get("p_star", 0.0), f"{path}.p_star")
+        p_star = _as_number(raw.get("p_star", _SIGMA_P_STAR), f"{path}.p_star")
         if scale <= 0:
             raise ConfigError(f"{path}.scale: must be > 0")
 
@@ -383,6 +387,22 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         spectral_gap=gap,
         echo=raw,
     )
+
+
+def check_noise_threshold(cfg: ExperimentConfig, p_star: float) -> None:
+    """Reject a power_of_p noise law whose p_star is not the computed p*.
+
+    Such a law is meant to vanish at the threshold; a mismatch leaves
+    sigma(p*) > 0 and silently changes the finite-limit or vanishing verdict.
+    """
+    sigma = cfg.echo["model"].get("sigma")
+    if not isinstance(sigma, dict) or sigma.get("kind") != "power_of_p":
+        return
+    declared = float(sigma.get("p_star", _SIGMA_P_STAR))
+    if abs(declared - p_star) > _P_STAR_TOL * max(1.0, abs(p_star)):
+        raise ConfigError(
+            f"model.sigma.p_star: {declared!r} differs from the computed p* = {p_star!r}"
+        )
 
 
 def load_config(path) -> ExperimentConfig:

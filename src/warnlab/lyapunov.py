@@ -1,23 +1,26 @@
-"""Stationary covariances of stable linear SDE systems.
+"""Stationary and finite-time covariances of linear SDE systems.
 
-The stationary covariance V of dX = A X dt + sigma B dW_Q solves the Lyapunov
-identity A V + V A* = -sigma^2 BQB*. In an eigenbasis of a diagonalizable A
-the entries decouple,
+In the (generalized) eigenbasis the drift of dX = A X dt + sigma B dW_Q is a
+direct sum of Jordan blocks J_k = lambda_k I + N, so every covariance the
+package needs is a sum of block-pair integrals
 
-    <V u_k, u_j> = -sigma^2 <BQB* u_k, u_j> / (lambda_k + conj(lambda_j)),
+    V_kj(t) = int_0^t e^{s J_k} C_kj e^{s J_j^H} ds,    C = sigma^2 BQB*,
 
-and for a Jordan block J = lambda I + N the coordinate covariance satisfies
-2 Re(lambda) V[i, j] + V[i+1, j] + V[i, j+1] = -sigma^2 C[i, j] (indices past
-the block rim read as zero), solved here by back-substitution along
-antidiagonals. ``finite_lyapunov_solve`` is the brute-force dense route kept
-intentionally independent of the closed forms so the two can cross-check each
+evaluated by ``block_pair_covariance``. t = inf gives the stationary
+covariance: the simple-mode law -sigma^2 b / (lambda_k + conj(lambda_j)) and
+the |p - p*|^{-(2m-1)} growth of a size-m Jordan block. A finite t = dt gives
+the exact step covariance of the Monte Carlo engine.
+``finite_lyapunov_solve`` and ``assemble_drift_matrix`` are the brute-force
+dense route, kept independent of the kernel so the two can cross-check each
 other.
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -28,6 +31,11 @@ from .spectrum import MultiplicationSymbolModel, SpectralModel, WeylVector, spec
 
 _HERMITIAN_TOL = 1e-10
 _XI_TOL = 1e-8
+# |z t| up to which the time moments come from their Taylor series; above it
+# the upward recurrence amplifies rounding by n / |z t| per step, a bounded
+# factor for the moment orders n <= 2m - 2 of small blocks
+_SERIES_RADIUS = 2.0
+_SERIES_TERMS = 30  # 2^30 / 30! < 1e-23
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +53,6 @@ class CovarianceReport:
     provenance: str
     block_matrices: Mapping[int, np.ndarray] = field(default_factory=dict)
     norm_surrogate: float | None = None
-    standard_errors: Mapping[tuple[int, int], float] | None = None
 
     def __post_init__(self):
         if self.provenance not in ("analytic", "empirical"):
@@ -59,36 +66,20 @@ class CovarianceReport:
                 raise ValueError(f"entries: diagonal entry ({k}, {k}) must be real >= 0")
 
     def write_csv(self, path) -> None:
-        with_se = self.standard_errors is not None
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            header = ["p", "k", "j", "re", "im", "provenance"]
-            if with_se:
-                header.append("stderr")
-            writer.writerow(header)
+            writer.writerow(["p", "k", "j", "re", "im", "provenance"])
             for (k, j) in sorted(self.entries):
                 v = self.entries[(k, j)]
-                row = [repr(float(self.p)), k, j, repr(float(v.real)), repr(float(v.imag)), self.provenance]
-                if with_se:
-                    row.append(repr(float(self.standard_errors[(k, j)])))
-                writer.writerow(row)
+                writer.writerow([repr(float(self.p)), k, j, repr(float(v.real)),
+                                 repr(float(v.imag)), self.provenance])
 
     def to_dict(self) -> dict:
         out = {
             "p": float(self.p),
             "provenance": self.provenance,
             "entries": [
-                {
-                    "k": k,
-                    "j": j,
-                    "re": float(v.real),
-                    "im": float(v.imag),
-                    **(
-                        {"stderr": float(self.standard_errors[(k, j)])}
-                        if self.standard_errors is not None
-                        else {}
-                    ),
-                }
+                {"k": k, "j": j, "re": float(v.real), "im": float(v.imag)}
                 for (k, j), v in sorted(self.entries.items())
             ],
             "norm_surrogate": self.norm_surrogate,
@@ -116,6 +107,59 @@ class XiEstimate:
     tolerance: float = _XI_TOL
 
 
+def _finite_moments(z: complex, t: float, n_max: int) -> list:
+    """I_n = int_0^t e^{zs} s^n ds = t^{n+1} J_n(zt) for n = 0..n_max, with
+    J_n(x) = int_0^1 e^{xu} u^n du from its Taylor series sum_k x^k / (k! (n+k+1))
+    for |x| <= 2 and from J_0 = expm1(x) / x, J_n = (e^x - n J_{n-1}) / x above."""
+    x = z * t
+    if abs(x) <= _SERIES_RADIUS:
+        k = np.arange(_SERIES_TERMS)
+        terms = np.cumprod(np.concatenate(([1.0], x / k[1:])))
+        moments = [np.sum(terms / (n + k + 1)) for n in range(n_max + 1)]
+    else:
+        ex = cmath.exp(x)
+        moments = [np.expm1(x) / x]
+        for n in range(1, n_max + 1):
+            moments.append((ex - n * moments[-1]) / x)
+    return [t ** (n + 1) * jn for n, jn in enumerate(moments)]
+
+
+def block_pair_covariance(lam_k: complex, m_k: int, lam_j: complex, m_j: int, c_kj,
+                          t: float) -> np.ndarray:
+    """int_0^t e^{s J_k} C e^{s J_j^H} ds for Jordan blocks J = lam I + N.
+
+    With z = lam_k + conj(lam_j) and I_n = int_0^t e^{zs} s^n ds, entry (p, q)
+    is sum_{a,b} C[p+a, q+b] / (a! b!) I_{a+b} (indices past the block rim
+    read as zero). t = inf uses I_n = n! / (-z)^{n+1} and divides by the
+    power, as the closed form -sigma^2 b / (lambda_k + conj(lambda_j)) does;
+    finite t uses the stable series and recurrence of the time moments.
+    The noise amplitude is folded into ``c_kj`` by the caller.
+
+    Raises:
+        NumericalError: for t = inf unless both eigenvalues satisfy Re < 0.
+    """
+    lam_k, lam_j = complex(lam_k), complex(lam_j)
+    z = lam_k + lam_j.conjugate()
+    n_max = m_k + m_j - 2
+    if t == math.inf:
+        if lam_k.real >= 0.0 or lam_j.real >= 0.0:
+            raise NumericalError(
+                f"stationary covariance needs Re(lambda) < 0, got ({lam_k}, {lam_j})"
+            )
+        num = [float(math.factorial(n)) for n in range(n_max + 1)]
+        den = [(-z) ** (n + 1) for n in range(n_max + 1)]
+    else:
+        num = _finite_moments(z, float(t), n_max)
+        den = [1.0] * (n_max + 1)
+    c = np.asarray(c_kj, dtype=complex)
+    v = np.zeros((m_k, m_j), dtype=complex)
+    for a in range(m_k):
+        for b in range(m_j):
+            w = num[a + b] / (math.factorial(a) * math.factorial(b))
+            v[: m_k - a, : m_j - b] += c[a:, b:] * w / den[a + b]
+    return v
+
+
 def stationary_covariance_entry(lambda_k: complex, lambda_j: complex, b_kj: complex, sigma: float) -> complex:
     """Closed-form covariance pairing -sigma^2 b_kj / (lambda_k + conj(lambda_j)).
 
@@ -130,22 +174,16 @@ def stationary_covariance_entry(lambda_k: complex, lambda_j: complex, b_kj: comp
         raise NumericalError(
             f"degenerate pair: lambda_k + conj(lambda_j) = 0 for ({lk}, {lj})"
         )
-    if lk.real >= 0.0 or lj.real >= 0.0:
-        raise NumericalError(
-            f"stationary covariance needs Re(lambda) < 0, got ({lk}, {lj})"
-        )
     sigma = float(sigma)
     if sigma < 0.0:
         raise ValueError("sigma: must be >= 0")
-    return -(sigma * sigma) * complex(b_kj) / denom
+    return complex(block_pair_covariance(lk, 1, lj, 1, [[(sigma * sigma) * complex(b_kj)]],
+                                         math.inf)[0, 0])
 
 
 def jordan_stationary_covariance(lam: complex, m: int, noise_block, sigma: float) -> np.ndarray:
-    """Stationary coordinate covariance of a single Jordan block.
-
-    Solves J V + V J^H = -sigma^2 C for J = lam I + N (superdiagonal ones) by
-    back-substitution along antidiagonals, starting at the (m, m) corner.
-    """
+    """Stationary coordinate covariance of a single Jordan block: the solution
+    of J V + V J^H = -sigma^2 C for J = lam I + N (superdiagonal ones)."""
     lam = complex(lam)
     if lam.real >= 0.0:
         raise NumericalError(f"Jordan block eigenvalue must satisfy Re(lambda) < 0, got {lam}")
@@ -161,18 +199,7 @@ def jordan_stationary_covariance(lam: complex, m: int, noise_block, sigma: float
     sigma = float(sigma)
     if sigma < 0.0:
         raise ValueError("sigma: must be >= 0")
-    two_re = 2.0 * lam.real
-    s2 = sigma * sigma
-    v = np.zeros((m, m), dtype=complex)
-    for s in range(2 * m - 2, -1, -1):
-        for i in range(max(0, s - m + 1), min(m - 1, s) + 1):
-            j = s - i
-            rhs = -s2 * c[i, j]
-            if i + 1 < m:
-                rhs -= v[i + 1, j]
-            if j + 1 < m:
-                rhs -= v[i, j + 1]
-            v[i, j] = rhs / two_re
+    v = block_pair_covariance(lam, m, lam, m, (sigma * sigma) * c, math.inf)
     return 0.5 * (v + v.conj().T)
 
 
@@ -298,40 +325,36 @@ def assemble_drift_matrix(model: SpectralModel, p: float) -> np.ndarray:
     return a
 
 
-def analytic_covariance_report(model: SpectralModel, p: float) -> CovarianceReport:
-    """Assemble the full stationary covariance at p from the closed forms.
+def mode_pair_covariance(model: SpectralModel, p: float, k: int, j: int, t: float) -> np.ndarray:
+    """Block of the covariance at p between the blocks of modes k and j,
+    accumulated over [0, t] (t = inf for the stationary covariance)."""
+    sigma = model.sigma_at(p)
+    return block_pair_covariance(
+        model.lambda_at(k, p), model.block_size(k), model.lambda_at(j, p), model.block_size(j),
+        (sigma * sigma) * model.noise_block(k, j), t,
+    )
 
-    Pairings between two simple modes and within a Jordan block use the
-    closed-form routes; pairings that couple a Jordan block to a different
-    mode fall back to the dense solve on the assembled block-diagonal drift.
-    """
+
+def model_covariance(model: SpectralModel, p: float, t: float) -> np.ndarray:
+    """Full Hermitian covariance int_0^t e^{sA} sigma^2 BQB* e^{sA*} ds at p,
+    assembled block pair by block pair in basis (curve) order."""
+    v = np.block([[mode_pair_covariance(model, p, ck.id, cj.id, t) for cj in model.curves]
+                  for ck in model.curves])
+    return 0.5 * (v + v.conj().T)
+
+
+def analytic_covariance_report(model: SpectralModel, p: float) -> CovarianceReport:
+    """Assemble the full stationary covariance at p from the block-pair kernel."""
     if spectral_abscissa(model, p) >= 0.0:
         raise NumericalError(f"drift not strictly stable at p={p}")
-    sigma = model.sigma_at(p)
     dim = model.total_dim
-    v = np.full((dim, dim), np.nan + 0j)
-    lams = {c.id: model.lambda_at(c.id, p) for c in model.curves}
+    v = model_covariance(model, p, math.inf)
     blocks = {}
-    for ck in model.curves:
-        mk = model.block_size(ck.id)
-        off_k = model.block_offset(ck.id)
-        if mk > 1:
-            blk = jordan_stationary_covariance(
-                lams[ck.id], mk, model.noise_block(ck.id), sigma
-            )
-            blocks[ck.id] = blk
-            v[off_k : off_k + mk, off_k : off_k + mk] = blk
-        for cj in model.curves:
-            if model.block_size(cj.id) == 1 and mk == 1:
-                off_j = model.block_offset(cj.id)
-                v[off_k, off_j] = stationary_covariance_entry(
-                    lams[ck.id], lams[cj.id], model.noise_matrix[off_k, off_j], sigma
-                )
-    if np.any(np.isnan(v)):
-        dense = finite_lyapunov_solve(assemble_drift_matrix(model, p), model.noise_matrix, sigma)
-        mask = np.isnan(v)
-        v[mask] = dense[mask]
-    v = 0.5 * (v + v.conj().T)
+    for c in model.curves:
+        m = model.block_size(c.id)
+        if m > 1:
+            off = model.block_offset(c.id)
+            blocks[c.id] = v[off : off + m, off : off + m]
     entries = {(i, j): complex(v[i, j]) for i in range(dim) for j in range(dim)}
     surrogate = float(np.max(v.diagonal().real)) if dim else None
     return CovarianceReport(

@@ -10,6 +10,7 @@ last decade of distances |p - p*|, where the asymptotic laws dominate.
 from __future__ import annotations
 
 import concurrent.futures
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -18,10 +19,9 @@ import numpy as np
 from .errors import NumericalError
 from .lyapunov import (
     XiEstimate,
-    jordan_stationary_covariance,
+    mode_pair_covariance,
     multiplication_covariance_norm,
     quadratic_form_pairing,
-    stationary_covariance_entry,
     stationary_pairing,
     unit_gaussian_profile,
 )
@@ -198,37 +198,20 @@ def _validate_specs(model, specs: Sequence[QuantitySpec]) -> None:
                 )
 
 
-def _critical_block_cov(model: SpectralModel, p: float) -> np.ndarray:
-    k = model.critical_index
-    lam = model.lambda_at(k, p)
-    m = model.block_size(k)
-    sigma = model.sigma_at(p)
-    if m == 1:
-        off = model.block_offset(k)
-        val = stationary_covariance_entry(lam, lam, model.noise_matrix[off, off], sigma)
-        return np.array([[val]])
-    return jordan_stationary_covariance(lam, m, model.noise_block(k), sigma)
-
-
 def _eval_point_analytic(model, p: float, specs, cache) -> list[float]:
     out = []
     block = None
     for spec in specs:
         if spec.kind in ("critical_diagonal", "block_entry"):
             if block is None:
-                block = _critical_block_cov(model, p)
+                k = model.critical_index
+                block = mode_pair_covariance(model, p, k, k, math.inf)
             if spec.kind == "critical_diagonal":
                 out.append(abs(block[0, 0]))
             else:
                 out.append(abs(block[spec.l - 1, spec.m - 1]))
         elif spec.kind == "entry":
-            val = stationary_covariance_entry(
-                model.lambda_at(spec.k, p),
-                model.lambda_at(spec.j, p),
-                model.noise_matrix[model.block_offset(spec.k), model.block_offset(spec.j)],
-                model.sigma_at(p),
-            )
-            out.append(abs(val))
+            out.append(abs(mode_pair_covariance(model, p, spec.k, spec.j, math.inf)[0, 0]))
         elif spec.kind == "norm":
             out.append(multiplication_covariance_norm(model, p))
         elif spec.kind == "gaussian_pairing":
@@ -359,7 +342,9 @@ def fit_power_law(distances, values) -> ScalingFit:
     resid = y - (slope * x + intercept)
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
-    if ss_tot > 0.0:
+    # a flat series leaves only rounding noise in ss_tot, which cannot be
+    # explained; treat it like an exactly constant series
+    if ss_tot > (d.size * np.finfo(float).eps * float(np.max(np.abs(y)))) ** 2:
         r2 = 1.0 - ss_res / ss_tot
     else:
         r2 = 1.0 if ss_res <= 1e-24 * d.size else 0.0

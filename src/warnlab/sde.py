@@ -5,8 +5,10 @@ step the state maps to e^{A dt} x plus a Gaussian increment whose covariance
 is the integral of e^{sA} C e^{sA*} over [0, dt]. For diagonal drift this is
 the classical Ornstein-Uhlenbeck update with variance
 noise_var * (e^{2 Re(lambda) dt} - 1) / (2 Re(lambda)); for Jordan blocks the
-matrix exponential is closed-form and the step covariance is evaluated by
-16-node Gauss-Legendre quadrature, so no discretization bias enters at any dt.
+matrix exponential is closed-form and the step covariance comes from the
+block-pair kernel ``lyapunov.block_pair_covariance`` at t = dt, which stays
+exact for stiff modes and near-critical blocks, so no discretization bias
+enters at any dt.
 
 Randomness is reproducible by construction: trajectory i draws from a
 dedicated generator seeded with splitmix64(master_seed, i), and reductions
@@ -21,13 +23,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericalError
-from .lyapunov import CovarianceReport
+from .lyapunov import block_pair_covariance, model_covariance
 from .spectrum import SpectralModel, spectral_abscissa
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _CHUNK = 2048
 _MIXING_THRESHOLD = 5.0
 
@@ -185,22 +186,13 @@ def _psd_factor(s: np.ndarray) -> np.ndarray:
     return u * np.sqrt(w)
 
 
-def _block_step_covariance(lam: complex, m: int, noise_block: np.ndarray, dt: float) -> np.ndarray:
-    s = np.zeros((m, m), dtype=complex)
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-        t = 0.5 * dt * (node + 1.0)
-        e = _jordan_expm(lam, m, t)
-        s += (0.5 * dt * weight) * (e @ noise_block @ e.conj().T)
-    return 0.5 * (s + s.conj().T)
-
-
 def jordan_block_step(state, lam: complex, m: int, noise_block, dt: float,
                       rng: np.random.Generator):
     """One exact transition of a Jordan-block mode.
 
-    The increment covariance integral of e^{sJ} C e^{sJ^H} over [0, dt] is
-    evaluated by 16-node Gauss-Legendre quadrature and factorized with PSD
-    clipping; a size-1 block reduces exactly to ``ou_exact_step``.
+    The increment covariance integral of e^{sJ} C e^{sJ^H} over [0, dt] comes
+    from the block-pair kernel and is factorized with PSD clipping; a size-1
+    block reduces exactly to ``ou_exact_step``.
     """
     lam = complex(lam)
     if lam.real >= 0.0:
@@ -218,7 +210,7 @@ def jordan_block_step(state, lam: complex, m: int, noise_block, dt: float,
     if x.shape != (m,):
         raise ValueError(f"state: expected {m} coefficients")
     e = _jordan_expm(lam, m, dt)
-    l = _psd_factor(_block_step_covariance(lam, m, c, dt))
+    l = _psd_factor(block_pair_covariance(lam, m, lam, m, c, dt))
     d = rng.standard_normal((m, 2))
     z = (d[:, 0] + 1j * d[:, 1]) * _INV_SQRT2
     out = e @ x + l @ z
@@ -237,17 +229,6 @@ def _drift_expm(model: SpectralModel, p: float, t: float) -> np.ndarray:
     return e
 
 
-def _model_step_covariance(model: SpectralModel, p: float, dt: float) -> np.ndarray:
-    dim = model.total_dim
-    s = np.zeros((dim, dim), dtype=complex)
-    b = model.noise_matrix
-    for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-        t = 0.5 * dt * (node + 1.0)
-        e = _drift_expm(model, p, t)
-        s += (0.5 * dt * weight) * (e @ b @ e.conj().T)
-    return 0.5 * (s + s.conj().T)
-
-
 def simulate_ensemble(model: SpectralModel, p: float, config: EnsembleConfig) -> EmpiricalCovariance:
     """Estimate the stationary mode covariance by time-and-ensemble averaging.
 
@@ -262,13 +243,12 @@ def simulate_ensemble(model: SpectralModel, p: float, config: EnsembleConfig) ->
     if absc >= 0.0:
         raise NumericalError(f"simulate_ensemble: drift not strictly stable at p={p}")
     mixing_warning = config.horizon * abs(absc) < _MIXING_THRESHOLD
-    sigma = model.sigma_at(p)
     dim = model.total_dim
     n_steps = max(1, int(round(config.horizon / config.dt)))
     burn = int(np.floor(config.burn_in * n_steps))
     keep = n_steps - burn
     trans = _drift_expm(model, p, config.dt).T.copy()
-    noise_factor = _psd_factor((sigma * sigma) * _model_step_covariance(model, p, config.dt)).T.copy()
+    noise_factor = _psd_factor(model_covariance(model, p, config.dt)).T.copy()
     n = config.n_trajectories
     stats = np.empty((n, dim, dim), dtype=complex)
     for c0 in range(0, n, _CHUNK):
@@ -327,27 +307,3 @@ def empirical_covariance(samples) -> EmpiricalCovariance:
     else:
         se = np.full((d, d), np.nan)
     return EmpiricalCovariance(matrix=cov, n_samples=n, standard_error=se)
-
-
-def empirical_covariance_report(model: SpectralModel, p: float, config: EnsembleConfig) -> CovarianceReport:
-    """Run ``simulate_ensemble`` and package the estimate as a covariance
-    report with provenance 'empirical' and per-entry standard errors."""
-    emp = simulate_ensemble(model, p, config)
-    dim = model.total_dim
-    entries = {(i, j): complex(emp.matrix[i, j]) for i in range(dim) for j in range(dim)}
-    ses = {(i, j): float(emp.standard_error[i, j]) for i in range(dim) for j in range(dim)}
-    blocks = {}
-    for c in model.curves:
-        m = model.block_size(c.id)
-        if m > 1:
-            off = model.block_offset(c.id)
-            blocks[c.id] = emp.matrix[off : off + m, off : off + m]
-    surrogate = float(np.max(emp.matrix.diagonal().real)) if dim else None
-    return CovarianceReport(
-        p=float(p),
-        entries=entries,
-        provenance="empirical",
-        block_matrices=blocks,
-        norm_surrogate=surrogate,
-        standard_errors=ses,
-    )

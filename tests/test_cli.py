@@ -117,6 +117,23 @@ class TestValidate:
         assert "curve 1" in capsys.readouterr().err
 
 
+    def test_noise_threshold_off_p_star_is_config_error(self, tmp_path, capsys):
+        # lambda(p) = p - 0.5 puts p* at 0.5; the default p_star 0.0 would leave
+        # sigma(p*) > 0 and turn the finite limit into a divergence
+        cfg = minimal_spectral(sweep={"start": 0.0, "count": 10})
+        cfg["model"]["curves"][0]["offset"] = -0.5
+        cfg["model"]["sigma"] = {"kind": "power_of_p", "scale": 1.0, "exponent": 0.5}
+        assert run("validate", "--config", write_json(tmp_path, cfg)) == 2
+        assert "model.sigma.p_star" in capsys.readouterr().err
+        cfg["model"]["sigma"]["p_star"] = 0.5
+        assert run("validate", "--config", write_json(tmp_path, cfg)) == 0
+        out = tmp_path / "out"
+        assert run("analytic", "--config", write_json(tmp_path, cfg), "--out", out) == 0
+        res = json.loads((out / "report.json").read_text())["results"]["critical_diagonal"]
+        assert res["verdict"]["classification"] == "finite_limit"
+        assert 0.0 <= res["fit"]["r_squared"] <= 1.0
+
+
 class TestAnalyticCommand:
     def test_single_mode_run(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -220,6 +237,19 @@ class TestWeylCommand:
             assert report["weyl"]["defects"][str(k)] <= 1.0 / k**2
             fit = report["results"][f"weyl_pairing:{k}"]["fit"]
             assert abs(fit["exponent"] + 1.0) < 0.05
+
+    def test_failed_fit_carries_reason(self, tmp_path, capsys):
+        cfg = json.loads((CONFIG_DIR / "quadratic_symbol.json").read_text())
+        cfg["fit_windows"] = {"weyl_pairing:2": [1e-9, 2e-9]}
+        out = tmp_path / "out"
+        assert run("weyl", "--config", write_json(tmp_path, cfg), "--out", out) == 0
+        stdout = capsys.readouterr().out
+        assert "weyl_pairing:2: no power-law fit (window" in stdout
+        results = json.loads((out / "report.json").read_text())["results"]
+        assert results["weyl_pairing:2"]["fit"] is None
+        assert "fewer than 3 sweep points" in results["weyl_pairing:2"]["fit_error"]
+        assert results["weyl_pairing:5"]["fit"] is not None
+        assert "fit_error" not in results["weyl_pairing:5"]
 
     def test_rejects_spectral_model(self, capsys):
         assert run("weyl", "--config", CONFIG_DIR / "single_mode.json") == 2

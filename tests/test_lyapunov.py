@@ -289,6 +289,28 @@ class TestAnalyticReport:
         assert_allclose(rep.block_matrices[0], [[0.75, 0.25], [0.25, 0.5]], atol=1e-12)
         assert rep.norm_surrogate == pytest.approx(0.75)
 
+    def test_jordan_block_coupled_by_dense_noise_matches_dense_solve(self):
+        rng = np.random.default_rng(34)
+        noise = random_hermitian_psd(rng, 7)
+        model = SpectralModel(
+            curves=[
+                EigenvalueCurve(0, lambda p: p + 0.5j),
+                EigenvalueCurve(1, lambda p: -1.0 + 2.0j),
+                EigenvalueCurve(2, lambda p: p - 0.3),
+                EigenvalueCurve(3, lambda p: -2.0 - 1.0j),
+            ],
+            noise_matrix=noise,
+            critical_index=0,
+            jordan_sizes={0: 3, 2: 2},
+            sigma=0.7,
+        )
+        for p in (-0.5, -0.05):
+            rep = analytic_covariance_report(model, p)
+            dense = finite_lyapunov_solve(assemble_drift_matrix(model, p), noise, 0.7)
+            got = np.array([[rep.entries[i, j] for j in range(7)] for i in range(7)])
+            assert np.linalg.norm(got - dense) <= 1e-10 * np.linalg.norm(dense)
+            assert_allclose(rep.block_matrices[2], dense[4:6, 4:6], rtol=1e-10)
+
     def test_unstable_point_signals(self):
         model = SpectralModel(
             curves=[EigenvalueCurve(0, lambda p: p)],

@@ -93,6 +93,12 @@ class TestFitPowerLaw:
         fit = fit_power_law(np.geomspace(1e-3, 1, 8), np.full(8, 2.5))
         assert abs(fit.exponent) < 1e-12
 
+    def test_constant_series_with_rounding_noise_keeps_r_squared_in_range(self):
+        # 1-ulp jitter leaves ss_tot at rounding level, which explains nothing
+        values = np.where(np.arange(10) % 2 == 0, np.nextafter(0.5, 1.0), 0.5)
+        fit = fit_power_law(np.geomspace(1e-3, 0.5, 10), values)
+        assert 0.0 <= fit.r_squared <= 1.0
+
 
 class TestWindows:
     def test_last_decade_on_halving_grid(self):
