@@ -24,12 +24,11 @@ from .spectrum import (
     weyl_defect,
 )
 from .lyapunov import (
-    CovarianceReport,
     XiEstimate,
-    analytic_covariance_report,
     assemble_drift_matrix,
     finite_lyapunov_solve,
     jordan_stationary_covariance,
+    model_covariance,
     multiplication_covariance_norm,
     noise_limit_xi,
     quadratic_form_pairing,
@@ -40,11 +39,6 @@ from .lyapunov import (
 from .sde import (
     EmpiricalCovariance,
     EnsembleConfig,
-    ModeState,
-    empirical_covariance,
-    jordan_block_step,
-    ou_exact_step,
-    sample_q_wiener_increment,
     simulate_ensemble,
     splitmix64,
 )
@@ -69,14 +63,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
-    "CovarianceReport",
     "DEFAULT_HALF_WIDTH",
     "DEFAULT_SPACING",
     "EigenvalueCurve",
     "EmpiricalCovariance",
     "EnsembleConfig",
     "ExperimentConfig",
-    "ModeState",
     "MultiplicationSymbolModel",
     "NumericalError",
     "QuantitySpec",
@@ -88,30 +80,26 @@ __all__ = [
     "WarningSignVerdict",
     "WeylVector",
     "XiEstimate",
-    "analytic_covariance_report",
     "assemble_drift_matrix",
     "bifurcation_parameter",
     "build_weyl_sequence",
     "classify_warning_sign",
     "curve_continuity_violations",
-    "empirical_covariance",
     "finite_lyapunov_solve",
     "fit_power_law",
     "fit_quantity",
-    "jordan_block_step",
     "jordan_stationary_covariance",
     "load_config",
     "make_p_grid",
+    "model_covariance",
     "multiplication_covariance_norm",
     "noise_limit_xi",
-    "ou_exact_step",
     "parse_quantity",
     "point_spectrum",
     "quadratic_form_pairing",
     "resolve_config",
     "resolvent_bound_check",
     "run_parameter_sweep",
-    "sample_q_wiener_increment",
     "select_window",
     "simulate_ensemble",
     "spectral_abscissa",

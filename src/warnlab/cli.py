@@ -69,6 +69,16 @@ def _resolve_formats(args, cfg: ExperimentConfig) -> tuple:
     return (args.format,)
 
 
+def _p_star(cfg: ExperimentConfig) -> float:
+    """Bifurcation parameter of the configured model, with a power_of_p noise
+    law checked against it, so that no command sweeps a mismatched law."""
+    p_star = bifurcation_parameter(cfg.model, cfg.p_star_bracket)
+    log.info("bifurcation parameter p* = %r", p_star)
+    if isinstance(cfg.model, SpectralModel):
+        check_noise_threshold(cfg, p_star)
+    return p_star
+
+
 def _materialize_grid(cfg: ExperimentConfig, p_star: float):
     s = cfg.sweep
     try:
@@ -184,8 +194,7 @@ def _maybe_xi(model, grid):
 def cmd_analytic(args) -> int:
     start = time.perf_counter()
     cfg = load_config(args.config)
-    p_star = bifurcation_parameter(cfg.model, cfg.p_star_bracket)
-    log.info("bifurcation parameter p* = %r", p_star)
+    p_star = _p_star(cfg)
     grid = _materialize_grid(cfg, p_star)
     sweep = run_parameter_sweep(cfg.model, grid, cfg.quantities, engine="analytic",
                                 p_star=p_star, threads=args.threads)
@@ -205,7 +214,7 @@ def cmd_simulate(args) -> int:
     ensemble = cfg.ensemble
     if args.seed is not None:
         ensemble = replace(ensemble, master_seed=args.seed & 0xFFFFFFFFFFFFFFFF)
-    p_star = bifurcation_parameter(cfg.model, cfg.p_star_bracket)
+    p_star = _p_star(cfg)
     grid = _materialize_grid(cfg, p_star)
     log.info("simulating %d grid points, %d trajectories each",
              grid.size, ensemble.n_trajectories)
@@ -234,7 +243,7 @@ def cmd_weyl(args) -> int:
         raise ConfigError("model.kind: command 'weyl' requires a multiplication model")
     if not cfg.weyl_k_values:
         raise ConfigError("weyl.k_values: required for the weyl command")
-    p_star = bifurcation_parameter(model, cfg.p_star_bracket)
+    p_star = _p_star(cfg)
     grid = _materialize_grid(cfg, p_star)
     sweep = weyl_divergence_probe(model, cfg.weyl_k_values, grid)
     center = float(model.argmax_points[0])
@@ -267,10 +276,9 @@ def cmd_weyl(args) -> int:
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     model = cfg.model
-    p_star = bifurcation_parameter(model, cfg.p_star_bracket)
+    p_star = _p_star(cfg)
     grid = _materialize_grid(cfg, p_star)
     if isinstance(model, SpectralModel):
-        check_noise_threshold(cfg, p_star)
         violations = curve_continuity_violations(model, grid, cfg.lipschitz_budget)
         if violations:
             for cid, p_lo, p_hi, jump in violations:

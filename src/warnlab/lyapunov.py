@@ -18,16 +18,13 @@ other.
 from __future__ import annotations
 
 import cmath
-import csv
-import json
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
-from .spectrum import MultiplicationSymbolModel, SpectralModel, WeylVector, spectral_abscissa
+from .spectrum import MultiplicationSymbolModel, SpectralModel, WeylVector
 
 _HERMITIAN_TOL = 1e-10
 _XI_TOL = 1e-8
@@ -36,65 +33,6 @@ _XI_TOL = 1e-8
 # factor for the moment orders n <= 2m - 2 of small blocks
 _SERIES_RADIUS = 2.0
 _SERIES_TERMS = 30  # 2^30 / 30! < 1e-23
-
-
-@dataclass(frozen=True, eq=False)
-class CovarianceReport:
-    """Stationary covariance entries at a single parameter value.
-
-    ``entries`` is keyed by basis index pairs; for a purely diagonal model the
-    basis index coincides with the mode id, while Jordan blocks occupy
-    consecutive indices (their sub-blocks are repeated in ``block_matrices``
-    keyed by mode id).
-    """
-
-    p: float
-    entries: Mapping[tuple[int, int], complex]
-    provenance: str
-    block_matrices: Mapping[int, np.ndarray] = field(default_factory=dict)
-    norm_surrogate: float | None = None
-
-    def __post_init__(self):
-        if self.provenance not in ("analytic", "empirical"):
-            raise ValueError("provenance: must be 'analytic' or 'empirical'")
-        scale = max([1.0] + [abs(v) for v in self.entries.values()])
-        for (k, j), v in self.entries.items():
-            w = self.entries.get((j, k))
-            if w is not None and abs(v - w.conjugate()) > _HERMITIAN_TOL * scale:
-                raise ValueError(f"entries: Hermitian symmetry violated at ({k}, {j})")
-            if k == j and (abs(v.imag) > _HERMITIAN_TOL * scale or v.real < -_HERMITIAN_TOL * scale):
-                raise ValueError(f"entries: diagonal entry ({k}, {k}) must be real >= 0")
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["p", "k", "j", "re", "im", "provenance"])
-            for (k, j) in sorted(self.entries):
-                v = self.entries[(k, j)]
-                writer.writerow([repr(float(self.p)), k, j, repr(float(v.real)),
-                                 repr(float(v.imag)), self.provenance])
-
-    def to_dict(self) -> dict:
-        out = {
-            "p": float(self.p),
-            "provenance": self.provenance,
-            "entries": [
-                {"k": k, "j": j, "re": float(v.real), "im": float(v.imag)}
-                for (k, j), v in sorted(self.entries.items())
-            ],
-            "norm_surrogate": self.norm_surrogate,
-        }
-        if self.block_matrices:
-            out["blocks"] = {
-                str(k): [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
-                for k, m in self.block_matrices.items()
-            }
-        return out
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -337,30 +275,14 @@ def mode_pair_covariance(model: SpectralModel, p: float, k: int, j: int, t: floa
 
 def model_covariance(model: SpectralModel, p: float, t: float) -> np.ndarray:
     """Full Hermitian covariance int_0^t e^{sA} sigma^2 BQB* e^{sA*} ds at p,
-    assembled block pair by block pair in basis (curve) order."""
+    assembled block pair by block pair in basis (curve) order; a Jordan block
+    of mode k occupies rows ``model.block_offset(k)`` onward. t = inf gives
+    the stationary covariance.
+
+    Raises:
+        NumericalError: for t = inf unless the drift is strictly stable at p.
+    """
     v = np.block([[mode_pair_covariance(model, p, ck.id, cj.id, t) for cj in model.curves]
                   for ck in model.curves])
     return 0.5 * (v + v.conj().T)
 
-
-def analytic_covariance_report(model: SpectralModel, p: float) -> CovarianceReport:
-    """Assemble the full stationary covariance at p from the block-pair kernel."""
-    if spectral_abscissa(model, p) >= 0.0:
-        raise NumericalError(f"drift not strictly stable at p={p}")
-    dim = model.total_dim
-    v = model_covariance(model, p, math.inf)
-    blocks = {}
-    for c in model.curves:
-        m = model.block_size(c.id)
-        if m > 1:
-            off = model.block_offset(c.id)
-            blocks[c.id] = v[off : off + m, off : off + m]
-    entries = {(i, j): complex(v[i, j]) for i in range(dim) for j in range(dim)}
-    surrogate = float(np.max(v.diagonal().real)) if dim else None
-    return CovarianceReport(
-        p=float(p),
-        entries=entries,
-        provenance="analytic",
-        block_matrices=blocks,
-        norm_surrogate=surrogate,
-    )

@@ -203,11 +203,13 @@ class MultiplicationSymbolModel:
         if i1 - i0 < 1:
             raise ValueError("domain: grid would contain fewer than 2 points")
         x = np.arange(i0, i1 + 1, dtype=float) * spacing
+        # a scalar-only symbol rejects the array with ValueError or TypeError,
+        # or returns the wrong shape; any other error is a bug and propagates
         try:
             v = np.asarray(symbol(x), dtype=float)
             if v.shape != x.shape:
                 raise ValueError
-        except Exception:
+        except (ValueError, TypeError):
             v = np.array([float(symbol(xi)) for xi in x])
         w = np.full(x.shape, spacing)
         w[0] = w[-1] = 0.5 * spacing

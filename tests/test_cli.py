@@ -133,6 +133,18 @@ class TestValidate:
         assert res["verdict"]["classification"] == "finite_limit"
         assert 0.0 <= res["fit"]["r_squared"] <= 1.0
 
+    @pytest.mark.parametrize("command", ["analytic", "simulate"])
+    def test_sweeps_reject_noise_threshold_off_p_star(self, command, tmp_path, capsys):
+        cfg = minimal_spectral(sweep={"start": 0.0, "count": 10})
+        cfg["model"]["curves"][0]["offset"] = -0.5
+        cfg["model"]["sigma"] = {"kind": "power_of_p", "exponent": 0.5}
+        cfg["engine"] = {"kind": "empirical", "dt": 0.1, "horizon": 5.0,
+                         "n_trajectories": 4, "master_seed": 1}
+        out = tmp_path / "out"
+        assert run(command, "--config", write_json(tmp_path, cfg), "--out", out) == 2
+        assert "model.sigma.p_star" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAnalyticCommand:
     def test_single_mode_run(self, tmp_path, capsys):

@@ -1,4 +1,4 @@
-import json
+import math
 
 import numpy as np
 import pytest
@@ -7,16 +7,15 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from warnlab import (
-    CovarianceReport,
     EigenvalueCurve,
     MultiplicationSymbolModel,
     NumericalError,
     SpectralModel,
-    analytic_covariance_report,
     assemble_drift_matrix,
     build_weyl_sequence,
     finite_lyapunov_solve,
     jordan_stationary_covariance,
+    model_covariance,
     multiplication_covariance_norm,
     noise_limit_xi,
     quadratic_form_pairing,
@@ -271,12 +270,10 @@ class TestAnalyticReport:
             sigma=0.8,
         )
         p = -0.3
-        rep = analytic_covariance_report(model, p)
+        got = model_covariance(model, p, math.inf)
         a = assemble_drift_matrix(model, p)
         dense = finite_lyapunov_solve(a, noise, 0.8)
-        for (k, j), val in rep.entries.items():
-            assert_allclose(val, dense[k, j], atol=1e-12)
-        assert rep.provenance == "analytic"
+        assert_allclose(got, dense, atol=1e-12)
 
     def test_jordan_model_report(self):
         model = SpectralModel(
@@ -285,9 +282,9 @@ class TestAnalyticReport:
             critical_index=0,
             jordan_sizes={0: 2},
         )
-        rep = analytic_covariance_report(model, -1.0)
-        assert_allclose(rep.block_matrices[0], [[0.75, 0.25], [0.25, 0.5]], atol=1e-12)
-        assert rep.norm_surrogate == pytest.approx(0.75)
+        got = model_covariance(model, -1.0, math.inf)
+        assert_allclose(got, [[0.75, 0.25], [0.25, 0.5]], atol=1e-12)
+        assert float(np.max(got.diagonal().real)) == pytest.approx(0.75)
 
     def test_jordan_block_coupled_by_dense_noise_matches_dense_solve(self):
         rng = np.random.default_rng(34)
@@ -304,12 +301,12 @@ class TestAnalyticReport:
             jordan_sizes={0: 3, 2: 2},
             sigma=0.7,
         )
+        off = model.block_offset(2)
         for p in (-0.5, -0.05):
-            rep = analytic_covariance_report(model, p)
+            got = model_covariance(model, p, math.inf)
             dense = finite_lyapunov_solve(assemble_drift_matrix(model, p), noise, 0.7)
-            got = np.array([[rep.entries[i, j] for j in range(7)] for i in range(7)])
             assert np.linalg.norm(got - dense) <= 1e-10 * np.linalg.norm(dense)
-            assert_allclose(rep.block_matrices[2], dense[4:6, 4:6], rtol=1e-10)
+            assert_allclose(got[off : off + 2, off : off + 2], dense[4:6, 4:6], rtol=1e-10)
 
     def test_unstable_point_signals(self):
         model = SpectralModel(
@@ -318,37 +315,4 @@ class TestAnalyticReport:
             critical_index=0,
         )
         with pytest.raises(NumericalError):
-            analytic_covariance_report(model, 0.5)
-
-
-class TestReportSerialization:
-    def make_report(self):
-        return CovarianceReport(
-            p=-0.5,
-            entries={(0, 0): 1.0 + 0j, (0, 1): 0.25 + 0.1j, (1, 0): 0.25 - 0.1j, (1, 1): 0.5 + 0j},
-            provenance="analytic",
-        )
-
-    def test_non_hermitian_entries_rejected(self):
-        with pytest.raises(ValueError):
-            CovarianceReport(p=-0.5, entries={(0, 1): 1j, (1, 0): 1j}, provenance="analytic")
-
-    def test_csv_is_deterministic(self, tmp_path):
-        rep = self.make_report()
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        rep.write_csv(a)
-        rep.write_csv(b)
-        assert a.read_bytes() == b.read_bytes()
-        header = a.read_text().splitlines()[0]
-        assert header == "p,k,j,re,im,provenance"
-
-    def test_json_round_trip(self, tmp_path):
-        rep = self.make_report()
-        path = tmp_path / "r.json"
-        rep.write_json(path)
-        payload = json.loads(path.read_text())
-        assert payload["p"] == -0.5
-        assert payload["provenance"] == "analytic"
-        entry = [e for e in payload["entries"] if e["k"] == 0 and e["j"] == 1][0]
-        assert entry["re"] == 0.25
-        assert entry["im"] == 0.1
+            model_covariance(model, 0.5, math.inf)

@@ -7,18 +7,14 @@ from numpy.testing import assert_allclose
 from warnlab import (
     EigenvalueCurve,
     EnsembleConfig,
-    ModeState,
     NumericalError,
     SpectralModel,
-    empirical_covariance,
-    jordan_block_step,
     jordan_stationary_covariance,
-    ou_exact_step,
-    sample_q_wiener_increment,
     simulate_ensemble,
     splitmix64,
     stationary_covariance_entry,
 )
+from warnlab.sde import _jordan_expm
 
 
 def reference_splitmix64(seed, index):
@@ -53,112 +49,24 @@ class TestSeeding:
             assert 0 <= v < 2**64
 
 
-class TestWienerIncrements:
-    def test_complex_increment_variance(self):
-        rng = np.random.default_rng(1)
-        rho, dt = 2.0, 0.25
-        draws = np.array([sample_q_wiener_increment([rho], dt, rng)[0] for _ in range(50_000)])
-        assert abs(np.mean(np.abs(draws) ** 2) - rho * dt) < 0.02 * rho * dt
-        # circular symmetry: real and imaginary parts carry half each
-        assert abs(np.var(draws.real) - rho * dt / 2) < 0.02 * rho * dt
-        assert abs(np.mean(draws)) < 0.02
-
-    def test_real_increment_variance(self):
-        rng = np.random.default_rng(2)
-        draws = np.array(
-            [sample_q_wiener_increment([3.0], 0.1, rng, complex_modes=False)[0] for _ in range(50_000)]
-        )
-        assert np.max(np.abs(draws.imag)) == 0.0
-        assert abs(np.var(draws.real) - 0.3) < 0.01
-
-    def test_mode_cutoff_scaling(self):
-        # cylindrical truncation: per-mode variance stays rho_j dt for all 64 modes
-        rng = np.random.default_rng(3)
-        rho = 1.0 / np.arange(1, 65) ** 2
-        acc = np.zeros(64)
-        n = 4000
-        for _ in range(n):
-            acc += np.abs(sample_q_wiener_increment(rho, 0.5, rng)) ** 2
-        assert_allclose(acc / n, rho * 0.5, rtol=0.25)
-
-    def test_rejects_negative_variances(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            sample_q_wiener_increment([-1.0], 0.1, rng)
-
-
 class TestOuStep:
-    def test_noiseless_decay_is_exact(self):
-        rng = np.random.default_rng(0)
-        lam = -0.7 + 1.3j
-        x = 2.0 - 1.0j
-        got = ou_exact_step(x, lam, 0.0, 0.25, rng)
-        assert got == np.exp(lam * 0.25) * x
-
-    def test_one_step_moments_match_closed_form(self):
-        lam, nv, dt, x0 = -0.9 + 1.7j, 1.3, 0.3, 1.0 + 0.5j
-        rng = np.random.default_rng(23)
-        n = 200_000
-        draws = np.array([ou_exact_step(x0, lam, nv, dt, rng) for _ in range(n)])
-        mean_exact = np.exp(lam * dt) * x0
-        var_exact = nv * -np.expm1(2 * lam.real * dt) / (2 * abs(lam.real))
-        centered = draws - mean_exact
-        se_mean = np.sqrt(var_exact / n)
-        assert abs(np.mean(draws) - mean_exact) < 4 * se_mean
-        second = np.abs(centered) ** 2
-        se_var = np.std(second) / np.sqrt(n)
-        assert abs(np.mean(second) - var_exact) < 4 * se_var
-
-    def test_stationary_variance(self):
-        rng = np.random.default_rng(4)
-        lam, nv, dt = -0.5 + 3.0j, 1.0, 0.1
-        n = 100_000
-        x = np.zeros(n, dtype=complex)
-        # vectorized transcription of the single-step rule
-        for _ in range(200):
-            d = rng.standard_normal((n, 2))
-            var = nv * np.expm1(2 * lam.real * dt) / (2 * lam.real)
-            x = np.exp(lam * dt) * x + (d[:, 0] + 1j * d[:, 1]) * np.sqrt(var / 2)
-        est = np.mean(np.abs(x) ** 2)
-        assert_allclose(est, nv / (2 * abs(lam.real)), rtol=0.02)
-
     def test_one_step_variance_matches_law_for_any_dt(self):
-        # the transition is exact: the time-1 second moment is dt-independent
-        lam, nv, t_final = -1.0, 1.0, 1.0
-        exact = nv * -np.expm1(2 * lam * t_final) / (2 * abs(lam))
+        # the transition is exact: the time-1 second moment is dt-independent;
+        # burn_in = 1 - dt keeps only the last step, so the estimate is the
+        # time-1 marginal from zero initial data
+        exact = -np.expm1(-2.0) / 2.0
         for dt, seed in [(0.5, 10), (0.1, 11), (0.01, 12)]:
-            rng = np.random.default_rng(seed)
-            n = 200_000
-            x = np.zeros(n, dtype=complex)
-            steps = int(round(t_final / dt))
-            for _ in range(steps):
-                d = rng.standard_normal((n, 2))
-                var = nv * np.expm1(2 * lam * dt) / (2 * lam)
-                x = np.exp(lam * dt) * x + (d[:, 0] + 1j * d[:, 1]) * np.sqrt(var / 2)
-            est = np.mean(np.abs(x) ** 2)
-            se = np.std(np.abs(x) ** 2) / np.sqrt(n)
-            assert abs(est - exact) < 4 * se
-
-    def test_unstable_lambda_signals(self):
-        with pytest.raises(NumericalError):
-            ou_exact_step(1.0, 0.0 + 1j, 1.0, 0.1, np.random.default_rng(0))
+            cfg = EnsembleConfig(dt=dt, horizon=1.0, n_trajectories=20_000, master_seed=seed,
+                                 burn_in=1.0 - dt)
+            est = simulate_ensemble(single_mode_model(), -1.0, cfg)
+            assert abs(est.matrix[0, 0] - exact) < 4 * est.standard_error[0, 0]
 
 
 class TestJordanStep:
     def test_noiseless_matches_block_exponential(self):
-        rng = np.random.default_rng(0)
-        x0 = np.array([0.0, 1.0], dtype=complex)
-        got = jordan_block_step(x0, -1.0, 2, np.zeros((2, 2)), 1.0, rng)
-        assert_allclose(got, np.exp(-1.0) * np.array([1.0, 1.0]), rtol=1e-12)
-
-    def test_size_one_reduces_to_ou(self):
-        for seed in (0, 7, 123):
-            a = jordan_block_step(
-                np.array([1.5 - 0.5j]), -0.8 + 0.3j, 1, np.array([[2.0]]), 0.1,
-                np.random.default_rng(seed),
-            )[0]
-            b = ou_exact_step(1.5 - 0.5j, -0.8 + 0.3j, 2.0, 0.1, np.random.default_rng(seed))
-            assert_allclose(a, b, rtol=1e-12)
+        for lam, m, t in [(-1.0, 2, 1.0), (-0.3 + 2.0j, 3, 0.7), (-5.0, 4, 0.1)]:
+            j = lam * np.eye(m) + np.diag(np.ones(m - 1), 1)
+            assert_allclose(_jordan_expm(lam, m, t), scipy.linalg.expm(j * t), rtol=1e-12)
 
     def test_one_step_second_moment_oracle(self):
         lam, dt = -1.0, 0.5
@@ -170,21 +78,17 @@ class TestJordanStep:
             return e @ c @ e.conj().T
 
         expected, _ = scipy.integrate.quad_vec(integrand, 0.0, dt)
-        rng = np.random.default_rng(17)
-        n = 20_000
-        acc = np.zeros((2, 2), dtype=complex)
-        zero = np.zeros(2, dtype=complex)
-        for _ in range(n):
-            x = jordan_block_step(zero, lam, 2, c, dt, rng)
-            acc += np.outer(x, x.conj())
-        assert_allclose(acc / n, expected, atol=0.03)
-
-    def test_mode_state_advances_time(self):
-        rng = np.random.default_rng(0)
-        s0 = ModeState.zero(2)
-        s1 = jordan_block_step(s0, -1.0, 2, np.eye(2), 0.25, rng)
-        assert s1.time == 0.25
-        assert s1.coefficients.shape == (2,)
+        model = SpectralModel(
+            curves=[EigenvalueCurve(0, lambda p: complex(p))],
+            noise_matrix=c,
+            critical_index=0,
+            jordan_sizes={0: 2},
+        )
+        # horizon 1.2 dt rounds to one step, kept whole with burn_in = 0
+        cfg = EnsembleConfig(dt=dt, horizon=1.2 * dt, n_trajectories=20_000, master_seed=17,
+                             burn_in=0.0)
+        est = simulate_ensemble(model, lam, cfg)
+        assert np.all(np.abs(est.matrix - expected) < 4 * est.standard_error)
 
 
 class TestEnsembleConfig:
@@ -204,31 +108,6 @@ class TestEnsembleConfig:
     def test_seed_is_reduced_to_64_bits(self):
         cfg = EnsembleConfig(dt=0.1, horizon=1.0, n_trajectories=2, master_seed=2**64 + 5)
         assert cfg.master_seed == 5
-
-
-class TestEmpiricalCovariance:
-    def test_frozen_two_samples(self):
-        est = empirical_covariance(np.array([[1.0, 0.0], [-1.0, 0.0]]))
-        assert_allclose(est.matrix, [[2.0, 0.0], [0.0, 0.0]], atol=1e-14)
-        assert est.n_samples == 2
-        assert np.all(np.isnan(est.standard_error))
-
-    def test_standard_normal_recovers_identity(self):
-        rng = np.random.default_rng(8)
-        n = 100_000
-        samples = (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))) / np.sqrt(2)
-        est = empirical_covariance(samples)
-        assert_allclose(est.matrix, np.eye(2), atol=0.02)
-        assert np.all(est.standard_error > 0)
-        assert np.all(np.abs(est.matrix - np.eye(2)) < 5 * est.standard_error)
-
-    def test_too_few_samples_signal(self):
-        with pytest.raises(NumericalError):
-            empirical_covariance(np.array([[1.0, 2.0]]))
-
-    def test_ragged_input_signals(self):
-        with pytest.raises(NumericalError):
-            empirical_covariance([[1.0, 2.0], [1.0]])
 
 
 class TestSimulateEnsemble:

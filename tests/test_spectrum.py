@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -90,6 +92,28 @@ class TestModelValidation:
         assert m.grid[i0] == 0.0
         assert m.esssup == 0.0
         assert_allclose(m.values, -np.square(m.grid))
+
+    @pytest.mark.parametrize("symbol", [
+        math.cos,                                # TypeError on arrays
+        lambda x: -x * x if x > 0 else 0.0,      # ValueError: ambiguous truth value
+        lambda x: -1.0,                          # scalar for the whole grid
+    ])
+    def test_from_function_falls_back_to_scalar_symbols(self, symbol):
+        m = MultiplicationSymbolModel.from_function(symbol, lo=-1.0, hi=1.0, spacing=0.25)
+        assert_allclose(m.values, [symbol(float(x)) for x in m.grid])
+
+    def test_from_function_propagates_symbol_bugs(self):
+        calls = []
+
+        def symbol(x):
+            calls.append(x)
+            if isinstance(x, np.ndarray):
+                raise RuntimeError("bug in vectorized symbol")
+            return -x * x
+
+        with pytest.raises(RuntimeError, match="bug in vectorized symbol"):
+            MultiplicationSymbolModel.from_function(symbol, lo=-1.0, hi=1.0, spacing=0.25)
+        assert len(calls) == 1
 
     def test_esssup_is_grid_max(self):
         m = MultiplicationSymbolModel.from_function(np.sin, lo=-3.0, hi=3.0, spacing=1e-3)
