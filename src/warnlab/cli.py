@@ -33,7 +33,7 @@ from .scaling import (
     weyl_divergence_probe,
     write_sweep_csv,
 )
-from .sde import splitmix64
+from .sde import _MIXING_THRESHOLD, splitmix64
 from .spectrum import (
     MultiplicationSymbolModel,
     SpectralModel,
@@ -185,6 +185,32 @@ def _sweep_report(command, cfg, args, sweep, xi, elapsed, seed_record=None) -> d
     return report
 
 
+def _mc_diagnostics(cfg, sweep, horizon: float, p_star: float) -> dict:
+    """Audit of a Monte Carlo sweep against the closed forms: for each point
+    the mixing ratio horizon * |spectral abscissa| and, for each quantity,
+    the closed-form |V| and the z-score (value - closed_form) / stderr (None
+    at zero stderr), plus the share of estimates within 3 standard errors."""
+    exact = run_parameter_sweep(cfg.model, sweep.p_values, cfg.quantities, engine="analytic",
+                                p_star=p_star)
+    points = []
+    hits = total = 0
+    for i, p in enumerate(sweep.p_values):
+        quantities = {}
+        for name, values in sweep.quantities.items():
+            value, closed = float(values[i]), float(exact.quantities[name][i])
+            se = float(sweep.stderrs[name][i])
+            quantities[name] = {"closed_form": closed,
+                                "z": (value - closed) / se if se > 0.0 else None}
+            total += 1
+            hits += abs(value - closed) <= 3.0 * se
+        points.append({
+            "p": float(p),
+            "mixing_ratio": horizon * abs(spectral_abscissa(cfg.model, float(p))),
+            "quantities": quantities,
+        })
+    return {"points": points, "within_3se_frac": hits / total}
+
+
 def _maybe_xi(model, grid):
     if isinstance(model, SpectralModel) and model.sigma_depends_on_p:
         return noise_limit_xi(model, grid)
@@ -227,9 +253,14 @@ def cmd_simulate(args) -> int:
         "point_seeds": [splitmix64(ensemble.master_seed, i) for i in range(grid.size)],
     }
     report = _sweep_report("simulate", cfg, args, sweep, xi, elapsed, seed_record)
+    diagnostics = _mc_diagnostics(cfg, sweep, ensemble.horizon, p_star)
+    report["diagnostics"] = diagnostics
     if sweep.mixing_warning:
         print("warning: horizon is short against the slowest relaxation time "
-              "(horizon * |spectral abscissa| < 5)", file=sys.stderr)
+              f"(horizon * |spectral abscissa| < {_MIXING_THRESHOLD:g})", file=sys.stderr)
+    if diagnostics["within_3se_frac"] < 0.95:
+        print(f"warning: only {diagnostics['within_3se_frac']:.1%} of the estimates lie "
+              "within 3 standard errors of the closed forms", file=sys.stderr)
     outdir = _write_outputs(cfg, args, sweep, report)
     print(f"outputs in {outdir}")
     return 0
@@ -306,7 +337,7 @@ def cmd_validate(args) -> int:
     if cfg.engine == "empirical" and cfg.ensemble is not None \
             and isinstance(model, SpectralModel):
         absc = spectral_abscissa(model, float(grid[-1]))
-        if cfg.ensemble.horizon * abs(absc) < 5.0:
+        if cfg.ensemble.horizon * abs(absc) < _MIXING_THRESHOLD:
             print("warning: horizon may be too short for mixing near the top of "
                   "the grid", file=sys.stderr)
     absc_lo = spectral_abscissa(model, float(grid[0]))
@@ -316,6 +347,16 @@ def cmd_validate(args) -> int:
           f"[{float(grid[0])!r}, {float(grid[-1])!r}], spectral abscissa "
           f"{absc_lo:.6g} -> {absc_hi:.6g} across the sweep")
     return 0
+
+
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 thread, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -335,7 +376,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+        p.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1,
                        help="worker threads for sweep points (default: all cores)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the ensemble master seed")

@@ -13,6 +13,13 @@ modes and near-critical blocks, so no discretization bias enters at any dt.
 Randomness is reproducible by construction: trajectory i draws from a
 dedicated generator seeded with splitmix64(master_seed, i), and reductions
 over trajectories run in index order.
+
+Trajectories run in chunks of ``_CHUNK``, and each chunk streams its horizon in
+time blocks. The chunk's generators are created once; for each block of steps
+every generator fills its row of one preallocated noise buffer of at most
+``_BLOCK_BYTES``. Memory therefore stays bounded whatever the horizon.
+Consecutive block draws concatenate to the same stream as one draw over the
+whole horizon, so the block length never changes the bytes of the result.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _CHUNK = 2048
+_BLOCK_BYTES = 8 << 20  # bytes of noise per time block, over all trajectories of a chunk
 _MIXING_THRESHOLD = 5.0
 
 
@@ -154,21 +162,33 @@ def simulate_ensemble(model: SpectralModel, p: float, config: EnsembleConfig) ->
     trans = _drift_expm(model, p, config.dt).T.copy()
     noise_factor = _psd_factor(model_covariance(model, p, config.dt)).T.copy()
     n = config.n_trajectories
+    width = min(n, _CHUNK)
+    block = max(1, min(n_steps, _BLOCK_BYTES // (width * dim * 16)))
+    z = np.empty((width, block, dim), dtype=complex)
+    draws = z.view(np.float64)  # the [re, im] pairs of z; generator j fills row j
     stats = np.empty((n, dim, dim), dtype=complex)
     for c0 in range(0, n, _CHUNK):
         c1 = min(n, c0 + _CHUNK)
         nc = c1 - c0
-        z = np.empty((nc, n_steps, dim), dtype=complex)
-        for i in range(c0, c1):
-            g = _generator(splitmix64(config.master_seed, i))
-            d = g.standard_normal((n_steps, dim, 2))
-            z[i - c0] = (d[..., 0] + 1j * d[..., 1]) * _INV_SQRT2
+        gens = [_generator(splitmix64(config.master_seed, i)) for i in range(c0, c1)]
         x = np.zeros((nc, dim), dtype=complex)
+        drift, kick, x_conj = np.empty_like(x), np.empty_like(x), np.empty_like(x)
         acc = np.zeros((nc, dim, dim), dtype=complex)
-        for t in range(n_steps):
-            x = x @ trans + z[:, t, :] @ noise_factor
-            if t >= burn:
-                acc += x[:, :, None] * x[:, None, :].conj()
+        outer = np.empty_like(acc)
+        for t0 in range(0, n_steps, block):
+            b = min(block, n_steps - t0)
+            for j, g in enumerate(gens):
+                g.standard_normal(out=draws[j, :b])
+            zb = z[:nc, :b]
+            zb *= _INV_SQRT2
+            for s in range(b):
+                np.matmul(x, trans, out=drift)
+                np.matmul(zb[:, s, :], noise_factor, out=kick)
+                np.add(drift, kick, out=x)
+                if t0 + s >= burn:
+                    np.conjugate(x, out=x_conj)
+                    np.multiply(x[:, :, None], x_conj[:, None, :], out=outer)
+                    acc += outer
         stats[c0:c1] = acc / keep
     mean = stats.mean(axis=0)
     mat = 0.5 * (mean + mean.conj().T)

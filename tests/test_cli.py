@@ -146,6 +146,15 @@ class TestValidate:
         assert not out.exists()
 
 
+class TestArguments:
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_rejected(self, threads, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run("validate", "--config", CONFIG_DIR / "single_mode.json", "--threads", threads)
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
+
 class TestAnalyticCommand:
     def test_single_mode_run(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -221,6 +230,39 @@ class TestSimulateCommand:
         for p, v, e in zip(res["p_values"], res["values"], res["stderr"]):
             assert abs(v - 1.0 / (2.0 * abs(p))) < 4 * e
 
+    def small_mc_config(self, tmp_path, **engine):
+        cfg = json.loads((CONFIG_DIR / "single_mode_mc.json").read_text())
+        cfg["engine"].update({"n_trajectories": 200, "horizon": 20.0, "dt": 0.1,
+                              "master_seed": 5, **engine})
+        return write_json(tmp_path, cfg)
+
+    def test_report_audits_each_point(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("simulate", "--config", self.small_mc_config(tmp_path), "--out", out) == 0
+        assert "within 3 standard errors" not in capsys.readouterr().err
+        report = json.loads((out / "report.json").read_text())
+        res = report["results"]["critical_diagonal"]
+        diag = report["diagnostics"]
+        assert [pt["p"] for pt in diag["points"]] == res["p_values"]
+        hits = 0
+        for pt, v, e in zip(diag["points"], res["values"], res["stderr"]):
+            assert pt["mixing_ratio"] == pytest.approx(20.0 * abs(pt["p"]), rel=1e-12)
+            q = pt["quantities"]["critical_diagonal"]
+            assert q["closed_form"] == pytest.approx(1.0 / (2.0 * abs(pt["p"])), rel=1e-12)
+            assert q["z"] == pytest.approx((v - q["closed_form"]) / e, rel=1e-12)
+            hits += abs(q["z"]) <= 3.0
+        assert diag["within_3se_frac"] == hits / 3
+
+    def test_warns_when_estimates_miss_closed_form(self, tmp_path, capsys):
+        # two time units from zero data fall far short of the stationary variance
+        out = tmp_path / "out"
+        cfg = self.small_mc_config(tmp_path, horizon=2.0)
+        assert run("simulate", "--config", cfg, "--out", out) == 0
+        assert "within 3 standard errors" in capsys.readouterr().err
+        diag = json.loads((out / "report.json").read_text())["diagnostics"]
+        assert diag["within_3se_frac"] < 0.95
+        assert all(pt["quantities"]["critical_diagonal"]["z"] < -3.0 for pt in diag["points"])
+
     def test_zero_noise_writes_zero_columns(self, tmp_path, capsys):
         cfg = json.loads((CONFIG_DIR / "single_mode_mc.json").read_text())
         cfg["model"]["sigma"] = {"kind": "constant", "value": 0.0}
@@ -234,6 +276,9 @@ class TestSimulateCommand:
         assert res["fit"] is None and "fit_error" in res
         for line in (out / "sweep_critical_diagonal.csv").read_text().splitlines()[1:]:
             assert line.split(",")[2] == "0.0"
+        diag = report["diagnostics"]
+        assert all(pt["quantities"]["critical_diagonal"]["z"] is None for pt in diag["points"])
+        assert diag["within_3se_frac"] == 1.0
 
 
 class TestWeylCommand:

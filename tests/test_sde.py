@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -14,7 +16,9 @@ from warnlab import (
     splitmix64,
     stationary_covariance_entry,
 )
-from warnlab.sde import _jordan_expm
+from warnlab import sde
+from warnlab.lyapunov import model_covariance
+from warnlab.sde import _drift_expm, _generator, _jordan_expm, _psd_factor
 
 
 def reference_splitmix64(seed, index):
@@ -31,6 +35,54 @@ def single_mode_model(sigma=1.0, noise=1.0):
         noise_matrix=np.array([[noise]]),
         critical_index=0,
         sigma=sigma,
+    )
+
+
+def full_horizon_oracle(model, p, config, chunk):
+    """Ensemble estimate with each chunk's noise drawn over the whole horizon
+    at once, in ``chunk``-trajectory chunks: the unblocked reference that
+    ``simulate_ensemble`` must reproduce bit for bit."""
+    dim = model.total_dim
+    n_steps = max(1, int(round(config.horizon / config.dt)))
+    burn = int(np.floor(config.burn_in * n_steps))
+    keep = n_steps - burn
+    trans = _drift_expm(model, p, config.dt).T.copy()
+    noise_factor = _psd_factor(model_covariance(model, p, config.dt)).T.copy()
+    n = config.n_trajectories
+    stats = np.empty((n, dim, dim), dtype=complex)
+    for c0 in range(0, n, chunk):
+        c1 = min(n, c0 + chunk)
+        nc = c1 - c0
+        z = np.empty((nc, n_steps, dim), dtype=complex)
+        for i in range(c0, c1):
+            g = _generator(splitmix64(config.master_seed, i))
+            d = g.standard_normal((n_steps, dim, 2))
+            z[i - c0] = (d[..., 0] + 1j * d[..., 1]) * (1.0 / np.sqrt(2.0))
+        x = np.zeros((nc, dim), dtype=complex)
+        acc = np.zeros((nc, dim, dim), dtype=complex)
+        for t in range(n_steps):
+            x = x @ trans + z[:, t, :] @ noise_factor
+            if t >= burn:
+                acc += x[:, :, None] * x[:, None, :].conj()
+        stats[c0:c1] = acc / keep
+    mean = stats.mean(axis=0)
+    dev = stats - mean
+    se = np.sqrt(np.sum(np.abs(dev) ** 2, axis=0) / (n * (n - 1)))
+    return 0.5 * (mean + mean.conj().T), se
+
+
+def jordan_plus_simple_model():
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    return SpectralModel(
+        curves=[
+            EigenvalueCurve(0, lambda p: complex(p)),
+            EigenvalueCurve(1, lambda p: p - 1.0 + 2.0j),
+            EigenvalueCurve(2, lambda p: -0.7 - 0.5j),
+        ],
+        noise_matrix=g @ g.conj().T / 4.0,
+        critical_index=0,
+        jordan_sizes={0: 2},
     )
 
 
@@ -184,3 +236,54 @@ class TestSimulateEnsemble:
         b = simulate_ensemble(model, -0.5, self.config(dt=0.05, master_seed=7))
         gap = abs(a.matrix[0, 0] - b.matrix[0, 0])
         assert gap < 4 * (a.standard_error[0, 0] + b.standard_error[0, 0])
+
+
+class TestTimeBlocks:
+    MODELS = {
+        "single": single_mode_model,
+        "jordan2": lambda: SpectralModel(
+            curves=[EigenvalueCurve(0, lambda p: complex(p))],
+            noise_matrix=np.array([[1.0, 0.3], [0.3, 0.5]]),
+            critical_index=0,
+            jordan_sizes={0: 2},
+        ),
+        "jordan_plus_simple": jordan_plus_simple_model,
+    }
+
+    @pytest.mark.parametrize("block", ["one_step", "seven_steps", "whole_horizon"])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_blocks_match_full_horizon_oracle(self, monkeypatch, name, block):
+        # 8 trajectories in chunks of 3 leave a partial last chunk; 7-step
+        # blocks leave a partial last block of the 24 steps
+        model = self.MODELS[name]()
+        dim = model.total_dim
+        budget = {"one_step": 1, "seven_steps": 7 * 3 * dim * 16,
+                  "whole_horizon": 1 << 40}[block]
+        monkeypatch.setattr(sde, "_CHUNK", 3)
+        monkeypatch.setattr(sde, "_BLOCK_BYTES", budget)
+        cfg = EnsembleConfig(dt=0.05, horizon=1.2, n_trajectories=8, master_seed=2024)
+        est = simulate_ensemble(model, -0.4, cfg)
+        mat, se = full_horizon_oracle(model, -0.4, cfg, chunk=3)
+        assert np.array_equal(est.matrix, mat)
+        assert np.array_equal(est.standard_error, se)
+
+    def test_memory_does_not_grow_with_horizon(self, monkeypatch):
+        monkeypatch.setattr(sde, "_BLOCK_BYTES", 64 << 10)
+        model = SpectralModel(
+            curves=[EigenvalueCurve(0, lambda p: complex(p))],
+            noise_matrix=np.eye(2),
+            critical_index=0,
+            jordan_sizes={0: 2},
+        )
+        peaks = {}
+        for horizon in (50.0, 400.0):
+            cfg = EnsembleConfig(dt=0.05, horizon=horizon, n_trajectories=16, master_seed=3)
+            tracemalloc.start()
+            try:
+                simulate_ensemble(model, -0.5, cfg)
+                peaks[horizon] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # a full-horizon noise buffer for the long run alone is 16 * 8000 * 2 * 16 bytes
+        assert peaks[400.0] <= 1.25 * peaks[50.0]
+        assert peaks[400.0] < 16 * 8000 * 2 * 16
