@@ -170,6 +170,8 @@ def _sweep_report(command, cfg, args, sweep, xi, elapsed, seed_record=None) -> d
             print(f"{name}: exponent {fit.exponent:.6g} (r^2 {fit.r_squared:.6g}) "
                   f"-> {results[name]['verdict']['classification']}")
     report = _base_report(command, cfg, sweep.p_star, elapsed)
+    report["timing"]["points"] = [{"p": float(p), "seconds": s}
+                                  for p, s in zip(sweep.p_values, sweep.point_seconds)]
     report["results"] = results
     report["mixing_warning"] = sweep.mixing_warning
     if xi is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import time
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -95,7 +96,10 @@ def parse_quantity(q) -> QuantitySpec:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """Quantity series along a parameter grid below p*."""
+    """Quantity series along a parameter grid below p*.
+
+    ``point_seconds`` holds the wall seconds each grid point's evaluation
+    took, in grid order (empty when the sweep was not timed)."""
 
     p_values: np.ndarray
     quantities: Mapping[str, np.ndarray]
@@ -103,6 +107,7 @@ class SweepResult:
     provenance: Mapping[str, str]
     stderrs: Mapping[str, np.ndarray | None] = field(default_factory=dict)
     mixing_warning: bool = False
+    point_seconds: tuple[float, ...] = ()
 
     def __post_init__(self):
         p = np.asarray(self.p_values, dtype=float)
@@ -252,7 +257,8 @@ def run_parameter_sweep(model, p_grid, quantities, engine: str = "analytic",
     Sweep points are independent; with ``threads > 1`` they are evaluated in a
     thread pool and reassembled in grid order, so the result is identical to a
     serial run. The empirical engine derives one seed per grid point from the
-    ensemble master seed, making the whole sweep reproducible.
+    ensemble master seed, making the whole sweep reproducible. The wall time
+    of each point's evaluation is kept in ``point_seconds``.
     """
     p = np.asarray(p_grid, dtype=float)
     if p.ndim != 1 or p.size < 1:
@@ -287,12 +293,16 @@ def run_parameter_sweep(model, p_grid, quantities, engine: str = "analytic",
 
     def job(i: int):
         pi = float(p[i])
+        start = time.perf_counter()
         try:
             if engine == "analytic":
-                return _eval_point_analytic(model, pi, specs, cache), None, False
-            return _eval_point_empirical(model, pi, specs, config, splitmix64(config.master_seed, i))
+                res = (_eval_point_analytic(model, pi, specs, cache), None, False)
+            else:
+                res = _eval_point_empirical(model, pi, specs, config,
+                                            splitmix64(config.master_seed, i))
         except NumericalError as exc:
             raise NumericalError(f"sweep failed at p={pi}: {exc}") from exc
+        return res, time.perf_counter() - start
 
     if threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
@@ -304,8 +314,7 @@ def run_parameter_sweep(model, p_grid, quantities, engine: str = "analytic",
     values = {name: np.empty(p.size) for name in names}
     errors = {name: (np.empty(p.size) if engine == "empirical" else None) for name in names}
     warned = False
-    for i, res in enumerate(results):
-        vals, errs, warn = res
+    for i, ((vals, errs, warn), _) in enumerate(results):
         warned = warned or warn
         for name, v in zip(names, vals):
             values[name][i] = v
@@ -319,6 +328,7 @@ def run_parameter_sweep(model, p_grid, quantities, engine: str = "analytic",
         provenance={name: engine for name in names},
         stderrs=errors,
         mixing_warning=warned,
+        point_seconds=tuple(seconds for _, seconds in results),
     )
 
 

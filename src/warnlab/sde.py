@@ -11,19 +11,27 @@ block-pair kernel as the stationary covariance, which stays exact for stiff
 modes and near-critical blocks, so no discretization bias enters at any dt.
 
 Randomness is reproducible by construction: trajectory i draws from a
-dedicated generator seeded with splitmix64(master_seed, i), and reductions
-over trajectories run in index order.
+dedicated generator, exactly PCG64(splitmix64(master_seed, i)), and
+reductions over trajectories run in index order. A chunk's seeds go through
+numpy's SeedSequence hash in one vectorized pass (``_seed_states``), and each
+PCG64 is seeded from its precomputed row, which skips the per-generator
+hashing but not a bit of the stream.
 
 Trajectories run in chunks of ``_CHUNK``, and each chunk streams its horizon in
 time blocks. The chunk's generators are created once; for each block of steps
 every generator fills its row of one preallocated noise buffer of at most
-``_BLOCK_BYTES``. Memory therefore stays bounded whatever the horizon.
-Consecutive block draws concatenate to the same stream as one draw over the
-whole horizon, so the block length never changes the bytes of the result.
+``_BLOCK_BYTES``. The noise memory therefore stays bounded whatever the
+horizon; the other O(N·dim²) term is the per-trajectory time averages, kept
+whole because the mean and the standard errors reduce over all N of them in
+index order. Consecutive block draws concatenate to the same stream as one
+draw over the whole horizon, so the block length never changes the bytes of
+the result. Second moments accumulate with the trajectory axis last; each
+entry still sums the same products in the same time order.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +46,11 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _CHUNK = 2048
 _BLOCK_BYTES = 8 << 20  # bytes of noise per time block, over all trajectories of a chunk
 _MIXING_THRESHOLD = 5.0
+# numpy SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 def splitmix64(seed: int, index: int = 0) -> int:
@@ -49,8 +62,68 @@ def splitmix64(seed: int, index: int = 0) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def _generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed))
+def _word_hash(const: int, mult: int):
+    """numpy SeedSequence's word hash with its running constant, on uint32
+    arrays: value ^= const; const *= mult; value *= const; value ^= value >> 16."""
+
+    def hash_word(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = (const * mult) & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> 16)
+
+    return hash_word
+
+
+def _seed_states(seeds) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for every 64-bit seed
+    ``s`` in ``seeds``, in one vectorized pass: numpy's entropy mixing into a
+    pool of 4 words, then its output hash, on uint32 arrays. The entropy words
+    are the low and high 32 bits of s (a seed below 2**32 has one word, and
+    numpy then hashes a 0 in its place, the same thing); there is no spawn
+    key. Returns shape (len(seeds), 4)."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    zero = np.zeros(seeds.shape, dtype=np.uint32)
+    entropy = [(seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32), zero, zero]
+    hashmix = _word_hash(_INIT_A, _MULT_A)
+    pool = [hashmix(e) for e in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                r = (np.uint32(_MIX_MULT_L) * pool[dst]
+                     - np.uint32(_MIX_MULT_R) * hashmix(pool[src]))
+                pool[dst] = r ^ (r >> 16)
+    output = _word_hash(_INIT_B, _MULT_B)
+    words = [output(pool[i % 4]) for i in range(8)]
+    return np.stack(words, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seed_state_type() -> type:
+    """The ``ISeedSequence`` that hands numpy's own PCG64 seeding one
+    precomputed row of ``_seed_states``, in place of the SeedSequence that
+    would hash it again. Built on first use: subclassing imports numpy.random
+    (about 6 MB and 10 ms), which the closed-form commands never need."""
+
+    class SeedState(np.random.bit_generator.ISeedSequence):
+        def __init__(self, state: np.ndarray):
+            self._state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("SeedState holds only the (4, uint64) state PCG64 asks for")
+            return self._state
+
+    return SeedState
+
+
+def _chunk_generators(master_seed: int, c0: int, c1: int) -> list[np.random.Generator]:
+    """Generators of trajectories c0 .. c1-1, each bit-identical to
+    ``Generator(PCG64(splitmix64(master_seed, i)))``."""
+    seed_state = _seed_state_type()
+    states = _seed_states([splitmix64(master_seed, i) for i in range(c0, c1)])
+    return [np.random.Generator(np.random.PCG64(seed_state(row))) for row in states]
 
 
 @dataclass(frozen=True)
@@ -170,10 +243,16 @@ def simulate_ensemble(model: SpectralModel, p: float, config: EnsembleConfig) ->
     for c0 in range(0, n, _CHUNK):
         c1 = min(n, c0 + _CHUNK)
         nc = c1 - c0
-        gens = [_generator(splitmix64(config.master_seed, i)) for i in range(c0, c1)]
+        gens = _chunk_generators(config.master_seed, c0, c1)
         x = np.zeros((nc, dim), dtype=complex)
-        drift, kick, x_conj = np.empty_like(x), np.empty_like(x), np.empty_like(x)
-        acc = np.zeros((nc, dim, dim), dtype=complex)
+        drift, kick = np.empty_like(x), np.empty_like(x)
+        # second moments accumulate with the trajectory axis last, so the
+        # outer product's inner loop runs over the chunk, not over dim; the
+        # state x keeps the trajectory axis first, because matmul's rounding
+        # depends on the layout at dim >= 2
+        xt = np.empty((dim, nc), dtype=complex)
+        xt_conj = np.empty_like(xt)
+        acc = np.zeros((dim, dim, nc), dtype=complex)
         outer = np.empty_like(acc)
         for t0 in range(0, n_steps, block):
             b = min(block, n_steps - t0)
@@ -186,10 +265,11 @@ def simulate_ensemble(model: SpectralModel, p: float, config: EnsembleConfig) ->
                 np.matmul(zb[:, s, :], noise_factor, out=kick)
                 np.add(drift, kick, out=x)
                 if t0 + s >= burn:
-                    np.conjugate(x, out=x_conj)
-                    np.multiply(x[:, :, None], x_conj[:, None, :], out=outer)
+                    np.copyto(xt, x.T)
+                    np.conjugate(xt, out=xt_conj)
+                    np.multiply(xt[:, None, :], xt_conj[None, :, :], out=outer)
                     acc += outer
-        stats[c0:c1] = acc / keep
+        stats[c0:c1] = (acc / keep).transpose(2, 0, 1)
     mean = stats.mean(axis=0)
     mat = 0.5 * (mean + mean.conj().T)
     dev = stats - mean

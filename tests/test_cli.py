@@ -281,6 +281,32 @@ class TestSimulateCommand:
         assert diag["within_3se_frac"] == 1.0
 
 
+class TestPointTiming:
+    @pytest.mark.parametrize("command,config", [
+        ("analytic", "single_mode.json"),
+        ("simulate", "small_mc"),
+    ])
+    def test_report_times_each_point(self, command, config, tmp_path):
+        if config == "small_mc":
+            cfg = json.loads((CONFIG_DIR / "single_mode_mc.json").read_text())
+            cfg["engine"].update({"n_trajectories": 64, "horizon": 10.0, "dt": 0.1})
+            path = write_json(tmp_path, cfg)
+        else:
+            path = CONFIG_DIR / config
+        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+        assert run(command, "--config", path, "--out", serial, "--threads", 1) == 0
+        assert run(command, "--config", path, "--out", pooled, "--threads", 2) == 0
+        for out in (serial, pooled):
+            report = json.loads((out / "report.json").read_text())
+            points = report["timing"]["points"]
+            assert [pt["p"] for pt in points] == \
+                report["results"]["critical_diagonal"]["p_values"]
+            assert all(pt["seconds"] > 0.0 for pt in points)
+            assert sum(pt["seconds"] for pt in points) <= report["timing"]["seconds"] * 2
+        name = "sweep_critical_diagonal.csv"
+        assert (serial / name).read_bytes() == (pooled / name).read_bytes()
+
+
 class TestWeylCommand:
     def test_probe_prints_defect_table(self, tmp_path, capsys):
         out = tmp_path / "out"

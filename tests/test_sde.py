@@ -18,7 +18,14 @@ from warnlab import (
 )
 from warnlab import sde
 from warnlab.lyapunov import model_covariance
-from warnlab.sde import _drift_expm, _generator, _jordan_expm, _psd_factor
+from warnlab.sde import (
+    _chunk_generators,
+    _drift_expm,
+    _jordan_expm,
+    _psd_factor,
+    _seed_state_type,
+    _seed_states,
+)
 
 
 def reference_splitmix64(seed, index):
@@ -41,7 +48,10 @@ def single_mode_model(sigma=1.0, noise=1.0):
 def full_horizon_oracle(model, p, config, chunk):
     """Ensemble estimate with each chunk's noise drawn over the whole horizon
     at once, in ``chunk``-trajectory chunks: the unblocked reference that
-    ``simulate_ensemble`` must reproduce bit for bit."""
+    ``simulate_ensemble`` must reproduce bit for bit. Generators follow the
+    README contract word for word, and second moments accumulate with the
+    trajectory axis first, so neither the seeding nor the layout of the
+    engine is reused here."""
     dim = model.total_dim
     n_steps = max(1, int(round(config.horizon / config.dt)))
     burn = int(np.floor(config.burn_in * n_steps))
@@ -55,7 +65,7 @@ def full_horizon_oracle(model, p, config, chunk):
         nc = c1 - c0
         z = np.empty((nc, n_steps, dim), dtype=complex)
         for i in range(c0, c1):
-            g = _generator(splitmix64(config.master_seed, i))
+            g = np.random.Generator(np.random.PCG64(splitmix64(config.master_seed, i)))
             d = g.standard_normal((n_steps, dim, 2))
             z[i - c0] = (d[..., 0] + 1j * d[..., 1]) * (1.0 / np.sqrt(2.0))
         x = np.zeros((nc, dim), dtype=complex)
@@ -86,6 +96,25 @@ def jordan_plus_simple_model():
     )
 
 
+def dim8_dense_model():
+    # a size-3 Jordan block, a size-2 block and three simple modes under a
+    # dense complex noise: every one of the 64 second moments is nonzero
+    rng = np.random.default_rng(8)
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    return SpectralModel(
+        curves=[
+            EigenvalueCurve(0, lambda p: complex(p)),
+            EigenvalueCurve(1, lambda p: p - 0.5 + 1.0j),
+            EigenvalueCurve(2, lambda p: -0.7 - 0.5j),
+            EigenvalueCurve(3, lambda p: -1.2 + 2.0j),
+            EigenvalueCurve(4, lambda p: p - 2.0),
+        ],
+        noise_matrix=g @ g.conj().T / 8.0,
+        critical_index=0,
+        jordan_sizes={0: 3, 1: 2},
+    )
+
+
 class TestSeeding:
     def test_matches_reference_mix(self):
         for seed, index in [(0, 0), (1, 0), (0, 1), (20260813, 17), (2**63, 2**20)]:
@@ -99,6 +128,32 @@ class TestSeeding:
         for i in range(100):
             v = splitmix64(2**64 - 1, i)
             assert 0 <= v < 2**64
+
+    def test_seed_states_match_numpy_seed_sequence(self):
+        seeds = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        seeds += [splitmix64(20261018, i) for i in range(4096)]
+        expected = np.array([np.random.SeedSequence(s).generate_state(4, np.uint64)
+                             for s in seeds])
+        got = _seed_states(seeds)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, expected)
+
+    def test_chunk_generators_follow_the_contract(self):
+        # trajectory i draws from Generator(PCG64(splitmix64(master_seed, i)))
+        master = 2**64 - 3
+        gens = _chunk_generators(master, 5, 37)
+        assert len(gens) == 32
+        for i, g in zip(range(5, 37), gens):
+            ref = np.random.Generator(np.random.PCG64(splitmix64(master, i)))
+            assert np.array_equal(g.standard_normal(64), ref.standard_normal(64))
+
+    def test_seed_state_serves_only_the_pcg64_request(self):
+        state = _seed_state_type()(_seed_states([7])[0])
+        assert np.array_equal(state.generate_state(4, np.uint64), _seed_states([7])[0])
+        with pytest.raises(ValueError):
+            state.generate_state(8, np.uint32)
+        with pytest.raises(ValueError):
+            state.generate_state(4, np.uint32)
 
 
 class TestOuStep:
@@ -248,6 +303,7 @@ class TestTimeBlocks:
             jordan_sizes={0: 2},
         ),
         "jordan_plus_simple": jordan_plus_simple_model,
+        "dim8_dense": dim8_dense_model,
     }
 
     @pytest.mark.parametrize("block", ["one_step", "seven_steps", "whole_horizon"])
