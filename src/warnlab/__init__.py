@@ -18,7 +18,6 @@ from .spectrum import (
     bifurcation_parameter,
     build_weyl_sequence,
     curve_continuity_violations,
-    point_spectrum,
     resolvent_bound_check,
     spectral_abscissa,
     weyl_defect,
@@ -95,7 +94,6 @@ __all__ = [
     "multiplication_covariance_norm",
     "noise_limit_xi",
     "parse_quantity",
-    "point_spectrum",
     "quadratic_form_pairing",
     "resolve_config",
     "resolvent_bound_check",

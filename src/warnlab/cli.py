@@ -4,7 +4,14 @@ Subcommands:
     analytic   closed-form sweep of the configured quantities
     simulate   Monte Carlo sweep (config must declare an empirical engine)
     weyl       Weyl-vector pairing probe for multiplication models
-    validate   parse the config, build the model, and sanity-check the grid
+    validate   run the pre-flight alone and summarize the config
+
+Every command runs the same pre-flight before it sweeps (``_preflight``): p*,
+the power_of_p noise threshold, the grid and, for spectral models, curve
+continuity, the spectral gap and the mixing warning. Only a command's own
+requirements (simulate's empirical engine, weyl's multiplication model and
+k_values) are checked before it, so a config that ``validate`` rejects fails
+every command that accepts its kind with the same exit code and message.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure. The
 WARNLAB_LOG environment variable (error, info, debug) controls verbosity.
@@ -19,7 +26,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .config import ExperimentConfig, check_noise_threshold, load_config
@@ -69,44 +76,59 @@ def _resolve_formats(args, cfg: ExperimentConfig) -> tuple:
     return (args.format,)
 
 
-def _p_star(cfg: ExperimentConfig) -> float:
-    """Bifurcation parameter of the configured model, with a power_of_p noise
-    law checked against it, so that no command sweeps a mismatched law."""
-    p_star = bifurcation_parameter(cfg.model, cfg.p_star_bracket)
+def _mixing_ratios(cfg: ExperimentConfig, grid) -> list:
+    """horizon * |spectral abscissa| at each grid point: how many relaxation
+    times of the slowest mode one trajectory of the ensemble spans."""
+    return [cfg.ensemble.horizon * abs(spectral_abscissa(cfg.model, float(p))) for p in grid]
+
+
+def _preflight(cfg: ExperimentConfig):
+    """The checks every command runs before it sweeps; returns (p*, grid).
+
+    For spectral models: the power_of_p noise law vanishes at p*, the curves
+    are continuous on the grid, one curve alone enters the spectral gap at p*,
+    and an empirical horizon too short to mix at some grid point is warned of.
+    """
+    model = cfg.model
+    p_star = bifurcation_parameter(model, cfg.p_star_bracket)
     log.info("bifurcation parameter p* = %r", p_star)
-    if isinstance(cfg.model, SpectralModel):
+    spectral = isinstance(model, SpectralModel)
+    if spectral:
         check_noise_threshold(cfg, p_star)
-    return p_star
-
-
-def _materialize_grid(cfg: ExperimentConfig, p_star: float):
     s = cfg.sweep
     try:
-        return make_p_grid(p_star, s.start, s.count, factor=s.factor, stop=s.stop,
+        grid = make_p_grid(p_star, s.start, s.count, factor=s.factor, stop=s.stop,
                            spacing=s.spacing)
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from exc
+    if not spectral:
+        return p_star, grid
+    violations = curve_continuity_violations(model, grid, cfg.lipschitz_budget)
+    if violations:
+        for cid, p_lo, p_hi, jump in violations:
+            print(f"curve {cid}: jump {jump:.3e} between p={p_lo!r} and p={p_hi!r}",
+                  file=sys.stderr)
+        raise NumericalError(
+            f"{len(violations)} eigenvalue curve continuity violations on the sweep grid"
+        )
+    for c in model.curves:
+        if c.id == model.critical_index:
+            continue
+        re = model.lambda_at(c.id, p_star).real
+        if re > -cfg.spectral_gap:
+            raise ConfigError(
+                f"model.curves: curve {c.id} has Re(lambda) = {re:.6g} at p* = "
+                f"{p_star!r}, inside the spectral gap {cfg.spectral_gap:g} "
+                f"reserved for the critical curve {model.critical_index}"
+            )
+    if cfg.ensemble is not None and min(_mixing_ratios(cfg, grid)) < _MIXING_THRESHOLD:
+        print("warning: horizon is short against the slowest relaxation time "
+              f"(horizon * |spectral abscissa| < {_MIXING_THRESHOLD:g} on the grid)",
+              file=sys.stderr)
+    return p_star, grid
 
 
-def _fit_payload(fit) -> dict:
-    return {
-        "exponent": fit.exponent,
-        "log_prefactor": fit.log_prefactor,
-        "r_squared": fit.r_squared,
-        "window": list(fit.window),
-        "residual_std": fit.residual_std,
-    }
-
-
-def _verdict_payload(verdict) -> dict:
-    return {
-        "classification": verdict.classification,
-        "fitted_exponent": verdict.fitted_exponent,
-        "rationale": verdict.rationale,
-    }
-
-
-def _write_outputs(cfg, args, sweep, report: dict) -> Path:
+def _write_outputs(cfg, args, sweep, report: dict) -> None:
     outdir = Path(args.out) if args.out else Path(cfg.output_directory)
     outdir.mkdir(parents=True, exist_ok=True)
     formats = _resolve_formats(args, cfg)
@@ -121,7 +143,7 @@ def _write_outputs(cfg, args, sweep, report: dict) -> Path:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
         log.info("wrote %s", path)
-    return outdir
+    print(f"outputs in {outdir}")
 
 
 def _base_report(command: str, cfg: ExperimentConfig, p_star: float, elapsed: float) -> dict:
@@ -157,12 +179,14 @@ def _quantity_result(cfg, sweep, name, xi=None):
         result["fit_error"] = str(exc)
         print(f"{name}: no power-law fit ({exc})")
         return result, None
-    result["fit"] = _fit_payload(fit)
-    result["verdict"] = _verdict_payload(verdict)
+    result["fit"] = asdict(fit)
+    # xi is reported once per sweep, as noise_limit_xi
+    result["verdict"] = asdict(verdict)
+    del result["verdict"]["xi"]
     return result, fit
 
 
-def _sweep_report(command, cfg, args, sweep, xi, elapsed, seed_record=None) -> dict:
+def _sweep_report(command, cfg, sweep, xi, elapsed) -> dict:
     results = {}
     for name in sweep.quantities:
         results[name], fit = _quantity_result(cfg, sweep, name, xi)
@@ -182,12 +206,10 @@ def _sweep_report(command, cfg, args, sweep, xi, elapsed, seed_record=None) -> d
             "samples": [[float(p), complex(v).real, complex(v).imag]
                         for p, v in xi.samples],
         }
-    if seed_record is not None:
-        report["seed_record"] = seed_record
     return report
 
 
-def _mc_diagnostics(cfg, sweep, horizon: float, p_star: float) -> dict:
+def _mc_diagnostics(cfg, sweep, p_star: float) -> dict:
     """Audit of a Monte Carlo sweep against the closed forms: for each point
     the mixing ratio horizon * |spectral abscissa| and, for each quantity,
     the closed-form |V| and the z-score (value - closed_form) / stderr (None
@@ -196,6 +218,7 @@ def _mc_diagnostics(cfg, sweep, horizon: float, p_star: float) -> dict:
                                 p_star=p_star)
     points = []
     hits = total = 0
+    ratios = _mixing_ratios(cfg, sweep.p_values)
     for i, p in enumerate(sweep.p_values):
         quantities = {}
         for name, values in sweep.quantities.items():
@@ -207,7 +230,7 @@ def _mc_diagnostics(cfg, sweep, horizon: float, p_star: float) -> dict:
             hits += abs(value - closed) <= 3.0 * se
         points.append({
             "p": float(p),
-            "mixing_ratio": horizon * abs(spectral_abscissa(cfg.model, float(p))),
+            "mixing_ratio": ratios[i],
             "quantities": quantities,
         })
     return {"points": points, "within_3se_frac": hits / total}
@@ -222,15 +245,13 @@ def _maybe_xi(model, grid):
 def cmd_analytic(args) -> int:
     start = time.perf_counter()
     cfg = load_config(args.config)
-    p_star = _p_star(cfg)
-    grid = _materialize_grid(cfg, p_star)
+    p_star, grid = _preflight(cfg)
     sweep = run_parameter_sweep(cfg.model, grid, cfg.quantities, engine="analytic",
                                 p_star=p_star, threads=args.threads)
     xi = _maybe_xi(cfg.model, grid)
     elapsed = time.perf_counter() - start
-    report = _sweep_report("analytic", cfg, args, sweep, xi, elapsed)
-    outdir = _write_outputs(cfg, args, sweep, report)
-    print(f"outputs in {outdir}")
+    report = _sweep_report("analytic", cfg, sweep, xi, elapsed)
+    _write_outputs(cfg, args, sweep, report)
     return 0
 
 
@@ -242,29 +263,23 @@ def cmd_simulate(args) -> int:
     ensemble = cfg.ensemble
     if args.seed is not None:
         ensemble = replace(ensemble, master_seed=args.seed & 0xFFFFFFFFFFFFFFFF)
-    p_star = _p_star(cfg)
-    grid = _materialize_grid(cfg, p_star)
+    p_star, grid = _preflight(cfg)
     log.info("simulating %d grid points, %d trajectories each",
              grid.size, ensemble.n_trajectories)
     sweep = run_parameter_sweep(cfg.model, grid, cfg.quantities, engine="empirical",
                                 config=ensemble, p_star=p_star, threads=args.threads)
     xi = _maybe_xi(cfg.model, grid)
     elapsed = time.perf_counter() - start
-    seed_record = {
+    report = _sweep_report("simulate", cfg, sweep, xi, elapsed)
+    report["seed_record"] = {
         "master_seed": ensemble.master_seed,
         "point_seeds": [splitmix64(ensemble.master_seed, i) for i in range(grid.size)],
     }
-    report = _sweep_report("simulate", cfg, args, sweep, xi, elapsed, seed_record)
-    diagnostics = _mc_diagnostics(cfg, sweep, ensemble.horizon, p_star)
-    report["diagnostics"] = diagnostics
-    if sweep.mixing_warning:
-        print("warning: horizon is short against the slowest relaxation time "
-              f"(horizon * |spectral abscissa| < {_MIXING_THRESHOLD:g})", file=sys.stderr)
+    report["diagnostics"] = diagnostics = _mc_diagnostics(cfg, sweep, p_star)
     if diagnostics["within_3se_frac"] < 0.95:
         print(f"warning: only {diagnostics['within_3se_frac']:.1%} of the estimates lie "
               "within 3 standard errors of the closed forms", file=sys.stderr)
-    outdir = _write_outputs(cfg, args, sweep, report)
-    print(f"outputs in {outdir}")
+    _write_outputs(cfg, args, sweep, report)
     return 0
 
 
@@ -276,8 +291,7 @@ def cmd_weyl(args) -> int:
         raise ConfigError("model.kind: command 'weyl' requires a multiplication model")
     if not cfg.weyl_k_values:
         raise ConfigError("weyl.k_values: required for the weyl command")
-    p_star = _p_star(cfg)
-    grid = _materialize_grid(cfg, p_star)
+    p_star, grid = _preflight(cfg)
     sweep = weyl_divergence_probe(model, cfg.weyl_k_values, grid)
     center = float(model.argmax_points[0])
     defects = {}
@@ -301,47 +315,18 @@ def cmd_weyl(args) -> int:
         "center": center,
         "defects": {str(k): v for k, v in defects.items()},
     }
-    outdir = _write_outputs(cfg, args, sweep, report)
-    print(f"outputs in {outdir}")
+    _write_outputs(cfg, args, sweep, report)
     return 0
 
 
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     model = cfg.model
-    p_star = _p_star(cfg)
-    grid = _materialize_grid(cfg, p_star)
+    p_star, grid = _preflight(cfg)
     if isinstance(model, SpectralModel):
-        violations = curve_continuity_violations(model, grid, cfg.lipschitz_budget)
-        if violations:
-            for cid, p_lo, p_hi, jump in violations:
-                print(f"curve {cid}: jump {jump:.3e} between p={p_lo!r} and p={p_hi!r}",
-                      file=sys.stderr)
-            raise NumericalError(
-                f"{len(violations)} eigenvalue curve continuity violations on the sweep grid"
-            )
-        # one critical mode only: every other curve must sit below -spectral_gap at p*
-        for c in model.curves:
-            if c.id == model.critical_index:
-                continue
-            re = model.lambda_at(c.id, p_star).real
-            if re > -cfg.spectral_gap:
-                raise ConfigError(
-                    f"model.curves: curve {c.id} has Re(lambda) = {re:.6g} at p* = "
-                    f"{p_star!r}, inside the spectral gap {cfg.spectral_gap:g} "
-                    f"reserved for the critical curve {model.critical_index}"
-                )
-        kind = "spectral"
-        modes = model.total_dim
+        kind, modes = "spectral", model.total_dim
     else:
-        kind = "multiplication"
-        modes = model.grid.size
-    if cfg.engine == "empirical" and cfg.ensemble is not None \
-            and isinstance(model, SpectralModel):
-        absc = spectral_abscissa(model, float(grid[-1]))
-        if cfg.ensemble.horizon * abs(absc) < _MIXING_THRESHOLD:
-            print("warning: horizon may be too short for mixing near the top of "
-                  "the grid", file=sys.stderr)
+        kind, modes = "multiplication", model.grid.size
     absc_lo = spectral_abscissa(model, float(grid[0]))
     absc_hi = spectral_abscissa(model, float(grid[-1]))
     print(f"config OK: {kind} model with {modes} modes, {len(cfg.quantities)} "

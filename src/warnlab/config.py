@@ -7,6 +7,7 @@ Validation errors name the offending field by dotted path (for example
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Any
 
@@ -72,8 +73,12 @@ def _as_mapping(value, path: str) -> dict:
 
 
 def _as_number(value, path: str) -> float:
+    """A JSON number as a finite float; json accepts NaN and Infinity, which
+    every range check below would let through, and integers beyond float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number")
+    if not abs(value) <= sys.float_info.max:  # false for NaN
+        raise ConfigError(f"{path}: expected a finite number")
     return float(value)
 
 
@@ -86,7 +91,7 @@ def _as_int(value, path: str) -> int:
 def _as_complex(value, path: str) -> complex:
     """Accept a bare number or a [re, im] pair."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
+        return complex(_as_number(value, path))
     if isinstance(value, (list, tuple)) and len(value) == 2:
         re = _as_number(value[0], f"{path}[0]")
         im = _as_number(value[1], f"{path}[1]")
@@ -171,7 +176,10 @@ def _build_spectral_model(raw: dict, path: str) -> SpectralModel:
             cid = int(key)
         except (TypeError, ValueError):
             raise ConfigError(f"{path}.jordan_sizes: key {key!r} is not a curve id") from None
-        jordan[cid] = _as_int(val, f"{path}.jordan_sizes[{key}]")
+        size = _as_int(val, f"{path}.jordan_sizes[{key}]")
+        if size < 1:
+            raise ConfigError(f"{path}.jordan_sizes[{key}]: block size must be >= 1")
+        jordan[cid] = size
     dim = sum(jordan.get(c.id, 1) for c in curves)
     noise = _build_noise_matrix(raw.get("noise_matrix"), dim, f"{path}.noise_matrix")
     sigma = _build_sigma(raw.get("sigma"), f"{path}.sigma")
@@ -331,18 +339,28 @@ def resolve_config(raw: dict) -> ExperimentConfig:
             k_values.append(k)
 
     windows_raw = _as_mapping(raw.get("fit_windows", {}), "fit_windows")
+    swept = set(quantities) | {f"weyl_pairing:{k}" for k in k_values}
     fit_windows = {}
-    for key, win in windows_raw.items():
+    for raw_key, win in windows_raw.items():
+        try:
+            key = parse_quantity(raw_key).name
+        except ValueError as exc:
+            raise ConfigError(f"fit_windows.{raw_key}: {exc}") from exc
+        if key not in swept:
+            raise ConfigError(f"fit_windows.{raw_key}: {key!r} is neither a configured "
+                              "quantity nor a weyl_pairing of weyl.k_values")
+        if key in fit_windows:
+            raise ConfigError(f"fit_windows.{raw_key}: a second window for {key!r}")
         if isinstance(win, str):
             if win not in ("last_decade", "all"):
-                raise ConfigError(f"fit_windows.{key}: unknown window {win!r}")
+                raise ConfigError(f"fit_windows.{raw_key}: unknown window {win!r}")
             fit_windows[key] = win
         elif isinstance(win, list) and len(win) == 2:
-            lo = _as_number(win[0], f"fit_windows.{key}[0]")
-            hi = _as_number(win[1], f"fit_windows.{key}[1]")
+            lo = _as_number(win[0], f"fit_windows.{raw_key}[0]")
+            hi = _as_number(win[1], f"fit_windows.{raw_key}[1]")
             fit_windows[key] = (lo, hi)
         else:
-            raise ConfigError(f"fit_windows.{key}: expected a window name or [lo, hi]")
+            raise ConfigError(f"fit_windows.{raw_key}: expected a window name or [lo, hi]")
 
     output_raw = _as_mapping(raw.get("output", {}), "output")
     directory = output_raw.get("directory", "out")

@@ -101,6 +101,9 @@ def block_pair_covariance(lam_k: complex, m_k: int, lam_j: complex, m_j: int, c_
 def stationary_covariance_entry(lambda_k: complex, lambda_j: complex, b_kj: complex, sigma: float) -> complex:
     """Closed-form covariance pairing -sigma^2 b_kj / (lambda_k + conj(lambda_j)).
 
+    No command calls it; ``tests/test_acceptance.py`` imports it for the
+    simple-mode oracle.
+
     Raises:
         NumericalError: on a degenerate on-axis pair (denominator zero) or if
             either eigenvalue fails strict stability.
@@ -121,7 +124,10 @@ def stationary_covariance_entry(lambda_k: complex, lambda_j: complex, b_kj: comp
 
 def jordan_stationary_covariance(lam: complex, m: int, noise_block, sigma: float) -> np.ndarray:
     """Stationary coordinate covariance of a single Jordan block: the solution
-    of J V + V J^H = -sigma^2 C for J = lam I + N (superdiagonal ones)."""
+    of J V + V J^H = -sigma^2 C for J = lam I + N (superdiagonal ones).
+
+    No command calls it; ``tests/test_acceptance.py`` imports it for the
+    Jordan-block oracles."""
     lam = complex(lam)
     if lam.real >= 0.0:
         raise NumericalError(f"Jordan block eigenvalue must satisfy Re(lambda) < 0, got {lam}")
@@ -145,7 +151,8 @@ def finite_lyapunov_solve(a, c, sigma: float) -> np.ndarray:
     """Dense Kronecker solve of A V + V A^H = -sigma^2 C.
 
     Brute-force oracle: vectorizes the identity row-major and solves the
-    n^2 x n^2 system directly. No structure of A is exploited.
+    n^2 x n^2 system directly. No structure of A is exploited. No command
+    calls it; ``tests/test_acceptance.py`` imports it as the dense oracle.
     """
     a = np.asarray(a, dtype=complex)
     c = np.asarray(c, dtype=complex)
@@ -249,7 +256,10 @@ def unit_gaussian_profile(model: MultiplicationSymbolModel) -> np.ndarray:
 
 def assemble_drift_matrix(model: SpectralModel, p: float) -> np.ndarray:
     """Block-diagonal matrix of the drift at p in the (generalized) eigenbasis:
-    one Jordan block lam_k I + N per mode."""
+    one Jordan block lam_k I + N per mode.
+
+    No command calls it; ``tests/test_lyapunov.py`` builds the dense oracle's
+    drift with it (``tests/test_acceptance.py`` writes its matrices out)."""
     dim = model.total_dim
     a = np.zeros((dim, dim), dtype=complex)
     for c in model.curves:

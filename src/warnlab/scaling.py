@@ -251,14 +251,16 @@ def _eval_point_empirical(model, p, specs, config, point_seed):
 
 def run_parameter_sweep(model, p_grid, quantities, engine: str = "analytic",
                         config: EnsembleConfig | None = None, p_star: float | None = None,
-                        threads: int = 1, bracket: tuple[float, float] = (-100.0, 100.0)) -> SweepResult:
+                        threads: int = 1) -> SweepResult:
     """Evaluate quantity series along ``p_grid``.
 
     Sweep points are independent; with ``threads > 1`` they are evaluated in a
     thread pool and reassembled in grid order, so the result is identical to a
     serial run. The empirical engine derives one seed per grid point from the
     ensemble master seed, making the whole sweep reproducible. The wall time
-    of each point's evaluation is kept in ``point_seconds``.
+    of each point's evaluation is kept in ``point_seconds``. Without ``p_star``
+    the threshold is located by ``bifurcation_parameter`` with its default
+    bracket.
     """
     p = np.asarray(p_grid, dtype=float)
     if p.ndim != 1 or p.size < 1:
@@ -270,7 +272,7 @@ def run_parameter_sweep(model, p_grid, quantities, engine: str = "analytic",
         raise ValueError("quantities: need at least one quantity")
     _validate_specs(model, specs)
     if p_star is None:
-        p_star = bifurcation_parameter(model, bracket)
+        p_star = bifurcation_parameter(model)
     if np.any(p >= p_star):
         raise NumericalError(
             f"sweep grid reaches p* = {p_star}: all points must lie strictly below"

@@ -326,37 +326,6 @@ def bifurcation_parameter(
     return float(root)
 
 
-def point_spectrum(
-    model: MultiplicationSymbolModel,
-    atom_threshold: float | None = None,
-    value_tol: float = 1e-12,
-) -> set[float]:
-    """Atoms of the push-forward measure: values of f whose preimage carries
-    quadrature weight above ``atom_threshold``.
-
-    Grid values within ``value_tol`` of each other are treated as one level
-    set. The default threshold is 10x the largest single-cell weight, so a
-    fine sampling of an injective symbol reports no atoms.
-    """
-    if atom_threshold is None:
-        atom_threshold = 10.0 * float(np.max(model.weights))
-    order = np.argsort(model.values, kind="stable")
-    vals = model.values[order]
-    wts = model.weights[order]
-    atoms: set[float] = set()
-    i = 0
-    n = vals.size
-    while i < n:
-        j = i + 1
-        while j < n and vals[j] - vals[i] <= value_tol:
-            j += 1
-        weight = float(np.sum(wts[i:j]))
-        if weight > atom_threshold:
-            atoms.add(float(vals[i]))
-        i = j
-    return atoms
-
-
 def build_weyl_sequence(model: MultiplicationSymbolModel, k: int, center: float) -> WeylVector:
     """Triangular bump of half-width 1/k at ``center``, unit-normalized in the
     weighted l2 norm of the grid.

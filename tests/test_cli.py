@@ -146,6 +146,112 @@ class TestValidate:
         assert not out.exists()
 
 
+class TestConfigNumbers:
+    @pytest.mark.parametrize("command,keys,value,dotted", [
+        ("validate", ("validation", "spectral_gap"), float("nan"), "validation.spectral_gap"),
+        ("validate", ("validation", "lipschitz_budget"), float("nan"),
+         "validation.lipschitz_budget"),
+        ("simulate", ("engine", "horizon"), float("inf"), "engine.horizon"),
+        ("validate", ("model", "curves", 0, "offset"), float("nan"), "model.curves[0].offset"),
+        ("validate", ("validation", "spectral_gap"), 10**400, "validation.spectral_gap"),
+    ])
+    def test_non_finite_number_is_config_error(self, command, keys, value, dotted,
+                                               tmp_path, capsys):
+        # a second curve through the threshold, which a NaN gap would let through
+        cfg = minimal_spectral(validation={})
+        cfg["model"]["curves"].append({"id": 1, "kind": "affine", "slope": 1.0, "offset": 0.0})
+        cfg["model"]["noise_matrix"] = [[1.0, 0.0], [0.0, 1.0]]
+        cfg["engine"] = {"kind": "empirical", "dt": 0.1, "horizon": 5.0,
+                         "n_trajectories": 4, "master_seed": 1}
+        node = cfg
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        path = write_json(tmp_path, cfg)  # json writes the literals NaN and Infinity
+        assert run(command, "--config", path, "--out", tmp_path / "out") == 2
+        assert f"{dotted}: expected a finite number" in capsys.readouterr().err
+
+    def test_negative_jordan_size_without_noise_matrix(self, tmp_path, capsys):
+        cfg = minimal_spectral()
+        cfg["model"]["jordan_sizes"] = {"0": -1}
+        del cfg["model"]["noise_matrix"]
+        assert run("validate", "--config", write_json(tmp_path, cfg)) == 2
+        assert "model.jordan_sizes[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("windows,dotted", [
+        ({"critical_diag": "all"}, "fit_windows.critical_diag:"),
+        ({"critical_diagonal": "all", " critical_diagonal": "all"},
+         "fit_windows. critical_diagonal: a second window"),
+    ])
+    def test_fit_window_key_must_name_one_swept_quantity(self, windows, dotted,
+                                                         tmp_path, capsys):
+        cfg = minimal_spectral(fit_windows=windows)
+        out = tmp_path / "out"
+        assert run("analytic", "--config", write_json(tmp_path, cfg), "--out", out) == 2
+        assert dotted in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fit_window_key_is_canonicalized(self, tmp_path):
+        cfg = json.loads((CONFIG_DIR / "jordan_block.json").read_text())
+        cfg["fit_windows"] = {"block_entry:1, 1": "all"}
+        out = tmp_path / "out"
+        assert run("analytic", "--config", write_json(tmp_path, cfg), "--out", out) == 0
+        results = json.loads((out / "report.json").read_text())["results"]
+        assert len(results["block_entry:1,1"]["fit"]["window"]) == cfg["sweep"]["count"]
+        assert len(results["block_entry:2,2"]["fit"]["window"]) < cfg["sweep"]["count"]
+
+
+class TestPreflight:
+    """Every command runs validate's checks before it sweeps."""
+
+    def empirical(self, cfg):
+        cfg["engine"] = {"kind": "empirical", "dt": 0.1, "horizon": 20.0,
+                         "n_trajectories": 8, "master_seed": 1}
+        return cfg
+
+    def run_all(self, path, tmp_path, capsys):
+        outcomes = {}
+        for command in ("validate", "analytic", "simulate"):
+            out = tmp_path / f"out_{command}"
+            rc = run(command, "--config", path, "--out", out)
+            outcomes[command] = (rc, capsys.readouterr().err)
+            if rc != 0:
+                assert not out.exists()
+        return outcomes
+
+    def test_gap_violation_fails_every_command(self, tmp_path, capsys):
+        cfg = self.empirical(minimal_spectral())
+        cfg["model"]["curves"].append({"id": 1, "kind": "affine", "slope": 1.0, "offset": 0.0})
+        cfg["model"]["noise_matrix"] = [[1.0, 0.0], [0.0, 1.0]]
+        outcomes = self.run_all(write_json(tmp_path, cfg), tmp_path, capsys)
+        rc, err = outcomes["validate"]
+        assert rc == 2 and "model.curves: curve 1" in err
+        assert outcomes["analytic"] == outcomes["simulate"] == (rc, err)
+
+    def test_continuity_violation_fails_every_command(self, tmp_path, capsys):
+        # slope 1 against a budget of 0.5 per unit of p: every step jumps too far
+        cfg = self.empirical(minimal_spectral(validation={"lipschitz_budget": 0.5}))
+        outcomes = self.run_all(write_json(tmp_path, cfg), tmp_path, capsys)
+        rc, err = outcomes["validate"]
+        assert rc == 3
+        assert err.count("curve 0: jump") == 3
+        assert "3 eigenvalue curve continuity violations" in err
+        assert outcomes["analytic"] == outcomes["simulate"] == (rc, err)
+
+    @pytest.mark.parametrize("horizon,count", [(2.0, 1), (100.0, 0)])
+    def test_short_horizon_warns_once_under_every_command(self, horizon, count,
+                                                          tmp_path, capsys):
+        cfg = self.empirical(minimal_spectral())
+        cfg["engine"]["horizon"] = horizon
+        outcomes = self.run_all(write_json(tmp_path, cfg), tmp_path, capsys)
+        warnings = {}
+        for command, (rc, err) in outcomes.items():
+            assert rc == 0
+            warnings[command] = [line for line in err.splitlines() if "horizon" in line]
+        assert len(warnings["validate"]) == count
+        assert warnings["analytic"] == warnings["simulate"] == warnings["validate"]
+
+
 class TestArguments:
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_threads_below_one_rejected(self, threads, capsys):

@@ -12,7 +12,6 @@ from warnlab import (
     bifurcation_parameter,
     build_weyl_sequence,
     curve_continuity_violations,
-    point_spectrum,
     resolvent_bound_check,
     spectral_abscissa,
     weyl_defect,
@@ -195,35 +194,6 @@ class TestAbscissaAndBifurcation:
             m = single_mode(slope=a, offset=b)
             p_star = bifurcation_parameter(m)
             assert abs(a * p_star + b) < 1e-10
-
-
-class TestPointSpectrum:
-    def test_constant_symbol_is_one_atom(self):
-        m = MultiplicationSymbolModel.from_function(
-            lambda x: np.full_like(np.asarray(x, float), 2.0), lo=-1.0, hi=1.0, spacing=1e-2
-        )
-        assert point_spectrum(m) == {2.0}
-
-    def test_injective_symbol_has_no_atoms(self):
-        m = MultiplicationSymbolModel.from_function(lambda x: -np.square(x))
-        assert point_spectrum(m) == set()
-
-    def test_plateau_detected(self):
-        def f(x):
-            arr = np.asarray(x, dtype=float)
-            return np.where(np.abs(arr) <= 1.0, 0.5, -arr * arr)
-
-        m = MultiplicationSymbolModel.from_function(f, lo=-5.0, hi=5.0, spacing=1e-2)
-        assert point_spectrum(m) == {0.5}
-
-    def test_step_symbol_single_atom(self):
-        # flat at -1 on [0, 1/2], identity elsewhere: one atom at the plateau level
-        def f(x):
-            arr = np.asarray(x, dtype=float)
-            return np.where((arr >= 0.0) & (arr <= 0.5), -1.0, arr)
-
-        m = MultiplicationSymbolModel.from_function(f, lo=-2.0, hi=2.0, spacing=1e-3)
-        assert point_spectrum(m) == {-1.0}
 
 
 class TestWeylVectors:
