@@ -7,8 +7,9 @@ Subcommands:
     validate   run the pre-flight alone and summarize the config
 
 Every command runs the same pre-flight before it sweeps (``_preflight``): p*,
-the power_of_p noise threshold, the grid and, for spectral models, curve
-continuity, the spectral gap and the mixing warning. Only a command's own
+the power_of_p noise threshold, the grid, for spectral models curve
+continuity and the spectral gap, then strict stability of the drift at every
+grid point and the mixing warning. Only a command's own
 requirements (simulate's empirical engine, weyl's multiplication model and
 k_values) are checked before it, so a config that ``validate`` rejects fails
 every command that accepts its kind with the same exit code and message.
@@ -76,18 +77,21 @@ def _resolve_formats(args, cfg: ExperimentConfig) -> tuple:
     return (args.format,)
 
 
-def _mixing_ratios(cfg: ExperimentConfig, grid) -> list:
+def _mixing_ratios(cfg: ExperimentConfig, abscissae) -> list:
     """horizon * |spectral abscissa| at each grid point: how many relaxation
     times of the slowest mode one trajectory of the ensemble spans."""
-    return [cfg.ensemble.horizon * abs(spectral_abscissa(cfg.model, float(p))) for p in grid]
+    return [cfg.ensemble.horizon * abs(a) for a in abscissae]
 
 
 def _preflight(cfg: ExperimentConfig):
-    """The checks every command runs before it sweeps; returns (p*, grid).
+    """The checks every command runs before it sweeps; returns (p*, grid,
+    spectral abscissa at each grid point).
 
-    For spectral models: the power_of_p noise law vanishes at p*, the curves
-    are continuous on the grid, one curve alone enters the spectral gap at p*,
-    and an empirical horizon too short to mix at some grid point is warned of.
+    For spectral models: the power_of_p noise law vanishes at p* and has the
+    two grid points its limit Xi needs, the curves are continuous on the
+    grid, and one curve alone enters the spectral gap at p*. For every model
+    the drift is strictly stable at each grid point, and an empirical horizon
+    too short to mix at some grid point is warned of.
     """
     model = cfg.model
     p_star = bifurcation_parameter(model, cfg.p_star_bracket)
@@ -101,31 +105,39 @@ def _preflight(cfg: ExperimentConfig):
                            spacing=s.spacing)
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from exc
-    if not spectral:
-        return p_star, grid
-    violations = curve_continuity_violations(model, grid, cfg.lipschitz_budget)
-    if violations:
-        for cid, p_lo, p_hi, jump in violations:
-            print(f"curve {cid}: jump {jump:.3e} between p={p_lo!r} and p={p_hi!r}",
-                  file=sys.stderr)
-        raise NumericalError(
-            f"{len(violations)} eigenvalue curve continuity violations on the sweep grid"
-        )
-    for c in model.curves:
-        if c.id == model.critical_index:
-            continue
-        re = model.lambda_at(c.id, p_star).real
-        if re > -cfg.spectral_gap:
-            raise ConfigError(
-                f"model.curves: curve {c.id} has Re(lambda) = {re:.6g} at p* = "
-                f"{p_star!r}, inside the spectral gap {cfg.spectral_gap:g} "
-                f"reserved for the critical curve {model.critical_index}"
+    if spectral:
+        if model.sigma_depends_on_p and grid.size < 2:
+            raise ConfigError("sweep.count: a power_of_p noise law needs at least 2 grid "
+                              "points for its noise limit Xi")
+        violations = curve_continuity_violations(model, grid, cfg.lipschitz_budget)
+        if violations:
+            for cid, p_lo, p_hi, jump in violations:
+                print(f"curve {cid}: jump {jump:.3e} between p={p_lo!r} and p={p_hi!r}",
+                      file=sys.stderr)
+            raise NumericalError(
+                f"{len(violations)} eigenvalue curve continuity violations on the sweep grid"
             )
-    if cfg.ensemble is not None and min(_mixing_ratios(cfg, grid)) < _MIXING_THRESHOLD:
+        for c in model.curves:
+            if c.id == model.critical_index:
+                continue
+            re = model.lambda_at(c.id, p_star).real
+            if re > -cfg.spectral_gap:
+                raise ConfigError(
+                    f"model.curves: curve {c.id} has Re(lambda) = {re:.6g} at p* = "
+                    f"{p_star!r}, inside the spectral gap {cfg.spectral_gap:g} "
+                    f"reserved for the critical curve {model.critical_index}"
+                )
+    abscissae = [spectral_abscissa(model, float(p)) for p in grid]
+    for p, a in zip(grid, abscissae):
+        if a >= 0.0:
+            raise NumericalError(
+                f"drift not strictly stable at p={float(p)!r}: spectral abscissa {a:.6g}"
+            )
+    if cfg.ensemble is not None and min(_mixing_ratios(cfg, abscissae)) < _MIXING_THRESHOLD:
         print("warning: horizon is short against the slowest relaxation time "
               f"(horizon * |spectral abscissa| < {_MIXING_THRESHOLD:g} on the grid)",
               file=sys.stderr)
-    return p_star, grid
+    return p_star, grid, abscissae
 
 
 def _write_outputs(cfg, args, sweep, report: dict) -> None:
@@ -197,7 +209,6 @@ def _sweep_report(command, cfg, sweep, xi, elapsed) -> dict:
     report["timing"]["points"] = [{"p": float(p), "seconds": s}
                                   for p, s in zip(sweep.p_values, sweep.point_seconds)]
     report["results"] = results
-    report["mixing_warning"] = sweep.mixing_warning
     if xi is not None:
         val = complex(xi.value)
         report["noise_limit_xi"] = {
@@ -209,7 +220,7 @@ def _sweep_report(command, cfg, sweep, xi, elapsed) -> dict:
     return report
 
 
-def _mc_diagnostics(cfg, sweep, p_star: float) -> dict:
+def _mc_diagnostics(cfg, sweep, p_star: float, abscissae) -> dict:
     """Audit of a Monte Carlo sweep against the closed forms: for each point
     the mixing ratio horizon * |spectral abscissa| and, for each quantity,
     the closed-form |V| and the z-score (value - closed_form) / stderr (None
@@ -218,7 +229,7 @@ def _mc_diagnostics(cfg, sweep, p_star: float) -> dict:
                                 p_star=p_star)
     points = []
     hits = total = 0
-    ratios = _mixing_ratios(cfg, sweep.p_values)
+    ratios = _mixing_ratios(cfg, abscissae)
     for i, p in enumerate(sweep.p_values):
         quantities = {}
         for name, values in sweep.quantities.items():
@@ -245,7 +256,7 @@ def _maybe_xi(model, grid):
 def cmd_analytic(args) -> int:
     start = time.perf_counter()
     cfg = load_config(args.config)
-    p_star, grid = _preflight(cfg)
+    p_star, grid, _ = _preflight(cfg)
     sweep = run_parameter_sweep(cfg.model, grid, cfg.quantities, engine="analytic",
                                 p_star=p_star, threads=args.threads)
     xi = _maybe_xi(cfg.model, grid)
@@ -263,7 +274,7 @@ def cmd_simulate(args) -> int:
     ensemble = cfg.ensemble
     if args.seed is not None:
         ensemble = replace(ensemble, master_seed=args.seed & 0xFFFFFFFFFFFFFFFF)
-    p_star, grid = _preflight(cfg)
+    p_star, grid, abscissae = _preflight(cfg)
     log.info("simulating %d grid points, %d trajectories each",
              grid.size, ensemble.n_trajectories)
     sweep = run_parameter_sweep(cfg.model, grid, cfg.quantities, engine="empirical",
@@ -275,7 +286,9 @@ def cmd_simulate(args) -> int:
         "master_seed": ensemble.master_seed,
         "point_seeds": [splitmix64(ensemble.master_seed, i) for i in range(grid.size)],
     }
-    report["diagnostics"] = diagnostics = _mc_diagnostics(cfg, sweep, p_star)
+    report["diagnostics"] = diagnostics = _mc_diagnostics(cfg, sweep, p_star, abscissae)
+    ratios = [pt["mixing_ratio"] for pt in diagnostics["points"]]
+    report["mixing_warning"] = min(ratios) < _MIXING_THRESHOLD
     if diagnostics["within_3se_frac"] < 0.95:
         print(f"warning: only {diagnostics['within_3se_frac']:.1%} of the estimates lie "
               "within 3 standard errors of the closed forms", file=sys.stderr)
@@ -291,7 +304,7 @@ def cmd_weyl(args) -> int:
         raise ConfigError("model.kind: command 'weyl' requires a multiplication model")
     if not cfg.weyl_k_values:
         raise ConfigError("weyl.k_values: required for the weyl command")
-    p_star, grid = _preflight(cfg)
+    p_star, grid, _ = _preflight(cfg)
     sweep = weyl_divergence_probe(model, cfg.weyl_k_values, grid)
     center = float(model.argmax_points[0])
     defects = {}
@@ -322,17 +335,15 @@ def cmd_weyl(args) -> int:
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     model = cfg.model
-    p_star, grid = _preflight(cfg)
+    p_star, grid, abscissae = _preflight(cfg)
     if isinstance(model, SpectralModel):
         kind, modes = "spectral", model.total_dim
     else:
         kind, modes = "multiplication", model.grid.size
-    absc_lo = spectral_abscissa(model, float(grid[0]))
-    absc_hi = spectral_abscissa(model, float(grid[-1]))
     print(f"config OK: {kind} model with {modes} modes, {len(cfg.quantities)} "
           f"quantities, p* = {p_star!r}, grid of {grid.size} points in "
           f"[{float(grid[0])!r}, {float(grid[-1])!r}], spectral abscissa "
-          f"{absc_lo:.6g} -> {absc_hi:.6g} across the sweep")
+          f"{abscissae[0]:.6g} -> {abscissae[-1]:.6g} across the sweep")
     return 0
 
 

@@ -6,10 +6,12 @@ package needs is a sum of block-pair integrals
 
     V_kj(t) = int_0^t e^{s J_k} C_kj e^{s J_j^H} ds,    C = sigma^2 BQB*,
 
-evaluated by ``block_pair_covariance``. t = inf gives the stationary
-covariance: the simple-mode law -sigma^2 b / (lambda_k + conj(lambda_j)) and
-the |p - p*|^{-(2m-1)} growth of a size-m Jordan block. A finite t = dt gives
-the exact step covariance of the Monte Carlo engine.
+evaluated by ``block_pair_covariance`` and assembled only by
+``model_covariance``. t = inf gives the stationary covariance: the
+simple-mode law -sigma^2 b / (lambda_k + conj(lambda_j)) and the
+|p - p*|^{-(2m-1)} growth of a size-m Jordan block; the analytic sweep reads
+every spectral quantity from that matrix. A finite t = dt gives the exact
+step covariance of the Monte Carlo engine.
 ``finite_lyapunov_solve`` and ``assemble_drift_matrix`` are the brute-force
 dense route, kept independent of the kernel so the two can cross-check each
 other.
@@ -199,15 +201,28 @@ def noise_limit_xi(model: SpectralModel, p_sequence, tolerance: float = _XI_TOL)
     return XiEstimate(value=value, samples=tuple(samples), converged=converged, tolerance=tolerance)
 
 
-def multiplication_covariance_norm(model: MultiplicationSymbolModel, p: float) -> float:
-    """Sup of 1 / (2 |p + f|) over the grid: the stationary covariance norm
-    surrogate of the multiplication drift p + T_f with unit noise."""
+def _stable_shift(model: MultiplicationSymbolModel, p: float, h=None):
+    """(p + f on the grid, h as an array), raising NumericalError unless the
+    multiplication drift is strictly stable: p + f < 0 at every grid point."""
+    if h is not None:
+        if isinstance(h, WeylVector):
+            h = h.coefficients
+        h = np.asarray(h)
+        if h.shape != model.grid.shape:
+            raise ValueError("h: shape mismatch with the model grid")
     shifted = float(p) + model.values
     if np.any(shifted >= 0.0):
         raise NumericalError(
             f"p + f >= 0 on the grid at p={p}: drift not strictly stable "
             f"(p* = {-model.esssup})"
         )
+    return shifted, h
+
+
+def multiplication_covariance_norm(model: MultiplicationSymbolModel, p: float) -> float:
+    """Sup of 1 / (2 |p + f|) over the grid: the stationary covariance norm
+    surrogate of the multiplication drift p + T_f with unit noise."""
+    shifted, _ = _stable_shift(model, p)
     return float(1.0 / (2.0 * np.min(-shifted)))
 
 
@@ -217,33 +232,14 @@ def quadratic_form_pairing(model: MultiplicationSymbolModel, p: float, h) -> flo
     This is <V_inf h, V_inf h>-type growth data for the multiplication model;
     it diverges as p increases to p* whenever h charges the argmax set of f.
     """
-    if isinstance(h, WeylVector):
-        h = h.coefficients
-    h = np.asarray(h)
-    if h.shape != model.grid.shape:
-        raise ValueError("h: shape mismatch with the model grid")
-    shifted = float(p) + model.values
-    if np.any(shifted >= 0.0):
-        raise NumericalError(
-            f"p + f >= 0 on the grid at p={p}: quadratic form undefined "
-            f"(p* = {-model.esssup})"
-        )
+    shifted, h = _stable_shift(model, p, h)
     return float(np.sum(model.weights * np.abs(h) ** 2 / (4.0 * shifted * shifted)))
 
 
 def stationary_pairing(model: MultiplicationSymbolModel, p: float, h) -> float:
     """Covariance pairing <V_inf h, h> = sum_i mu_i |h(x_i)|^2 / (2 |p + f(x_i)|)
     for the multiplication drift with unit noise."""
-    if isinstance(h, WeylVector):
-        h = h.coefficients
-    h = np.asarray(h)
-    if h.shape != model.grid.shape:
-        raise ValueError("h: shape mismatch with the model grid")
-    shifted = float(p) + model.values
-    if np.any(shifted >= 0.0):
-        raise NumericalError(
-            f"p + f >= 0 on the grid at p={p}: pairing undefined (p* = {-model.esssup})"
-        )
+    shifted, h = _stable_shift(model, p, h)
     return float(np.sum(model.weights * np.abs(h) ** 2 / (2.0 * (-shifted))))
 
 
@@ -273,26 +269,20 @@ def assemble_drift_matrix(model: SpectralModel, p: float) -> np.ndarray:
     return a
 
 
-def mode_pair_covariance(model: SpectralModel, p: float, k: int, j: int, t: float) -> np.ndarray:
-    """Block of the covariance at p between the blocks of modes k and j,
-    accumulated over [0, t] (t = inf for the stationary covariance)."""
-    sigma = model.sigma_at(p)
-    return block_pair_covariance(
-        model.lambda_at(k, p), model.block_size(k), model.lambda_at(j, p), model.block_size(j),
-        (sigma * sigma) * model.noise_block(k, j), t,
-    )
-
-
 def model_covariance(model: SpectralModel, p: float, t: float) -> np.ndarray:
-    """Full Hermitian covariance int_0^t e^{sA} sigma^2 BQB* e^{sA*} ds at p,
-    assembled block pair by block pair in basis (curve) order; a Jordan block
-    of mode k occupies rows ``model.block_offset(k)`` onward. t = inf gives
-    the stationary covariance.
+    """Full Hermitian covariance int_0^t e^{sA} sigma^2 BQB* e^{sA*} ds at p:
+    the one assembly of ``block_pair_covariance`` over all mode pairs, in
+    basis (curve) order, so a Jordan block of mode k occupies rows
+    ``model.block_offset(k)`` onward. sigma(p) and each lambda_k(p) are
+    evaluated once per matrix. t = inf gives the stationary covariance.
 
     Raises:
         NumericalError: for t = inf unless the drift is strictly stable at p.
     """
-    v = np.block([[mode_pair_covariance(model, p, ck.id, cj.id, t) for cj in model.curves]
-                  for ck in model.curves])
+    sigma = model.sigma_at(p)
+    modes = [(c.id, model.lambda_at(c.id, p), model.block_size(c.id)) for c in model.curves]
+    v = np.block([[block_pair_covariance(lam_k, m_k, lam_j, m_j,
+                                         (sigma * sigma) * model.noise_block(k, j), t)
+                   for j, lam_j, m_j in modes]
+                  for k, lam_k, m_k in modes])
     return 0.5 * (v + v.conj().T)
-

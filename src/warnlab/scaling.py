@@ -2,9 +2,13 @@
 
 A sweep evaluates named covariance quantities along an increasing grid of
 parameter values below p*, either from the closed forms (analytic engine) or
-from ensemble simulation (empirical engine). Scaling exponents are read off
-by ordinary least squares in log-log coordinates; by default fits use the
-last decade of distances |p - p*|, where the asymptotic laws dominate.
+from ensemble simulation (empirical engine). For a spectral model both
+engines produce one covariance matrix per point, ``model_covariance`` at
+t = inf (``_eval_point_analytic``) or the ensemble estimate, and read every
+quantity out of it through the same index map, ``_entry_index``. Scaling
+exponents are read off by ordinary least squares in log-log coordinates; by
+default fits use the last decade of distances |p - p*|, where the asymptotic
+laws dominate.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 from .errors import NumericalError
 from .lyapunov import (
     XiEstimate,
-    mode_pair_covariance,
+    model_covariance,
     multiplication_covariance_norm,
     quadratic_form_pairing,
     stationary_pairing,
@@ -106,7 +110,6 @@ class SweepResult:
     p_star: float
     provenance: Mapping[str, str]
     stderrs: Mapping[str, np.ndarray | None] = field(default_factory=dict)
-    mixing_warning: bool = False
     point_seconds: tuple[float, ...] = ()
 
     def __post_init__(self):
@@ -203,39 +206,29 @@ def _validate_specs(model, specs: Sequence[QuantitySpec]) -> None:
                 )
 
 
-def _eval_point_analytic(model, p: float, specs, cache) -> list[float]:
-    out = []
-    block = None
-    for spec in specs:
-        if spec.kind in ("critical_diagonal", "block_entry"):
-            if block is None:
-                k = model.critical_index
-                block = mode_pair_covariance(model, p, k, k, math.inf)
-            if spec.kind == "critical_diagonal":
-                out.append(abs(block[0, 0]))
-            else:
-                out.append(abs(block[spec.l - 1, spec.m - 1]))
-        elif spec.kind == "entry":
-            out.append(abs(mode_pair_covariance(model, p, spec.k, spec.j, math.inf)[0, 0]))
-        elif spec.kind == "norm":
-            out.append(multiplication_covariance_norm(model, p))
-        elif spec.kind == "gaussian_pairing":
-            out.append(quadratic_form_pairing(model, p, cache["gaussian"]))
-        elif spec.kind == "weyl_pairing":
-            out.append(stationary_pairing(model, p, cache["weyl", spec.k]))
-        else:  # pragma: no cover - parse_quantity guards this
-            raise ValueError(f"unknown quantity kind {spec.kind!r}")
-    return out
-
-
 def _entry_index(model: SpectralModel, spec: QuantitySpec) -> tuple[int, int]:
-    if spec.kind == "critical_diagonal":
-        off = model.block_offset(model.critical_index)
-        return off, off
+    """Row and column of a spectral quantity in the covariance matrix, for both engines."""
     if spec.kind == "entry":
         return model.block_offset(spec.k), model.block_offset(spec.j)
     off = model.block_offset(model.critical_index)
+    if spec.kind == "critical_diagonal":
+        return off, off
     return off + spec.l - 1, off + spec.m - 1
+
+
+def _eval_point_analytic(model, p: float, specs, cache) -> list[float]:
+    if isinstance(model, SpectralModel):
+        v = model_covariance(model, p, math.inf)
+        return [abs(v[_entry_index(model, s)]) for s in specs]
+    out = []
+    for spec in specs:
+        if spec.kind == "norm":
+            out.append(multiplication_covariance_norm(model, p))
+        elif spec.kind == "gaussian_pairing":
+            out.append(quadratic_form_pairing(model, p, cache["gaussian"]))
+        else:  # weyl_pairing; _validate_specs admits no other kind here
+            out.append(stationary_pairing(model, p, cache["weyl", spec.k]))
+    return out
 
 
 def _eval_point_empirical(model, p, specs, config, point_seed):
@@ -246,7 +239,7 @@ def _eval_point_empirical(model, p, specs, config, point_seed):
         i, j = _entry_index(model, spec)
         vals.append(abs(emp.matrix[i, j]))
         errs.append(float(emp.standard_error[i, j]))
-    return vals, errs, emp.mixing_warning
+    return vals, errs
 
 
 def run_parameter_sweep(model, p_grid, quantities, engine: str = "analytic",
@@ -298,10 +291,13 @@ def run_parameter_sweep(model, p_grid, quantities, engine: str = "analytic",
         start = time.perf_counter()
         try:
             if engine == "analytic":
-                res = (_eval_point_analytic(model, pi, specs, cache), None, False)
+                res = (_eval_point_analytic(model, pi, specs, cache), None)
             else:
                 res = _eval_point_empirical(model, pi, specs, config,
                                             splitmix64(config.master_seed, i))
+            for spec, v in zip(specs, res[0]):
+                if not math.isfinite(v):
+                    raise NumericalError(f"{spec.name} evaluates to {v}")
         except NumericalError as exc:
             raise NumericalError(f"sweep failed at p={pi}: {exc}") from exc
         return res, time.perf_counter() - start
@@ -315,9 +311,7 @@ def run_parameter_sweep(model, p_grid, quantities, engine: str = "analytic",
     names = [s.name for s in specs]
     values = {name: np.empty(p.size) for name in names}
     errors = {name: (np.empty(p.size) if engine == "empirical" else None) for name in names}
-    warned = False
-    for i, ((vals, errs, warn), _) in enumerate(results):
-        warned = warned or warn
+    for i, ((vals, errs), _) in enumerate(results):
         for name, v in zip(names, vals):
             values[name][i] = v
         if errs is not None:
@@ -329,7 +323,6 @@ def run_parameter_sweep(model, p_grid, quantities, engine: str = "analytic",
         p_star=float(p_star),
         provenance={name: engine for name in names},
         stderrs=errors,
-        mixing_warning=warned,
         point_seconds=tuple(seconds for _, seconds in results),
     )
 

@@ -251,6 +251,25 @@ class TestPreflight:
         assert len(warnings["validate"]) == count
         assert warnings["analytic"] == warnings["simulate"] == warnings["validate"]
 
+    def test_unstable_grid_point_fails_every_command(self, tmp_path, capsys):
+        # lambda_1(p) = -p - 0.5 clears the gap at p* = 0 but crosses the axis at p = -0.5
+        cfg = self.empirical(minimal_spectral(sweep={"start": -1.0, "count": 4}))
+        cfg["model"]["curves"].append({"id": 1, "kind": "affine", "slope": -1.0,
+                                       "offset": -0.5})
+        cfg["model"]["noise_matrix"] = [[1.0, 0.0], [0.0, 1.0]]
+        outcomes = self.run_all(write_json(tmp_path, cfg), tmp_path, capsys)
+        rc, err = outcomes["validate"]
+        assert rc == 3 and "drift not strictly stable at p=-1.0" in err
+        assert outcomes["analytic"] == outcomes["simulate"] == (rc, err)
+
+    def test_power_of_p_noise_on_one_point_grid_fails_every_command(self, tmp_path, capsys):
+        cfg = self.empirical(minimal_spectral(sweep={"start": -0.5, "count": 1}))
+        cfg["model"]["sigma"] = {"kind": "power_of_p", "exponent": 0.5}
+        outcomes = self.run_all(write_json(tmp_path, cfg), tmp_path, capsys)
+        rc, err = outcomes["validate"]
+        assert rc == 2 and "config error: sweep.count" in err
+        assert outcomes["analytic"] == outcomes["simulate"] == (rc, err)
+
 
 class TestArguments:
     @pytest.mark.parametrize("threads", ["0", "-1"])
@@ -279,6 +298,8 @@ class TestAnalyticCommand:
         assert abs(fit["exponent"] + 1.0) < 1e-10
         assert report["results"]["critical_diagonal"]["verdict"]["classification"] == "diverging"
         assert "config_echo" in report and "timing" in report
+        # only simulate reports flag mixing
+        assert "mixing_warning" not in report
 
     def test_jordan_block_run(self, tmp_path):
         out = tmp_path / "out"
@@ -293,6 +314,28 @@ class TestAnalyticCommand:
         assert abs(exps[2] + 1.0) < 0.05
         # colon/comma are sanitized out of filenames
         assert (out / "sweep_block_entry_1_1.csv").exists()
+
+    def test_overflowing_closed_form_is_numerical_failure(self, tmp_path, capsys):
+        # |p - p*|^{-3} overflows a double once the grid comes within 2^-342 of p*
+        cfg = json.loads((CONFIG_DIR / "jordan_block.json").read_text())
+        cfg["sweep"]["count"] = 400
+        out = tmp_path / "out"
+        assert run("analytic", "--config", write_json(tmp_path, cfg), "--out", out) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure: sweep failed at p=" in err
+        assert "block_entry:1,1 evaluates to inf" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["single_mode", "jordan_block"])
+    def test_csv_bytes_match_golden(self, name, tmp_path):
+        golden = Path(__file__).resolve().parent / "data" / "golden" / name
+        out = tmp_path / "out"
+        assert run("analytic", "--config", CONFIG_DIR / f"{name}.json", "--out", out,
+                   "--format", "csv") == 0
+        expected = sorted(path.name for path in golden.iterdir())
+        assert sorted(path.name for path in out.iterdir()) == expected
+        for file_name in expected:
+            assert (out / file_name).read_bytes() == (golden / file_name).read_bytes()
 
     def test_format_csv_only(self, tmp_path):
         out = tmp_path / "out"
@@ -368,6 +411,14 @@ class TestSimulateCommand:
         diag = json.loads((out / "report.json").read_text())["diagnostics"]
         assert diag["within_3se_frac"] < 0.95
         assert all(pt["quantities"]["critical_diagonal"]["z"] < -3.0 for pt in diag["points"])
+
+    @pytest.mark.parametrize("horizon,warned", [(2.0, True), (100.0, False)])
+    def test_report_flags_short_horizon(self, horizon, warned, tmp_path):
+        # mixing ratios horizon * |p| on p = -0.5, -0.25, -0.125 against the threshold 5
+        out = tmp_path / "out"
+        cfg = self.small_mc_config(tmp_path, horizon=horizon)
+        assert run("simulate", "--config", cfg, "--out", out) == 0
+        assert json.loads((out / "report.json").read_text())["mixing_warning"] is warned
 
     def test_zero_noise_writes_zero_columns(self, tmp_path, capsys):
         cfg = json.loads((CONFIG_DIR / "single_mode_mc.json").read_text())

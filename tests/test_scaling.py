@@ -9,7 +9,9 @@ from warnlab import (
     NumericalError,
     SpectralModel,
     SweepResult,
+    assemble_drift_matrix,
     classify_warning_sign,
+    finite_lyapunov_solve,
     fit_power_law,
     fit_quantity,
     make_p_grid,
@@ -207,6 +209,34 @@ class TestAnalyticSweep:
         with pytest.raises(ValueError):
             run_parameter_sweep(single_mode(), np.array([-1.0, -0.5]), ["norm"])
 
+    def test_quantities_read_at_non_zero_offsets(self):
+        # curves [stable simple, critical size-2 Jordan, stable complex] put the
+        # critical block at rows 1-2 and the second simple mode at row 3
+        g = np.array([[1.0, 0.3j, -0.2, 0.1 + 0.4j],
+                      [0.5, 1.2, 0.2j, -0.3],
+                      [0.1j, -0.4, 0.9, 0.2],
+                      [0.3, 0.1 - 0.2j, 0.6j, 1.1]])
+        model = SpectralModel(
+            curves=[EigenvalueCurve(0, lambda p: complex(p - 1.0)),
+                    EigenvalueCurve(1, lambda p: complex(p)),
+                    EigenvalueCurve(2, lambda p: complex(p - 0.5, 2.0))],
+            noise_matrix=g @ g.conj().T,
+            critical_index=1,
+            jordan_sizes={1: 2},
+            sigma=lambda p: abs(p) ** 0.25,
+        )
+        grid = make_p_grid(0.0, -0.5, 6)
+        names = ["critical_diagonal", "block_entry:1,2", "block_entry:2,2",
+                 "entry:0,0", "entry:0,2", "entry:2,0", "entry:2,2"]
+        cells = [(1, 1), (1, 2), (2, 2), (0, 0), (0, 3), (3, 0), (3, 3)]
+        sweep = run_parameter_sweep(model, grid, names)
+        for i, p in enumerate(grid):
+            dense = finite_lyapunov_solve(assemble_drift_matrix(model, p),
+                                          model.noise_matrix, model.sigma_at(p))
+            for name, cell in zip(names, cells):
+                assert_allclose(sweep.quantities[name][i], abs(dense[cell]), rtol=1e-10,
+                                err_msg=f"{name} at p={p}")
+
     def test_threads_do_not_change_results(self):
         grid = make_p_grid(0.0, -0.5, 10)
         serial = run_parameter_sweep(single_mode(), grid, ["critical_diagonal"], threads=1)
@@ -322,13 +352,6 @@ class TestEmpiricalSweep:
         with pytest.raises(ValueError):
             run_parameter_sweep(single_mode(), np.array([-1.0, -0.5]),
                                 ["critical_diagonal"], engine="empirical")
-
-    def test_mixing_warning_propagates(self):
-        grid = np.array([-0.5, -0.01])
-        cfg = EnsembleConfig(dt=0.05, horizon=20.0, n_trajectories=10, master_seed=1)
-        sweep = run_parameter_sweep(single_mode(), grid, ["critical_diagonal"],
-                                    engine="empirical", config=cfg)
-        assert sweep.mixing_warning
 
 
 class TestWeylProbe:
