@@ -258,7 +258,7 @@ def cmd_analytic(args) -> int:
     cfg = load_config(args.config)
     p_star, grid, _ = _preflight(cfg)
     sweep = run_parameter_sweep(cfg.model, grid, cfg.quantities, engine="analytic",
-                                p_star=p_star, threads=args.threads)
+                                p_star=p_star)
     xi = _maybe_xi(cfg.model, grid)
     elapsed = time.perf_counter() - start
     report = _sweep_report("analytic", cfg, sweep, xi, elapsed)
@@ -374,8 +374,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--threads", type=_thread_count, default=os.cpu_count() or 1,
-                       help="worker threads for sweep points (default: all cores)")
+        p.add_argument("--threads", type=_thread_count, default=None,
+                       help="worker threads for Monte Carlo trajectory chunks, clamped to "
+                            "the core count (default: all cores); other commands ignore it")
         p.add_argument("--seed", type=int, default=None,
                        help="override the ensemble master seed")
         p.add_argument("--format", choices=["csv", "json", "both"], default=None,

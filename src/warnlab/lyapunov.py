@@ -73,7 +73,9 @@ def block_pair_covariance(lam_k: complex, m_k: int, lam_j: complex, m_j: int, c_
     read as zero). t = inf uses I_n = n! / (-z)^{n+1} and divides by the
     power, as the closed form -sigma^2 b / (lambda_k + conj(lambda_j)) does;
     finite t uses the stable series and recurrence of the time moments.
-    The noise amplitude is folded into ``c_kj`` by the caller.
+    The noise amplitude is folded into ``c_kj`` by the caller. Near p* the
+    t = inf form can overflow; it then returns inf or nan without a numpy
+    warning, and the sweep's non-finite check reports it.
 
     Raises:
         NumericalError: for t = inf unless both eigenvalues satisfy Re < 0.
@@ -93,10 +95,11 @@ def block_pair_covariance(lam_k: complex, m_k: int, lam_j: complex, m_j: int, c_
         den = [1.0] * (n_max + 1)
     c = np.asarray(c_kj, dtype=complex)
     v = np.zeros((m_k, m_j), dtype=complex)
-    for a in range(m_k):
-        for b in range(m_j):
-            w = num[a + b] / (math.factorial(a) * math.factorial(b))
-            v[: m_k - a, : m_j - b] += c[a:, b:] * w / den[a + b]
+    with np.errstate(all="ignore"):
+        for a in range(m_k):
+            for b in range(m_j):
+                w = num[a + b] / (math.factorial(a) * math.factorial(b))
+                v[: m_k - a, : m_j - b] += c[a:, b:] * w / den[a + b]
     return v
 
 
@@ -285,4 +288,5 @@ def model_covariance(model: SpectralModel, p: float, t: float) -> np.ndarray:
                                          (sigma * sigma) * model.noise_block(k, j), t)
                    for j, lam_j, m_j in modes]
                   for k, lam_k, m_k in modes])
-    return 0.5 * (v + v.conj().T)
+    with np.errstate(all="ignore"):
+        return 0.5 * (v + v.conj().T)

@@ -13,7 +13,6 @@ laws dominate.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -231,9 +230,9 @@ def _eval_point_analytic(model, p: float, specs, cache) -> list[float]:
     return out
 
 
-def _eval_point_empirical(model, p, specs, config, point_seed):
+def _eval_point_empirical(model, p, specs, config, point_seed, threads):
     cfg = replace(config, master_seed=point_seed)
-    emp = simulate_ensemble(model, p, cfg)
+    emp = simulate_ensemble(model, p, cfg, threads)
     vals, errs = [], []
     for spec in specs:
         i, j = _entry_index(model, spec)
@@ -244,13 +243,14 @@ def _eval_point_empirical(model, p, specs, config, point_seed):
 
 def run_parameter_sweep(model, p_grid, quantities, engine: str = "analytic",
                         config: EnsembleConfig | None = None, p_star: float | None = None,
-                        threads: int = 1) -> SweepResult:
+                        threads: int | None = None) -> SweepResult:
     """Evaluate quantity series along ``p_grid``.
 
-    Sweep points are independent; with ``threads > 1`` they are evaluated in a
-    thread pool and reassembled in grid order, so the result is identical to a
-    serial run. The empirical engine derives one seed per grid point from the
-    ensemble master seed, making the whole sweep reproducible. The wall time
+    Points are evaluated one after another in grid order. The empirical
+    engine derives one seed per grid point from the ensemble master seed,
+    making the whole sweep reproducible, and runs each point's trajectory
+    chunks on up to ``threads`` worker threads (``simulate_ensemble``; None
+    means all cores); the closed forms ignore ``threads``. The wall time
     of each point's evaluation is kept in ``point_seconds``. Without ``p_star``
     the threshold is located by ``bifurcation_parameter`` with its default
     bracket.
@@ -286,44 +286,35 @@ def run_parameter_sweep(model, p_grid, quantities, engine: str = "analytic",
                 center = float(model.argmax_points[0])
                 cache["weyl", spec.k] = build_weyl_sequence(model, spec.k, center)
 
-    def job(i: int):
-        pi = float(p[i])
+    names = [s.name for s in specs]
+    values = {name: np.empty(p.size) for name in names}
+    errors = {name: (np.empty(p.size) if engine == "empirical" else None) for name in names}
+    seconds = []
+    for i, pi in enumerate(p.tolist()):
         start = time.perf_counter()
         try:
             if engine == "analytic":
-                res = (_eval_point_analytic(model, pi, specs, cache), None)
+                vals, errs = _eval_point_analytic(model, pi, specs, cache), None
             else:
-                res = _eval_point_empirical(model, pi, specs, config,
-                                            splitmix64(config.master_seed, i))
-            for spec, v in zip(specs, res[0]):
+                vals, errs = _eval_point_empirical(model, pi, specs, config,
+                                                   splitmix64(config.master_seed, i), threads)
+            for spec, v in zip(specs, vals):
                 if not math.isfinite(v):
                     raise NumericalError(f"{spec.name} evaluates to {v}")
         except NumericalError as exc:
             raise NumericalError(f"sweep failed at p={pi}: {exc}") from exc
-        return res, time.perf_counter() - start
-
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, range(p.size)))
-    else:
-        results = [job(i) for i in range(p.size)]
-
-    names = [s.name for s in specs]
-    values = {name: np.empty(p.size) for name in names}
-    errors = {name: (np.empty(p.size) if engine == "empirical" else None) for name in names}
-    for i, ((vals, errs), _) in enumerate(results):
+        seconds.append(time.perf_counter() - start)
         for name, v in zip(names, vals):
             values[name][i] = v
-        if errs is not None:
-            for name, e in zip(names, errs):
-                errors[name][i] = e
+        for name, e in zip(names, errs or ()):
+            errors[name][i] = e
     return SweepResult(
         p_values=p,
         quantities=values,
         p_star=float(p_star),
         provenance={name: engine for name in names},
         stderrs=errors,
-        point_seconds=tuple(seconds for _, seconds in results),
+        point_seconds=tuple(seconds),
     )
 
 

@@ -17,21 +17,24 @@ numpy's SeedSequence hash in one vectorized pass (``_seed_states``), and each
 PCG64 is seeded from its precomputed row, which skips the per-generator
 hashing but not a bit of the stream.
 
-Trajectories run in chunks of ``_CHUNK``, and each chunk streams its horizon in
-time blocks. The chunk's generators are created once; for each block of steps
-every generator fills its row of one preallocated noise buffer of at most
-``_BLOCK_BYTES``. The noise memory therefore stays bounded whatever the
-horizon; the other O(N·dim²) term is the per-trajectory time averages, kept
-whole because the mean and the standard errors reduce over all N of them in
-index order. Consecutive block draws concatenate to the same stream as one
-draw over the whole horizon, so the block length never changes the bytes of
-the result. Second moments accumulate with the trajectory axis last; each
-entry still sums the same products in the same time order.
+Trajectories run in near-equal chunks on a pool of worker threads, at most
+one per core (``_chunk_plan``). Chunks share no state: worker w runs chunks
+w, w + workers, ... and writes only their rows of the per-trajectory time
+averages, which reduce over all N in index order after the join. Each chunk
+streams its horizon in time blocks through its worker's noise buffer of at
+most ``_BLOCK_BYTES``, so memory stays bounded whatever the horizon.
+Consecutive block draws concatenate to the same stream as one draw over the
+whole horizon, so neither the block length, the chunk width nor the thread
+count changes the bytes of the result. Second moments accumulate with the
+trajectory axis last; each entry still sums the same products in the same
+time order.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +46,8 @@ from .spectrum import SpectralModel, spectral_abscissa
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_CHUNK = 2048
-_BLOCK_BYTES = 8 << 20  # bytes of noise per time block, over all trajectories of a chunk
+_CHUNK = 2048  # widest chunk of trajectories
+_BLOCK_BYTES = 8 << 20  # bytes of one worker's noise buffer, over all trajectories of its chunk
 _MIXING_THRESHOLD = 5.0
 # numpy SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF
@@ -214,16 +217,36 @@ def _drift_expm(model: SpectralModel, p: float, t: float) -> np.ndarray:
     return e
 
 
-def simulate_ensemble(model: SpectralModel, p: float, config: EnsembleConfig) -> EmpiricalCovariance:
+def _chunk_plan(n: int, threads: int) -> tuple[int, int]:
+    """Worker and chunk counts for n >= 2 trajectories: workers capped by the
+    core count, chunks the smallest multiple of the workers that keeps them at
+    most ``_CHUNK`` wide, so the workers get equal shares. Chunk k holds
+    trajectories k·n // chunks to (k+1)·n // chunks. Both counts are capped at
+    n // 2 to keep two or more in each: matmul rounds a one-row product with
+    another kernel, so at dim >= 2 a lone trajectory's bits would depend on
+    the layout."""
+    workers = min(threads, os.cpu_count() or 1, n // 2)
+    chunks = min(n // 2, -(-n // (_CHUNK * workers)) * workers)
+    return workers, chunks
+
+
+def simulate_ensemble(model: SpectralModel, p: float, config: EnsembleConfig,
+                      threads: int | None = None) -> EmpiricalCovariance:
     """Estimate the stationary mode covariance by time-and-ensemble averaging.
 
     Runs ``config.n_trajectories`` independent trajectories from zero initial
     data with exact transitions, discards the burn-in fraction of each, and
     averages outer products of the mode coefficients. Standard errors come
-    from the spread of per-trajectory time averages. Fully deterministic for a
-    fixed master seed; a ``mixing_warning`` flags horizons shorter than five
+    from the spread of per-trajectory time averages. Chunks of trajectories
+    run on up to ``threads`` worker threads (default: all cores; see
+    ``_chunk_plan``). Fully deterministic for a fixed master seed, at any
+    thread count; a ``mixing_warning`` flags horizons shorter than five
     relaxation times of the slowest mode.
     """
+    if threads is None:
+        threads = os.cpu_count() or 1
+    if threads < 1:
+        raise ValueError(f"threads: need at least 1, got {threads}")
     absc = spectral_abscissa(model, p)
     if absc >= 0.0:
         raise NumericalError(f"simulate_ensemble: drift not strictly stable at p={p}")
@@ -235,45 +258,53 @@ def simulate_ensemble(model: SpectralModel, p: float, config: EnsembleConfig) ->
     trans = _drift_expm(model, p, config.dt).T.copy()
     noise_factor = _psd_factor(model_covariance(model, p, config.dt)).T.copy()
     n = config.n_trajectories
-    width = min(n, _CHUNK)
+    workers, chunks = _chunk_plan(n, threads)
+    width = -(-n // chunks)
     block = max(1, min(n_steps, _BLOCK_BYTES // (width * dim * 16)))
-    z = np.empty((width, block, dim), dtype=complex)
-    draws = z.view(np.float64)  # the [re, im] pairs of z; generator j fills row j
     stats = np.empty((n, dim, dim), dtype=complex)
-    for c0 in range(0, n, _CHUNK):
-        c1 = min(n, c0 + _CHUNK)
-        nc = c1 - c0
-        gens = _chunk_generators(config.master_seed, c0, c1)
-        x = np.zeros((nc, dim), dtype=complex)
-        drift, kick = np.empty_like(x), np.empty_like(x)
-        # second moments accumulate with the trajectory axis last, so the
-        # outer product's inner loop runs over the chunk, not over dim; the
-        # state x keeps the trajectory axis first, because matmul's rounding
-        # depends on the layout at dim >= 2
-        xt = np.empty((dim, nc), dtype=complex)
-        xt_conj = np.empty_like(xt)
-        acc = np.zeros((dim, dim, nc), dtype=complex)
-        outer = np.empty_like(acc)
-        for t0 in range(0, n_steps, block):
-            b = min(block, n_steps - t0)
-            for j, g in enumerate(gens):
-                g.standard_normal(out=draws[j, :b])
-            zb = z[:nc, :b]
-            zb *= _INV_SQRT2
-            for s in range(b):
-                np.matmul(x, trans, out=drift)
-                np.matmul(zb[:, s, :], noise_factor, out=kick)
-                np.add(drift, kick, out=x)
-                if t0 + s >= burn:
-                    np.copyto(xt, x.T)
-                    np.conjugate(xt, out=xt_conj)
-                    np.multiply(xt[:, None, :], xt_conj[None, :, :], out=outer)
-                    acc += outer
-        stats[c0:c1] = (acc / keep).transpose(2, 0, 1)
+
+    def run_chunks(w: int) -> None:
+        z = np.empty((width, block, dim), dtype=complex)
+        draws = z.view(np.float64)  # the [re, im] pairs of z; generator j fills row j
+        for k in range(w, chunks, workers):
+            c0, c1 = k * n // chunks, (k + 1) * n // chunks
+            nc = c1 - c0
+            gens = _chunk_generators(config.master_seed, c0, c1)
+            x = np.zeros((nc, dim), dtype=complex)
+            drift, kick = np.empty_like(x), np.empty_like(x)
+            # second moments accumulate with the trajectory axis last, so the
+            # outer product's inner loop runs over the chunk, not over dim; the
+            # state x keeps the trajectory axis first, because matmul's rounding
+            # depends on the layout at dim >= 2
+            xt = np.empty((dim, nc), dtype=complex)
+            xt_conj = np.empty_like(xt)
+            acc = np.zeros((dim, dim, nc), dtype=complex)
+            outer = np.empty_like(acc)
+            for t0 in range(0, n_steps, block):
+                b = min(block, n_steps - t0)
+                for j, g in enumerate(gens):
+                    g.standard_normal(out=draws[j, :b])
+                zb = z[:nc, :b]
+                zb *= _INV_SQRT2
+                for s in range(b):
+                    np.matmul(x, trans, out=drift)
+                    np.matmul(zb[:, s, :], noise_factor, out=kick)
+                    np.add(drift, kick, out=x)
+                    if t0 + s >= burn:
+                        np.copyto(xt, x.T)
+                        np.conjugate(xt, out=xt_conj)
+                        np.multiply(xt[:, None, :], xt_conj[None, :, :], out=outer)
+                        acc += outer
+            stats[c0:c1] = (acc / keep).transpose(2, 0, 1)
+
+    if workers == 1:
+        run_chunks(0)
+    else:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run_chunks, range(workers)))  # re-raises a worker's exception
     mean = stats.mean(axis=0)
     mat = 0.5 * (mean + mean.conj().T)
     dev = stats - mean
     se = np.sqrt(np.sum(np.abs(dev) ** 2, axis=0) / (n * (n - 1)))
     return EmpiricalCovariance(matrix=mat, n_samples=n, standard_error=se,
                                mixing_warning=mixing_warning)
-

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from warnlab import sde
 from warnlab.lyapunov import model_covariance
 from warnlab.sde import (
     _chunk_generators,
+    _chunk_plan,
     _drift_expm,
     _jordan_expm,
     _psd_factor,
@@ -343,3 +345,81 @@ class TestTimeBlocks:
         # a full-horizon noise buffer for the long run alone is 16 * 8000 * 2 * 16 bytes
         assert peaks[400.0] <= 1.25 * peaks[50.0]
         assert peaks[400.0] < 16 * 8000 * 2 * 16
+
+
+class TestChunkPool:
+    @pytest.mark.parametrize("n,threads,cores,chunk,plan", [
+        (10_000, 2, 2, 2048, (2, 6)),  # 5 chunks of 2048 would split 3/2
+        (512, 2, 2, 2048, (2, 2)),
+        (2100, 1, 2, 2048, (1, 2)),
+        (10_000, 10_000, 2, 2048, (2, 6)),  # clamped to the cores
+        (9, 8, 16, 2048, (4, 4)),  # fewer trajectories than threads
+        (3, 8, 16, 2048, (1, 1)),  # no chunk of one trajectory
+        (10, 1, 2, 3, (1, 4)),  # widths 2, 3, 2, 3, not 3, 3, 3, 1
+        (50, 3, None, 7, (1, 8)),  # unknown core count: one worker
+    ])
+    def test_plan(self, monkeypatch, n, threads, cores, chunk, plan):
+        monkeypatch.setattr(sde.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(sde, "_CHUNK", chunk)
+        assert _chunk_plan(n, threads) == plan
+
+    def test_plan_splits_evenly_in_chunks_of_two_or_more(self, monkeypatch):
+        monkeypatch.setattr(sde.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(sde, "_CHUNK", 7)
+        for n in range(2, 120):
+            for threads in range(1, 6):
+                workers, chunks = _chunk_plan(n, threads)
+                assert 1 <= workers <= min(threads, 4)
+                assert chunks % workers == 0 or chunks == n // 2
+                widths = np.diff([k * n // chunks for k in range(chunks + 1)])
+                assert widths.sum() == n
+                assert 2 <= widths.min() and widths.max() <= 7
+                assert widths.max() - widths.min() <= 1
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, threads):
+        cfg = EnsembleConfig(dt=0.05, horizon=1.0, n_trajectories=4, master_seed=1)
+        with pytest.raises(ValueError, match="threads"):
+            simulate_ensemble(single_mode_model(), -0.5, cfg, threads=threads)
+
+    @pytest.mark.parametrize("n", [10, 50])
+    def test_bits_do_not_depend_on_workers_or_chunk_width(self, monkeypatch, n):
+        # up to three workers on any box, with thread switches forced often,
+        # and chunk widths from 2 to n
+        monkeypatch.setattr(sde.os, "cpu_count", lambda: 3)
+        model = dim8_dense_model()
+        cfg = EnsembleConfig(dt=0.05, horizon=2.0, n_trajectories=n, master_seed=31)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runs = {}
+            for chunk in (2048, 3):
+                monkeypatch.setattr(sde, "_CHUNK", chunk)
+                for threads in (1, 2, 3):
+                    runs[chunk, threads] = simulate_ensemble(model, -0.4, cfg, threads)
+        finally:
+            sys.setswitchinterval(interval)
+        ref = runs[2048, 1]
+        for est in runs.values():
+            assert np.array_equal(est.matrix, ref.matrix)
+            assert np.array_equal(est.standard_error, ref.standard_error)
+        mat, se = full_horizon_oracle(model, -0.4, cfg, chunk=n)
+        assert np.array_equal(ref.matrix, mat)
+        assert np.array_equal(ref.standard_error, se)
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(sde.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sde, "_CHUNK", 4)
+        boom = MemoryError("no room for chunk")
+        real = sde._chunk_generators
+
+        def failing(seed, c0, c1):
+            if c0 > 0:
+                raise boom
+            return real(seed, c0, c1)
+
+        monkeypatch.setattr(sde, "_chunk_generators", failing)
+        cfg = EnsembleConfig(dt=0.05, horizon=1.0, n_trajectories=16, master_seed=5)
+        with pytest.raises(MemoryError) as info:
+            simulate_ensemble(single_mode_model(), -0.5, cfg, threads=2)
+        assert info.value is boom
