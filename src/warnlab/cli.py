@@ -21,6 +21,7 @@ WARNLAB_LOG environment variable (error, info, debug) controls verbosity.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -55,14 +56,23 @@ from .spectrum import (
 _SCHEMA_VERSION = 1
 
 log = logging.getLogger("warnlab")
+_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+_log_handler = logging.StreamHandler()
+_log_handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
 
 
 def _setup_logging() -> None:
+    """Send the warnlab logger to the current sys.stderr at the level
+    WARNLAB_LOG names (error when unset or unknown). Every main() call
+    applies both anew, so an in-process caller may change either between
+    calls."""
     level_name = os.environ.get("WARNLAB_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    if level_name not in levels:
-        level_name = "error"
-    logging.basicConfig(level=levels[level_name], format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(_LOG_LEVELS.get(level_name, logging.ERROR))
+    # assigned, not setStream(): that flushes the previous stream, which an
+    # earlier caller may have closed since
+    _log_handler.stream = sys.stderr
+    if _log_handler not in log.handlers:
+        log.addHandler(_log_handler)
 
 
 def _sanitize(name: str) -> str:
@@ -357,7 +367,10 @@ def _thread_count(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing keeps no
+    state in it, and every parse_args call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="warnlab",
         description="Covariance scaling diagnostics for stochastic linear systems "

@@ -12,6 +12,15 @@ simple-mode law -sigma^2 b / (lambda_k + conj(lambda_j)) and the
 |p - p*|^{-(2m-1)} growth of a size-m Jordan block; the analytic sweep reads
 every spectral quantity from that matrix. A finite t = dt gives the exact
 step covariance of the Monte Carlo engine.
+
+The multiplication drift p + T_f with unit noise has the diagonal stationary
+covariance 1 / (2 |p + f|) on the grid, so its norm and pairings are sums over
+the grid. ``_weighted_square`` gives a vector's numerator mu |h|^2 and
+``_StableShift`` the stability check and denominators at one p; the public
+``multiplication_covariance_norm``, ``quadratic_form_pairing`` and
+``stationary_pairing`` evaluate through both, and the analytic sweep reuses
+each numerator over its grid and each denominator over its quantities.
+
 ``finite_lyapunov_solve`` and ``assemble_drift_matrix`` are the brute-force
 dense route, kept independent of the kernel so the two can cross-check each
 other.
@@ -20,6 +29,7 @@ other.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -204,29 +214,55 @@ def noise_limit_xi(model: SpectralModel, p_sequence, tolerance: float = _XI_TOL)
     return XiEstimate(value=value, samples=tuple(samples), converged=converged, tolerance=tolerance)
 
 
-def _stable_shift(model: MultiplicationSymbolModel, p: float, h=None):
-    """(p + f on the grid, h as an array), raising NumericalError unless the
-    multiplication drift is strictly stable: p + f < 0 at every grid point."""
-    if h is not None:
-        if isinstance(h, WeylVector):
-            h = h.coefficients
-        h = np.asarray(h)
-        if h.shape != model.grid.shape:
-            raise ValueError("h: shape mismatch with the model grid")
-    shifted = float(p) + model.values
-    if np.any(shifted >= 0.0):
-        raise NumericalError(
-            f"p + f >= 0 on the grid at p={p}: drift not strictly stable "
-            f"(p* = {-model.esssup})"
-        )
-    return shifted, h
+def _weighted_square(model: MultiplicationSymbolModel, h) -> np.ndarray:
+    """mu_i |h(x_i)|^2 on the grid: the numerator of every pairing with h, so
+    a sweep computes it once per vector. h is an array or a WeylVector."""
+    if isinstance(h, WeylVector):
+        h = h.coefficients
+    h = np.asarray(h)
+    if h.shape != model.grid.shape:
+        raise ValueError("h: shape mismatch with the model grid")
+    return model.weights * np.abs(h) ** 2
+
+
+class _StableShift:
+    """p + f on the grid at one p, which must be strictly stable (p + f < 0 at
+    every grid point), and the quantities of the multiplication drift with
+    unit noise at that p. Each denominator is computed on first use and
+    shared by every pairing at p; each pairing is one sum over the whole grid
+    (a sum over the support of h, or a multiply by the reciprocal, would
+    change the last bits)."""
+
+    def __init__(self, model: MultiplicationSymbolModel, p: float):
+        self.shifted = float(p) + model.values
+        if np.any(self.shifted >= 0.0):
+            raise NumericalError(
+                f"p + f >= 0 on the grid at p={p}: drift not strictly stable "
+                f"(p* = {-model.esssup})"
+            )
+
+    @functools.cached_property
+    def _stationary_den(self) -> np.ndarray:
+        return 2.0 * (-self.shifted)
+
+    @functools.cached_property
+    def _quadratic_den(self) -> np.ndarray:
+        return 4.0 * self.shifted * self.shifted
+
+    def norm(self) -> float:
+        return float(1.0 / (2.0 * np.min(-self.shifted)))
+
+    def quadratic(self, num: np.ndarray) -> float:
+        return float(np.sum(num / self._quadratic_den))
+
+    def stationary(self, num: np.ndarray) -> float:
+        return float(np.sum(num / self._stationary_den))
 
 
 def multiplication_covariance_norm(model: MultiplicationSymbolModel, p: float) -> float:
     """Sup of 1 / (2 |p + f|) over the grid: the stationary covariance norm
     surrogate of the multiplication drift p + T_f with unit noise."""
-    shifted, _ = _stable_shift(model, p)
-    return float(1.0 / (2.0 * np.min(-shifted)))
+    return _StableShift(model, p).norm()
 
 
 def quadratic_form_pairing(model: MultiplicationSymbolModel, p: float, h) -> float:
@@ -235,15 +271,15 @@ def quadratic_form_pairing(model: MultiplicationSymbolModel, p: float, h) -> flo
     This is <V_inf h, V_inf h>-type growth data for the multiplication model;
     it diverges as p increases to p* whenever h charges the argmax set of f.
     """
-    shifted, h = _stable_shift(model, p, h)
-    return float(np.sum(model.weights * np.abs(h) ** 2 / (4.0 * shifted * shifted)))
+    num = _weighted_square(model, h)
+    return _StableShift(model, p).quadratic(num)
 
 
 def stationary_pairing(model: MultiplicationSymbolModel, p: float, h) -> float:
     """Covariance pairing <V_inf h, h> = sum_i mu_i |h(x_i)|^2 / (2 |p + f(x_i)|)
     for the multiplication drift with unit noise."""
-    shifted, h = _stable_shift(model, p, h)
-    return float(np.sum(model.weights * np.abs(h) ** 2 / (2.0 * (-shifted))))
+    num = _weighted_square(model, h)
+    return _StableShift(model, p).stationary(num)
 
 
 def unit_gaussian_profile(model: MultiplicationSymbolModel) -> np.ndarray:

@@ -23,10 +23,9 @@ import numpy as np
 from .errors import NumericalError
 from .lyapunov import (
     XiEstimate,
+    _StableShift,
+    _weighted_square,
     model_covariance,
-    multiplication_covariance_norm,
-    quadratic_form_pairing,
-    stationary_pairing,
     unit_gaussian_profile,
 )
 from .sde import EnsembleConfig, simulate_ensemble, splitmix64
@@ -219,14 +218,17 @@ def _eval_point_analytic(model, p: float, specs, cache) -> list[float]:
     if isinstance(model, SpectralModel):
         v = model_covariance(model, p, math.inf)
         return [abs(v[_entry_index(model, s)]) for s in specs]
+    # one stability check and one set of denominators per point, shared by
+    # every quantity; the numerators mu |h|^2 come from the sweep's cache
+    shift = _StableShift(model, p)
     out = []
     for spec in specs:
         if spec.kind == "norm":
-            out.append(multiplication_covariance_norm(model, p))
+            out.append(shift.norm())
         elif spec.kind == "gaussian_pairing":
-            out.append(quadratic_form_pairing(model, p, cache["gaussian"]))
+            out.append(shift.quadratic(cache["gaussian"]))
         else:  # weyl_pairing; _validate_specs admits no other kind here
-            out.append(stationary_pairing(model, p, cache["weyl", spec.k]))
+            out.append(shift.stationary(cache["weyl", spec.k]))
     return out
 
 
@@ -277,14 +279,15 @@ def run_parameter_sweep(model, p_grid, quantities, engine: str = "analytic",
             raise ValueError("engine 'empirical' is only available for spectral models")
         if config is None:
             raise ValueError("engine 'empirical' requires an EnsembleConfig")
-    cache = {}
+    cache = {}  # numerator mu |h|^2 of each multiplication-model vector
     if isinstance(model, MultiplicationSymbolModel):
         if any(s.kind == "gaussian_pairing" for s in specs):
-            cache["gaussian"] = unit_gaussian_profile(model)
+            cache["gaussian"] = _weighted_square(model, unit_gaussian_profile(model))
         for spec in specs:
             if spec.kind == "weyl_pairing" and ("weyl", spec.k) not in cache:
                 center = float(model.argmax_points[0])
-                cache["weyl", spec.k] = build_weyl_sequence(model, spec.k, center)
+                cache["weyl", spec.k] = _weighted_square(
+                    model, build_weyl_sequence(model, spec.k, center))
 
     names = [s.name for s in specs]
     values = {name: np.empty(p.size) for name in names}

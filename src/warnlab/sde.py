@@ -18,8 +18,9 @@ PCG64 is seeded from its precomputed row, which skips the per-generator
 hashing but not a bit of the stream.
 
 Trajectories run in near-equal chunks on a pool of worker threads, at most
-one per core (``_chunk_plan``). Chunks share no state: worker w runs chunks
-w, w + workers, ... and writes only their rows of the per-trajectory time
+one per core and one per ``_MIN_CHUNK_WORK`` trajectories · modes
+(``_chunk_plan``). Chunks share no state: worker w runs chunks w,
+w + workers, ... and writes only their rows of the per-trajectory time
 averages, which reduce over all N in index order after the join. Each chunk
 streams its horizon in time blocks through its worker's noise buffer of at
 most ``_BLOCK_BYTES``, so memory stays bounded whatever the horizon.
@@ -47,6 +48,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _CHUNK = 2048  # widest chunk of trajectories
+# chunk width · dim below which a second worker thread slows an ensemble down
+_MIN_CHUNK_WORK = 1024
 _BLOCK_BYTES = 8 << 20  # bytes of one worker's noise buffer, over all trajectories of its chunk
 _MIXING_THRESHOLD = 5.0
 # numpy SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -217,15 +220,20 @@ def _drift_expm(model: SpectralModel, p: float, t: float) -> np.ndarray:
     return e
 
 
-def _chunk_plan(n: int, threads: int) -> tuple[int, int]:
-    """Worker and chunk counts for n >= 2 trajectories: workers capped by the
-    core count, chunks the smallest multiple of the workers that keeps them at
+def _chunk_plan(n: int, threads: int, dim: int) -> tuple[int, int]:
+    """Worker and chunk counts for n >= 2 trajectories of a dim-mode model.
+
+    Workers are capped by the core count and by the work of a chunk: more
+    than one worker runs only while each worker's share keeps width · dim at
+    ``_MIN_CHUNK_WORK`` or more, because below that each step's numpy calls
+    are bound by the interpreter lock and a second thread only slows the
+    first. Chunks are the smallest multiple of the workers that keeps them at
     most ``_CHUNK`` wide, so the workers get equal shares. Chunk k holds
     trajectories k·n // chunks to (k+1)·n // chunks. Both counts are capped at
     n // 2 to keep two or more in each: matmul rounds a one-row product with
     another kernel, so at dim >= 2 a lone trajectory's bits would depend on
     the layout."""
-    workers = min(threads, os.cpu_count() or 1, n // 2)
+    workers = min(threads, os.cpu_count() or 1, n // 2, max(1, n * dim // _MIN_CHUNK_WORK))
     chunks = min(n // 2, -(-n // (_CHUNK * workers)) * workers)
     return workers, chunks
 
@@ -258,7 +266,7 @@ def simulate_ensemble(model: SpectralModel, p: float, config: EnsembleConfig,
     trans = _drift_expm(model, p, config.dt).T.copy()
     noise_factor = _psd_factor(model_covariance(model, p, config.dt)).T.copy()
     n = config.n_trajectories
-    workers, chunks = _chunk_plan(n, threads)
+    workers, chunks = _chunk_plan(n, threads, dim)
     width = -(-n // chunks)
     block = max(1, min(n_steps, _BLOCK_BYTES // (width * dim * 16)))
     stats = np.empty((n, dim, dim), dtype=complex)

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
-from warnlab.cli import main
+from warnlab.cli import _build_parser, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 DATA_DIR = Path(__file__).resolve().parent / "data"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def assert_matches_golden(out, name):
@@ -291,6 +297,71 @@ class TestArguments:
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+    def test_parser_is_built_once(self, capsys):
+        _build_parser.cache_clear()
+        for _ in range(2):
+            assert run("validate", "--config", CONFIG_DIR / "single_mode.json") == 0
+        info = _build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_no_argument_leaks_into_the_next_call(self, tmp_path, capsys):
+        mc = CONFIG_DIR / "single_mode_mc.json"
+        assert run("simulate", "--config", mc, "--seed", 7, "--out", tmp_path / "a") == 0
+        assert run("simulate", "--config", mc, "--out", tmp_path / "b") == 0
+        seeds = [json.loads((tmp_path / d / "report.json").read_text())["seed_record"]
+                 ["master_seed"] for d in "ab"]
+        assert seeds == [7, 20260813]
+        single = CONFIG_DIR / "single_mode.json"
+        assert run("analytic", "--config", single, "--format", "json",
+                   "--out", tmp_path / "c") == 0
+        assert run("analytic", "--config", single, "--out", tmp_path / "d") == 0
+        assert sorted(f.name for f in (tmp_path / "c").iterdir()) == ["report.json"]
+        assert sorted(f.name for f in (tmp_path / "d").iterdir()) == [
+            "report.json", "sweep_critical_diagonal.csv"]
+        with pytest.raises(SystemExit) as exc:
+            run("validate", "--config", single, "--threads", "0")
+        assert exc.value.code == 2
+        assert run("validate", "--config", single) == 0
+
+
+class TestLogging:
+    def test_each_call_applies_current_level_and_stderr(self, monkeypatch, capsys):
+        single = CONFIG_DIR / "single_mode.json"
+        monkeypatch.delenv("WARNLAB_LOG", raising=False)
+        assert run("validate", "--config", single) == 0
+        monkeypatch.setenv("WARNLAB_LOG", "debug")
+        second = io.StringIO()
+        with contextlib.redirect_stderr(second):
+            assert run("validate", "--config", single) == 0
+        assert "INFO warnlab: bifurcation parameter p* = 0.0\n" in second.getvalue()
+        monkeypatch.setenv("WARNLAB_LOG", "error")
+        assert run("validate", "--config", single) == 0
+        assert capsys.readouterr().err == ""
+
+
+class TestShell:
+    def test_module_runs_from_the_shell(self, tmp_path):
+        env = {k: v for k, v in os.environ.items() if k != "WARNLAB_LOG"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR),
+                                                          env.get("PYTHONPATH")]))
+
+        def shell(config, **extra_env):
+            return subprocess.run(
+                [sys.executable, "-m", "warnlab.cli", "validate", "--config", str(config)],
+                env={**env, **extra_env}, capture_output=True, text=True, timeout=300)
+
+        ok = shell(CONFIG_DIR / "single_mode.json")
+        assert (ok.returncode, ok.stderr) == (0, "")
+        assert ok.stdout.startswith("config OK")
+        broken = tmp_path / "broken.json"
+        broken.write_text("{")
+        bad = shell(broken)
+        assert bad.returncode == 2
+        assert bad.stderr.startswith("config error")
+        debug = shell(CONFIG_DIR / "jordan_block.json", WARNLAB_LOG="debug")
+        assert debug.returncode == 0
+        assert "INFO warnlab: bifurcation parameter p* = " in debug.stderr
+
 
 class TestAnalyticCommand:
     def test_single_mode_run(self, tmp_path, capsys):
@@ -343,11 +414,15 @@ class TestAnalyticCommand:
         assert not out.exists()
 
     # jordan_dense_noise sweeps non-dyadic p under complex dense noise, so
-    # its values are inexact and pin the kernel's last-bit rounding
+    # its values are inexact and pin the kernel's last-bit rounding; the
+    # quadratic_symbol ones pin the multiplication model's norm and Gaussian
+    # pairing summed over the whole grid
     GOLDEN_CONFIGS = {
         "single_mode": CONFIG_DIR / "single_mode.json",
         "jordan_block": CONFIG_DIR / "jordan_block.json",
         "jordan_dense_noise": DATA_DIR / "jordan_dense_noise.json",
+        "quadratic_symbol": CONFIG_DIR / "quadratic_symbol.json",
+        "quadratic_symbol_coarse": CONFIG_DIR / "quadratic_symbol_coarse.json",
     }
 
     @pytest.mark.parametrize("name", list(GOLDEN_CONFIGS))
@@ -526,6 +601,13 @@ class TestWeylCommand:
         assert "fewer than 3 sweep points" in results["weyl_pairing:2"]["fit_error"]
         assert results["weyl_pairing:5"]["fit"] is not None
         assert "fit_error" not in results["weyl_pairing:5"]
+
+    def test_csv_bytes_match_golden(self, tmp_path, capsys):
+        # 78 Weyl pairings, each one sum over the whole grid
+        out = tmp_path / "out"
+        assert run("weyl", "--config", CONFIG_DIR / "quadratic_symbol.json", "--out", out,
+                   "--format", "csv") == 0
+        assert_matches_golden(out, "quadratic_symbol_weyl")
 
     def test_rejects_spectral_model(self, capsys):
         assert run("weyl", "--config", CONFIG_DIR / "single_mode.json") == 2

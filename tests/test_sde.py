@@ -359,22 +359,45 @@ class TestChunkPool:
         (50, 3, None, 7, (1, 8)),  # unknown core count: one worker
     ])
     def test_plan(self, monkeypatch, n, threads, cores, chunk, plan):
+        # the work floor off: these rows pin the core and width caps
+        monkeypatch.setattr(sde, "_MIN_CHUNK_WORK", 1)
         monkeypatch.setattr(sde.os, "cpu_count", lambda: cores)
         monkeypatch.setattr(sde, "_CHUNK", chunk)
-        assert _chunk_plan(n, threads) == plan
+        assert _chunk_plan(n, threads, 1) == plan
+
+    # both sides of the work floor, _MIN_CHUNK_WORK = 1024 trajectories · modes
+    # per worker, with 2048-wide chunks
+    @pytest.mark.parametrize("n,threads,cores,dim,plan", [
+        (400, 2, 2, 1, (1, 1)),  # single_mode_mc.json: one worker
+        (10_000, 2, 2, 1, (2, 6)),  # perfbench's N = 1e4 single mode
+        (10_000, 2, 2, 2, (2, 6)),  # and size-2 Jordan block
+        (512, 2, 2, 8, (2, 2)),  # perfbench's dim-8 ensemble
+        (2046, 2, 2, 1, (1, 1)),
+        (2048, 2, 2, 1, (2, 2)),
+        (255, 2, 2, 8, (1, 1)),
+        (256, 2, 2, 8, (2, 2)),
+        (3072, 4, 4, 1, (3, 3)),  # three shares of the work, not four
+        (10_000, 10_000, 2, 1, (2, 6)),  # still clamped to the cores
+    ])
+    def test_plan_follows_chunk_work(self, monkeypatch, n, threads, cores, dim, plan):
+        monkeypatch.setattr(sde.os, "cpu_count", lambda: cores)
+        assert sde._MIN_CHUNK_WORK == 1024 and sde._CHUNK == 2048
+        assert _chunk_plan(n, threads, dim) == plan
 
     def test_plan_splits_evenly_in_chunks_of_two_or_more(self, monkeypatch):
         monkeypatch.setattr(sde.os, "cpu_count", lambda: 4)
         monkeypatch.setattr(sde, "_CHUNK", 7)
         for n in range(2, 120):
             for threads in range(1, 6):
-                workers, chunks = _chunk_plan(n, threads)
-                assert 1 <= workers <= min(threads, 4)
-                assert chunks % workers == 0 or chunks == n // 2
-                widths = np.diff([k * n // chunks for k in range(chunks + 1)])
-                assert widths.sum() == n
-                assert 2 <= widths.min() and widths.max() <= 7
-                assert widths.max() - widths.min() <= 1
+                for dim, work in ((1, 1), (1, 1024), (8, 64)):
+                    monkeypatch.setattr(sde, "_MIN_CHUNK_WORK", work)
+                    workers, chunks = _chunk_plan(n, threads, dim)
+                    assert 1 <= workers <= min(threads, 4, max(1, n * dim // work))
+                    assert chunks % workers == 0 or chunks == n // 2
+                    widths = np.diff([k * n // chunks for k in range(chunks + 1)])
+                    assert widths.sum() == n
+                    assert 2 <= widths.min() and widths.max() <= 7
+                    assert widths.max() - widths.min() <= 1
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_rejected(self, threads):
@@ -384,9 +407,10 @@ class TestChunkPool:
 
     @pytest.mark.parametrize("n", [10, 50])
     def test_bits_do_not_depend_on_workers_or_chunk_width(self, monkeypatch, n):
-        # up to three workers on any box, with thread switches forced often,
-        # and chunk widths from 2 to n
+        # up to three workers on any box, however narrow the chunks, with
+        # thread switches forced often, and chunk widths from 2 to n
         monkeypatch.setattr(sde.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(sde, "_MIN_CHUNK_WORK", 1)
         model = dim8_dense_model()
         cfg = EnsembleConfig(dt=0.05, horizon=2.0, n_trajectories=n, master_seed=31)
         interval = sys.getswitchinterval()
@@ -409,6 +433,7 @@ class TestChunkPool:
 
     def test_worker_exception_reaches_caller(self, monkeypatch):
         monkeypatch.setattr(sde.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sde, "_MIN_CHUNK_WORK", 1)
         monkeypatch.setattr(sde, "_CHUNK", 4)
         boom = MemoryError("no room for chunk")
         real = sde._chunk_generators
