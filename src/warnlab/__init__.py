@@ -28,11 +28,8 @@ from .lyapunov import (
     finite_lyapunov_solve,
     jordan_stationary_covariance,
     model_covariance,
-    multiplication_covariance_norm,
     noise_limit_xi,
-    quadratic_form_pairing,
     stationary_covariance_entry,
-    stationary_pairing,
     unit_gaussian_profile,
 )
 from .sde import (
@@ -91,10 +88,8 @@ __all__ = [
     "load_config",
     "make_p_grid",
     "model_covariance",
-    "multiplication_covariance_norm",
     "noise_limit_xi",
     "parse_quantity",
-    "quadratic_form_pairing",
     "resolve_config",
     "resolvent_bound_check",
     "run_parameter_sweep",
@@ -103,7 +98,6 @@ __all__ = [
     "spectral_abscissa",
     "splitmix64",
     "stationary_covariance_entry",
-    "stationary_pairing",
     "unit_gaussian_profile",
     "weyl_defect",
     "weyl_divergence_probe",

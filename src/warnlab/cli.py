@@ -14,6 +14,12 @@ requirements (simulate's empirical engine, weyl's multiplication model and
 k_values) are checked before it, so a config that ``validate`` rejects fails
 every command that accepts its kind with the same exit code and message.
 
+The three sweep commands report through one builder (``_sweep_report``):
+each quantity's series, its power-law fit (fitted once) and the verdict
+classified from that fit, with the command's and each grid point's wall
+time. simulate adds its seed record and Monte Carlo diagnostics, weyl each
+Weyl vector's defect.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure. The
 WARNLAB_LOG environment variable (error, info, debug) controls verbosity.
 """
@@ -35,11 +41,10 @@ from .config import ExperimentConfig, check_noise_threshold, load_config
 from .errors import ConfigError, NumericalError
 from .lyapunov import noise_limit_xi
 from .scaling import (
-    classify_warning_sign,
+    _classify,
     fit_quantity,
     make_p_grid,
     run_parameter_sweep,
-    weyl_divergence_probe,
     write_sweep_csv,
 )
 from .sde import _MIXING_THRESHOLD, splitmix64
@@ -168,57 +173,51 @@ def _write_outputs(cfg, args, sweep, report: dict) -> None:
     print(f"outputs in {outdir}")
 
 
-def _base_report(command: str, cfg: ExperimentConfig, p_star: float, elapsed: float) -> dict:
-    return {
-        "schema_version": _SCHEMA_VERSION,
-        "command": command,
-        "name": cfg.name,
-        "config_echo": cfg.echo,
-        "p_star": p_star,
-        "timing": {"seconds": elapsed},
-    }
-
-
-def _quantity_result(cfg, sweep, name, xi=None):
-    """Series, fit and verdict of one quantity as a report entry, plus the fit
-    (None when the series admits no power-law fit; the entry then carries
-    ``fit_error`` and the reason is printed)."""
+def _quantity_result(cfg, sweep, name, xi) -> dict:
+    """Series, fit and verdict of one quantity as a report entry, from one
+    fit; prints the fit line, or, when the series admits no power-law fit,
+    the reason, which the entry then carries as ``fit_error``."""
     errs = sweep.stderrs.get(name)
     result = {
         "p_values": [float(p) for p in sweep.p_values],
         "values": [float(v) for v in sweep.quantities[name]],
         "stderr": None if errs is None else [float(e) for e in errs],
-        "provenance": sweep.provenance[name],
+        "provenance": sweep.engine,
         "fit": None,
         "verdict": None,
     }
-    window = cfg.fit_windows.get(name, "last_decade")
     # a failed fit (zero noise, degenerate series) must not discard the data
     try:
-        fit = fit_quantity(sweep, name, window)
-        verdict = classify_warning_sign(sweep, name, xi=xi, window=window)
+        fit = fit_quantity(sweep, name, cfg.fit_windows.get(name, "last_decade"))
     except NumericalError as exc:
         result["fit_error"] = str(exc)
         print(f"{name}: no power-law fit ({exc})")
-        return result, None
+        return result
+    verdict = _classify(fit, xi)
     result["fit"] = asdict(fit)
-    # xi is reported once per sweep, as noise_limit_xi
     result["verdict"] = asdict(verdict)
-    del result["verdict"]["xi"]
-    return result, fit
+    print(f"{name}: exponent {fit.exponent:.6g} (r^2 {fit.r_squared:.6g}) "
+          f"-> {verdict.classification}")
+    return result
 
 
 def _sweep_report(command, cfg, sweep, xi, elapsed) -> dict:
-    results = {}
-    for name in sweep.quantities:
-        results[name], fit = _quantity_result(cfg, sweep, name, xi)
-        if fit is not None:
-            print(f"{name}: exponent {fit.exponent:.6g} (r^2 {fit.r_squared:.6g}) "
-                  f"-> {results[name]['verdict']['classification']}")
-    report = _base_report(command, cfg, sweep.p_star, elapsed)
-    report["timing"]["points"] = [{"p": float(p), "seconds": s}
-                                  for p, s in zip(sweep.p_values, sweep.point_seconds)]
-    report["results"] = results
+    """The report every sweep command writes: config echo, p*, timings (the
+    whole command and each grid point), one result per quantity and, for a
+    power_of_p noise law, the noise limit Xi (reported once per sweep)."""
+    report = {
+        "schema_version": _SCHEMA_VERSION,
+        "command": command,
+        "name": cfg.name,
+        "config_echo": cfg.echo,
+        "p_star": sweep.p_star,
+        "timing": {
+            "seconds": elapsed,
+            "points": [{"p": float(p), "seconds": s}
+                       for p, s in zip(sweep.p_values, sweep.point_seconds)],
+        },
+        "results": {name: _quantity_result(cfg, sweep, name, xi) for name in sweep.quantities},
+    }
     if xi is not None:
         val = complex(xi.value)
         report["noise_limit_xi"] = {
@@ -235,8 +234,7 @@ def _mc_diagnostics(cfg, sweep, p_star: float, abscissae) -> dict:
     the mixing ratio horizon * |spectral abscissa| and, for each quantity,
     the closed-form |V| and the z-score (value - closed_form) / stderr (None
     at zero stderr), plus the share of estimates within 3 standard errors."""
-    exact = run_parameter_sweep(cfg.model, sweep.p_values, cfg.quantities, engine="analytic",
-                                p_star=p_star)
+    exact = run_parameter_sweep(cfg.model, sweep.p_values, cfg.quantities, p_star=p_star)
     points = []
     hits = total = 0
     ratios = _mixing_ratios(cfg, abscissae)
@@ -267,8 +265,7 @@ def cmd_analytic(args) -> int:
     start = time.perf_counter()
     cfg = load_config(args.config)
     p_star, grid, _ = _preflight(cfg)
-    sweep = run_parameter_sweep(cfg.model, grid, cfg.quantities, engine="analytic",
-                                p_star=p_star)
+    sweep = run_parameter_sweep(cfg.model, grid, cfg.quantities, p_star=p_star)
     xi = _maybe_xi(cfg.model, grid)
     elapsed = time.perf_counter() - start
     report = _sweep_report("analytic", cfg, sweep, xi, elapsed)
@@ -279,7 +276,7 @@ def cmd_analytic(args) -> int:
 def cmd_simulate(args) -> int:
     start = time.perf_counter()
     cfg = load_config(args.config)
-    if cfg.engine != "empirical" or cfg.ensemble is None:
+    if cfg.ensemble is None:
         raise ConfigError("engine.kind: command 'simulate' requires an empirical engine")
     ensemble = cfg.ensemble
     if args.seed is not None:
@@ -287,8 +284,8 @@ def cmd_simulate(args) -> int:
     p_star, grid, abscissae = _preflight(cfg)
     log.info("simulating %d grid points, %d trajectories each",
              grid.size, ensemble.n_trajectories)
-    sweep = run_parameter_sweep(cfg.model, grid, cfg.quantities, engine="empirical",
-                                config=ensemble, p_star=p_star, threads=args.threads)
+    sweep = run_parameter_sweep(cfg.model, grid, cfg.quantities, config=ensemble,
+                                p_star=p_star, threads=args.threads)
     xi = _maybe_xi(cfg.model, grid)
     elapsed = time.perf_counter() - start
     report = _sweep_report("simulate", cfg, sweep, xi, elapsed)
@@ -315,24 +312,17 @@ def cmd_weyl(args) -> int:
     if not cfg.weyl_k_values:
         raise ConfigError("weyl.k_values: required for the weyl command")
     p_star, grid, _ = _preflight(cfg)
-    sweep = weyl_divergence_probe(model, cfg.weyl_k_values, grid)
+    sweep = run_parameter_sweep(model, grid, [f"weyl_pairing:{k}" for k in cfg.weyl_k_values],
+                                p_star=p_star)
     center = float(model.argmax_points[0])
-    defects = {}
-    print(f"{'k':>6} {'defect':>14} {'exponent':>10} {'r^2':>8}")
-    weyl_results = {}
-    for k in cfg.weyl_k_values:
-        name = f"weyl_pairing:{k}"
-        vector = build_weyl_sequence(model, k, center)
-        defect = weyl_defect(model, vector, model.esssup)
-        defects[k] = defect
-        weyl_results[name], fit = _quantity_result(cfg, sweep, name)
-        weyl_results[name]["defect"] = defect
-        exp_col = "nan" if fit is None else f"{fit.exponent:.4f}"
-        r2_col = "nan" if fit is None else f"{fit.r_squared:.5f}"
-        print(f"{k:>6} {defect:>14.6e} {exp_col:>10} {r2_col:>8}")
+    defects = {k: weyl_defect(model, build_weyl_sequence(model, k, center), model.esssup)
+               for k in cfg.weyl_k_values}
     elapsed = time.perf_counter() - start
-    report = _base_report("weyl", cfg, p_star, elapsed)
-    report["results"] = weyl_results
+    report = _sweep_report("weyl", cfg, sweep, None, elapsed)
+    print(f"{'k':>6} {'defect':>14}")
+    for k, defect in defects.items():
+        report["results"][f"weyl_pairing:{k}"]["defect"] = defect
+        print(f"{k:>6} {defect:>14.6e}")
     report["weyl"] = {
         "k_values": list(cfg.weyl_k_values),
         "center": center,

@@ -48,8 +48,7 @@ class ExperimentConfig:
     model: Any
     sweep: SweepSettings
     quantities: tuple
-    engine: str
-    ensemble: EnsembleConfig | None
+    ensemble: EnsembleConfig | None  # None: the closed forms (engine kind "analytic")
     weyl_k_values: tuple
     fit_windows: dict
     output_directory: str
@@ -271,13 +270,13 @@ def _build_sweep(raw, path: str) -> SweepSettings:
     return SweepSettings(start=start, count=count, factor=factor, stop=stop, spacing=spacing)
 
 
-def _build_engine(raw, path: str):
+def _build_engine(raw, path: str) -> EnsembleConfig | None:
     if raw is None:
-        return "analytic", None
+        return None
     raw = _as_mapping(raw, path)
     kind = _require(raw, "kind", path)
     if kind == "analytic":
-        return "analytic", None
+        return None
     if kind != "empirical":
         raise ConfigError(f"{path}.kind: unknown engine kind {kind!r}")
     dt = _as_number(_require(raw, "dt", path), f"{path}.dt")
@@ -291,7 +290,7 @@ def _build_engine(raw, path: str):
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    return "empirical", cfg
+    return cfg
 
 
 def resolve_config(raw: dict) -> ExperimentConfig:
@@ -311,8 +310,8 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"model.kind: unknown model kind {kind!r}")
 
     sweep = _build_sweep(_require(raw, "sweep", "config"), "sweep")
-    engine, ensemble = _build_engine(raw.get("engine"), "engine")
-    if engine == "empirical" and kind != "spectral":
+    ensemble = _build_engine(raw.get("engine"), "engine")
+    if ensemble is not None and kind != "spectral":
         raise ConfigError("engine.kind: 'empirical' requires a spectral model")
 
     quantities_raw = _require(raw, "quantities", "config")
@@ -394,7 +393,6 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         model=model,
         sweep=sweep,
         quantities=tuple(quantities),
-        engine=engine,
         ensemble=ensemble,
         weyl_k_values=tuple(k_values),
         fit_windows=fit_windows,

@@ -16,10 +16,9 @@ step covariance of the Monte Carlo engine.
 The multiplication drift p + T_f with unit noise has the diagonal stationary
 covariance 1 / (2 |p + f|) on the grid, so its norm and pairings are sums over
 the grid. ``_weighted_square`` gives a vector's numerator mu |h|^2 and
-``_StableShift`` the stability check and denominators at one p; the public
-``multiplication_covariance_norm``, ``quadratic_form_pairing`` and
-``stationary_pairing`` evaluate through both, and the analytic sweep reuses
-each numerator over its grid and each denominator over its quantities.
+``_StableShift`` the stability check and denominators at one p; the analytic
+sweep (``scaling.run_parameter_sweep``) is their one caller, and reuses each
+numerator over its grid and each denominator over its quantities.
 
 ``finite_lyapunov_solve`` and ``assemble_drift_matrix`` are the brute-force
 dense route, kept independent of the kernel so the two can cross-check each
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .spectrum import MultiplicationSymbolModel, SpectralModel, WeylVector
+from .spectrum import MultiplicationSymbolModel, SpectralModel
 
 _HERMITIAN_TOL = 1e-10
 _XI_TOL = 1e-8
@@ -214,14 +213,9 @@ def noise_limit_xi(model: SpectralModel, p_sequence, tolerance: float = _XI_TOL)
     return XiEstimate(value=value, samples=tuple(samples), converged=converged, tolerance=tolerance)
 
 
-def _weighted_square(model: MultiplicationSymbolModel, h) -> np.ndarray:
-    """mu_i |h(x_i)|^2 on the grid: the numerator of every pairing with h, so
-    a sweep computes it once per vector. h is an array or a WeylVector."""
-    if isinstance(h, WeylVector):
-        h = h.coefficients
-    h = np.asarray(h)
-    if h.shape != model.grid.shape:
-        raise ValueError("h: shape mismatch with the model grid")
+def _weighted_square(model: MultiplicationSymbolModel, h: np.ndarray) -> np.ndarray:
+    """mu_i |h(x_i)|^2 for h given on the model grid: the numerator of every
+    pairing with h, so a sweep computes it once per vector."""
     return model.weights * np.abs(h) ** 2
 
 
@@ -257,29 +251,6 @@ class _StableShift:
 
     def stationary(self, num: np.ndarray) -> float:
         return float(np.sum(num / self._stationary_den))
-
-
-def multiplication_covariance_norm(model: MultiplicationSymbolModel, p: float) -> float:
-    """Sup of 1 / (2 |p + f|) over the grid: the stationary covariance norm
-    surrogate of the multiplication drift p + T_f with unit noise."""
-    return _StableShift(model, p).norm()
-
-
-def quadratic_form_pairing(model: MultiplicationSymbolModel, p: float, h) -> float:
-    """Quadratic form sum_i mu_i |h(x_i)|^2 / (4 (p + f(x_i))^2).
-
-    This is <V_inf h, V_inf h>-type growth data for the multiplication model;
-    it diverges as p increases to p* whenever h charges the argmax set of f.
-    """
-    num = _weighted_square(model, h)
-    return _StableShift(model, p).quadratic(num)
-
-
-def stationary_pairing(model: MultiplicationSymbolModel, p: float, h) -> float:
-    """Covariance pairing <V_inf h, h> = sum_i mu_i |h(x_i)|^2 / (2 |p + f(x_i)|)
-    for the multiplication drift with unit noise."""
-    num = _weighted_square(model, h)
-    return _StableShift(model, p).stationary(num)
 
 
 def unit_gaussian_profile(model: MultiplicationSymbolModel) -> np.ndarray:

@@ -1,14 +1,16 @@
 """Parameter sweeps toward the bifurcation point and power-law diagnostics.
 
 A sweep evaluates named covariance quantities along an increasing grid of
-parameter values below p*, either from the closed forms (analytic engine) or
-from ensemble simulation (empirical engine). For a spectral model both
-engines produce one covariance matrix per point, ``model_covariance`` at
-t = inf (``_eval_point_analytic``) or the ensemble estimate, and read every
-quantity out of it through the same index map, ``_entry_index``. Scaling
-exponents are read off by ordinary least squares in log-log coordinates; by
-default fits use the last decade of distances |p - p*|, where the asymptotic
-laws dominate.
+parameter values below p*: from the closed forms (the analytic engine) when
+it is given no ``EnsembleConfig``, and from ensemble simulation (the
+empirical engine) when it is given one. For a spectral model both engines
+produce one covariance matrix per point, ``model_covariance`` at t = inf
+(``_eval_point_analytic``) or the ensemble estimate, and read every quantity
+out of it through the same index map, ``_entry_index``. Scaling exponents
+are read off by ordinary least squares in log-log coordinates; by default
+fits use the last decade of distances |p - p*|, where the asymptotic laws
+dominate. ``_classify`` turns one fit into a warning-sign verdict, so a
+caller that already holds the fit classifies without fitting again.
 """
 
 from __future__ import annotations
@@ -100,13 +102,14 @@ def parse_quantity(q) -> QuantitySpec:
 class SweepResult:
     """Quantity series along a parameter grid below p*.
 
+    ``engine`` names what produced every series, "analytic" or "empirical".
     ``point_seconds`` holds the wall seconds each grid point's evaluation
     took, in grid order (empty when the sweep was not timed)."""
 
     p_values: np.ndarray
     quantities: Mapping[str, np.ndarray]
     p_star: float
-    provenance: Mapping[str, str]
+    engine: str
     stderrs: Mapping[str, np.ndarray | None] = field(default_factory=dict)
     point_seconds: tuple[float, ...] = ()
 
@@ -142,7 +145,6 @@ class ScalingFit:
 class WarningSignVerdict:
     classification: str
     fitted_exponent: float
-    xi: XiEstimate | None
     rationale: str
 
 
@@ -243,19 +245,20 @@ def _eval_point_empirical(model, p, specs, config, point_seed, threads):
     return vals, errs
 
 
-def run_parameter_sweep(model, p_grid, quantities, engine: str = "analytic",
-                        config: EnsembleConfig | None = None, p_star: float | None = None,
-                        threads: int | None = None) -> SweepResult:
+def run_parameter_sweep(model, p_grid, quantities, config: EnsembleConfig | None = None,
+                        p_star: float | None = None, threads: int | None = None) -> SweepResult:
     """Evaluate quantity series along ``p_grid``.
 
-    Points are evaluated one after another in grid order. The empirical
-    engine derives one seed per grid point from the ensemble master seed,
-    making the whole sweep reproducible, and runs each point's trajectory
-    chunks on up to ``threads`` worker threads (``simulate_ensemble``; None
-    means all cores); the closed forms ignore ``threads``. The wall time
-    of each point's evaluation is kept in ``point_seconds``. Without ``p_star``
-    the threshold is located by ``bifurcation_parameter`` with its default
-    bracket.
+    Without ``config`` every point comes from the closed forms; with one it
+    comes from an ensemble simulation, which only spectral models have
+    (ValueError otherwise). Points are evaluated one after another in grid
+    order. The empirical engine derives one seed per grid point from the
+    ensemble master seed, making the whole sweep reproducible, and runs each
+    point's trajectory chunks on up to ``threads`` worker threads
+    (``simulate_ensemble``; None means all cores); the closed forms ignore
+    ``threads``. The wall time of each point's evaluation is kept in
+    ``point_seconds``. Without ``p_star`` the threshold is located by
+    ``bifurcation_parameter`` with its default bracket.
     """
     p = np.asarray(p_grid, dtype=float)
     if p.ndim != 1 or p.size < 1:
@@ -272,13 +275,8 @@ def run_parameter_sweep(model, p_grid, quantities, engine: str = "analytic",
         raise NumericalError(
             f"sweep grid reaches p* = {p_star}: all points must lie strictly below"
         )
-    if engine not in ("analytic", "empirical"):
-        raise ValueError(f"engine: unknown value {engine!r}")
-    if engine == "empirical":
-        if not isinstance(model, SpectralModel):
-            raise ValueError("engine 'empirical' is only available for spectral models")
-        if config is None:
-            raise ValueError("engine 'empirical' requires an EnsembleConfig")
+    if config is not None and not isinstance(model, SpectralModel):
+        raise ValueError("an ensemble config is only available for spectral models")
     cache = {}  # numerator mu |h|^2 of each multiplication-model vector
     if isinstance(model, MultiplicationSymbolModel):
         if any(s.kind == "gaussian_pairing" for s in specs):
@@ -287,16 +285,16 @@ def run_parameter_sweep(model, p_grid, quantities, engine: str = "analytic",
             if spec.kind == "weyl_pairing" and ("weyl", spec.k) not in cache:
                 center = float(model.argmax_points[0])
                 cache["weyl", spec.k] = _weighted_square(
-                    model, build_weyl_sequence(model, spec.k, center))
+                    model, build_weyl_sequence(model, spec.k, center).coefficients)
 
     names = [s.name for s in specs]
     values = {name: np.empty(p.size) for name in names}
-    errors = {name: (np.empty(p.size) if engine == "empirical" else None) for name in names}
+    errors = {name: (None if config is None else np.empty(p.size)) for name in names}
     seconds = []
     for i, pi in enumerate(p.tolist()):
         start = time.perf_counter()
         try:
-            if engine == "analytic":
+            if config is None:
                 vals, errs = _eval_point_analytic(model, pi, specs, cache), None
             else:
                 vals, errs = _eval_point_empirical(model, pi, specs, config,
@@ -315,7 +313,7 @@ def run_parameter_sweep(model, p_grid, quantities, engine: str = "analytic",
         p_values=p,
         quantities=values,
         p_star=float(p_star),
-        provenance={name: engine for name in names},
+        engine="analytic" if config is None else "empirical",
         stderrs=errors,
         point_seconds=tuple(seconds),
     )
@@ -396,16 +394,14 @@ def fit_quantity(sweep: SweepResult, quantity: str, window="last_decade") -> Sca
     return replace(fit, window=tuple(int(i) for i in idx))
 
 
-def classify_warning_sign(sweep: SweepResult, quantity: str, xi: XiEstimate | None = None,
-                          window="last_decade") -> WarningSignVerdict:
-    """Classify the near-critical behavior of one quantity series.
+def _classify(fit: ScalingFit, xi: XiEstimate | None = None) -> WarningSignVerdict:
+    """Warning-sign verdict of one power-law fit.
 
     diverging: fitted exponent < -0.5 with r_squared > 0.99. vanishing:
     exponent > 0.5. finite_limit: |exponent| <= 0.1 (with a converged noise
     limit Xi when the noise amplitude depends on p). Ambiguous fits fall back
     to finite_limit with the reservation spelled out in the rationale.
     """
-    fit = fit_quantity(sweep, quantity, window)
     exp = fit.exponent
     base = (
         f"exponent {exp:.6g} with r^2 {fit.r_squared:.6g} over "
@@ -424,8 +420,15 @@ def classify_warning_sign(sweep: SweepResult, quantity: str, xi: XiEstimate | No
         if xi is not None and not xi.converged:
             note += "; Xi estimate not converged"
     return WarningSignVerdict(
-        classification=cls, fitted_exponent=float(exp), xi=xi, rationale=f"{base}; {note}"
+        classification=cls, fitted_exponent=float(exp), rationale=f"{base}; {note}"
     )
+
+
+def classify_warning_sign(sweep: SweepResult, quantity: str, xi: XiEstimate | None = None,
+                          window="last_decade") -> WarningSignVerdict:
+    """Classify the near-critical behavior of one quantity series: fit it
+    over ``window`` and apply ``_classify``'s rule to the fit."""
+    return _classify(fit_quantity(sweep, quantity, window), xi)
 
 
 def weyl_divergence_probe(model: MultiplicationSymbolModel, k_values, p_grid) -> SweepResult:
@@ -439,22 +442,22 @@ def weyl_divergence_probe(model: MultiplicationSymbolModel, k_values, p_grid) ->
     if not ks:
         raise ValueError("k_values: need at least one width index")
     quantities = [f"weyl_pairing:{k}" for k in ks]
-    return run_parameter_sweep(model, p_grid, quantities, engine="analytic")
+    return run_parameter_sweep(model, p_grid, quantities)
 
 
 def write_sweep_csv(sweep: SweepResult, quantity: str, path) -> None:
     """Write one quantity series as CSV with columns
-    p,quantity,value,stderr,provenance (stderr blank for analytic rows)."""
+    p,quantity,value,stderr,provenance (stderr blank for analytic rows;
+    provenance is the sweep's engine)."""
     import csv as _csv
 
     if quantity not in sweep.quantities:
         raise ValueError(f"quantity {quantity!r} not present in sweep")
     vals = sweep.quantities[quantity]
     errs = sweep.stderrs.get(quantity)
-    prov = sweep.provenance[quantity]
     with open(path, "w", newline="") as fh:
         writer = _csv.writer(fh)
         writer.writerow(["p", "quantity", "value", "stderr", "provenance"])
         for i, p in enumerate(sweep.p_values):
             err = "" if errs is None else repr(float(errs[i]))
-            writer.writerow([repr(float(p)), quantity, repr(float(vals[i])), err, prov])
+            writer.writerow([repr(float(p)), quantity, repr(float(vals[i])), err, sweep.engine])

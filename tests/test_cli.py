@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import warnlab.scaling as scaling
 from warnlab.cli import _build_parser, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -553,6 +554,7 @@ class TestPointTiming:
     @pytest.mark.parametrize("command,config", [
         ("analytic", "single_mode.json"),
         ("simulate", "small_mc"),
+        ("weyl", "quadratic_symbol.json"),
     ])
     def test_report_times_each_point(self, command, config, tmp_path):
         if config == "small_mc":
@@ -567,12 +569,30 @@ class TestPointTiming:
         for out in (serial, pooled):
             report = json.loads((out / "report.json").read_text())
             points = report["timing"]["points"]
-            assert [pt["p"] for pt in points] == \
-                report["results"]["critical_diagonal"]["p_values"]
+            first = next(iter(report["results"].values()))
+            assert [pt["p"] for pt in points] == first["p_values"]
             assert all(pt["seconds"] > 0.0 for pt in points)
             assert sum(pt["seconds"] for pt in points) <= report["timing"]["seconds"] * 2
-        name = "sweep_critical_diagonal.csv"
-        assert (serial / name).read_bytes() == (pooled / name).read_bytes()
+        csvs = sorted(path.name for path in serial.glob("sweep_*.csv"))
+        assert csvs == sorted(path.name for path in pooled.glob("sweep_*.csv"))
+        for name in csvs:
+            assert (serial / name).read_bytes() == (pooled / name).read_bytes()
+
+
+class TestOneFitPerQuantity:
+    def test_analytic_fits_each_quantity_once(self, tmp_path, monkeypatch):
+        calls = []
+        fit = scaling.fit_power_law
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(scaling, "fit_power_law", counted)
+        assert run("analytic", "--config", CONFIG_DIR / "jordan_block.json",
+                   "--out", tmp_path / "out") == 0
+        # three block_entry quantities, one fit each
+        assert len(calls) == 3
 
 
 class TestWeylCommand:

@@ -12,16 +12,12 @@ from warnlab import (
     NumericalError,
     SpectralModel,
     assemble_drift_matrix,
-    build_weyl_sequence,
     finite_lyapunov_solve,
     jordan_stationary_covariance,
     model_covariance,
-    multiplication_covariance_norm,
     noise_limit_xi,
-    quadratic_form_pairing,
+    run_parameter_sweep,
     stationary_covariance_entry,
-    stationary_pairing,
-    unit_gaussian_profile,
 )
 
 
@@ -190,41 +186,48 @@ class TestNoiseLimitXi:
 
 
 class TestMultiplicationForms:
+    """The multiplication model's closed forms, read through the analytic
+    sweep at a single grid point."""
+
     def setup_method(self):
         self.model = MultiplicationSymbolModel.from_function(lambda x: -np.square(x))
 
+    @staticmethod
+    def at(model, p, quantity, **kwargs):
+        return run_parameter_sweep(model, [p], [quantity], **kwargs).quantities[quantity][0]
+
     def test_norm_exact_value(self):
-        assert multiplication_covariance_norm(self.model, -0.01) == pytest.approx(50.0, abs=1e-12)
-        assert multiplication_covariance_norm(self.model, -0.1) == pytest.approx(5.0, abs=1e-13)
+        assert self.at(self.model, -0.01, "norm") == pytest.approx(50.0, abs=1e-12)
+        assert self.at(self.model, -0.1, "norm") == pytest.approx(5.0, abs=1e-13)
 
     def test_norm_flat_symbol_frozen(self):
         flat = MultiplicationSymbolModel.from_function(
             lambda x: np.zeros_like(np.asarray(x, float)), lo=-1.0, hi=1.0, spacing=1e-2
         )
-        assert multiplication_covariance_norm(flat, -0.25) == pytest.approx(2.0, abs=1e-14)
+        assert self.at(flat, -0.25, "norm") == pytest.approx(2.0, abs=1e-14)
 
     def test_norm_ratio_law_is_exact(self):
         # esssup attained at a grid point, so the norm is exactly 1/(2|p|)
-        ratio = multiplication_covariance_norm(self.model, -0.01) / multiplication_covariance_norm(
-            self.model, -0.1
-        )
+        ratio = self.at(self.model, -0.01, "norm") / self.at(self.model, -0.1, "norm")
         assert ratio == pytest.approx(10.0, rel=1e-12)
 
     def test_norm_unstable_signals(self):
+        # p = -0.5 lies above p* = -1; a caller-supplied p* of 0 lets the grid
+        # through, so the stability check at the point itself must refuse it
         bumped = MultiplicationSymbolModel.from_function(lambda x: 1.0 - np.square(x))
-        with pytest.raises(NumericalError):
-            multiplication_covariance_norm(bumped, -0.5)
+        with pytest.raises(NumericalError, match="not strictly stable"):
+            self.at(bumped, -0.5, "norm", p_star=0.0)
 
     def test_gaussian_pairing_quadrature_oracle(self):
         p = -0.1
-        got = quadratic_form_pairing(self.model, p, unit_gaussian_profile(self.model))
+        got = self.at(self.model, p, "gaussian_pairing")
         num, _ = scipy.integrate.quad(lambda x: np.exp(-x * x) / (4.0 * (p - x * x) ** 2), -10, 10)
         den, _ = scipy.integrate.quad(lambda x: np.exp(-x * x), -10, 10)
         assert_allclose(got, num / den, rtol=1e-5)
 
     def test_gaussian_pairing_oracle_away_from_threshold(self):
         p = -1.0
-        got = quadratic_form_pairing(self.model, p, unit_gaussian_profile(self.model))
+        got = self.at(self.model, p, "gaussian_pairing")
         num, _ = scipy.integrate.quad(lambda x: np.exp(-x * x) / (4.0 * (1.0 + x * x) ** 2), -10, 10)
         den, _ = scipy.integrate.quad(lambda x: np.exp(-x * x), -10, 10)
         assert_allclose(got, num / den, rtol=1e-6)
@@ -233,27 +236,21 @@ class TestMultiplicationForms:
         flat = MultiplicationSymbolModel.from_function(
             lambda x: np.zeros_like(np.asarray(x, float)), lo=-3.0, hi=3.0, spacing=1e-3
         )
-        h = unit_gaussian_profile(flat)
-        assert_allclose(quadratic_form_pairing(flat, -0.5, h), 1.0, rtol=1e-12)
+        assert_allclose(self.at(flat, -0.5, "gaussian_pairing"), 1.0, rtol=1e-12)
 
     def test_pairing_monotone_toward_threshold(self):
         # h charges the argmax of f, so the form must climb as p increases to p*
-        h = unit_gaussian_profile(self.model)
         ps = [-2.0, -1.0, -0.5, -0.25, -0.125, -0.0625, -0.03125]
-        vals = [quadratic_form_pairing(self.model, p, h) for p in ps]
+        vals = [self.at(self.model, p, "gaussian_pairing") for p in ps]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_stationary_pairing_flat_symbol_is_exact(self):
         flat = MultiplicationSymbolModel.from_function(
             lambda x: np.zeros_like(np.asarray(x, float)), lo=-2.0, hi=2.0, spacing=1e-3
         )
-        u = build_weyl_sequence(flat, 3, 0.0)
         for p in (-0.5, -0.03125, -1e-4):
-            assert_allclose(stationary_pairing(flat, p, u), 1.0 / (2.0 * abs(p)), rtol=1e-12)
-
-    def test_pairing_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            quadratic_form_pairing(self.model, -0.1, np.ones(7))
+            assert_allclose(self.at(flat, p, "weyl_pairing:3"), 1.0 / (2.0 * abs(p)),
+                            rtol=1e-12)
 
 
 class TestAnalyticReport:

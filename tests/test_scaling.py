@@ -134,7 +134,7 @@ class TestAnalyticSweep:
         sweep = run_parameter_sweep(single_mode(), grid, ["critical_diagonal"])
         assert_allclose(sweep.quantities["critical_diagonal"], [1.0, 2.0, 4.0, 8.0], rtol=1e-14)
         assert sweep.p_star == 0.0
-        assert sweep.provenance["critical_diagonal"] == "analytic"
+        assert sweep.engine == "analytic"
         assert sweep.stderrs["critical_diagonal"] is None
 
     def test_coarse_grid_frozen_values(self):
@@ -283,8 +283,7 @@ class TestClassification:
             (single_mode(sigma=lambda p: abs(p)), "vanishing"),
         ]
         for model, expected in cases:
-            sweep = run_parameter_sweep(model, grid, ["critical_diagonal"],
-                                        engine="empirical", config=cfg)
+            sweep = run_parameter_sweep(model, grid, ["critical_diagonal"], config=cfg)
             verdict = classify_warning_sign(sweep, "critical_diagonal")
             assert verdict.classification == expected, verdict.rationale
 
@@ -295,7 +294,7 @@ class TestClassification:
         noisy = d**-0.6 * np.exp(rng.normal(scale=0.6, size=d.size))
         sweep = SweepResult(
             p_values=p, quantities={"critical_diagonal": noisy}, p_star=0.0,
-            provenance={"critical_diagonal": "analytic"},
+            engine="analytic",
         )
         verdict = classify_warning_sign(sweep, "critical_diagonal", window="all")
         if verdict.classification == "finite_limit":
@@ -307,7 +306,7 @@ class TestClassification:
         p = -(0.5 ** np.arange(1, 9))[::-1]
         d = -p
         sweep = SweepResult(
-            p_values=p, quantities={"q": d**-0.3}, p_star=0.0, provenance={"q": "analytic"},
+            p_values=p, quantities={"q": d**-0.3}, p_star=0.0, engine="analytic",
         )
         verdict = classify_warning_sign(sweep, "q", window="all")
         assert verdict.classification == "finite_limit"
@@ -319,10 +318,10 @@ class TestEmpiricalSweep:
         grid = np.array([-0.5, -0.25])
         cfg = EnsembleConfig(dt=0.05, horizon=40.0, n_trajectories=300, master_seed=3)
         sweep = run_parameter_sweep(single_mode(), grid, ["critical_diagonal"],
-                                    engine="empirical", config=cfg)
+                                    config=cfg)
         errs = sweep.stderrs["critical_diagonal"]
         assert errs is not None and np.all(errs > 0)
-        assert sweep.provenance["critical_diagonal"] == "empirical"
+        assert sweep.engine == "empirical"
         exact = np.array([1.0, 2.0])
         assert np.all(np.abs(sweep.quantities["critical_diagonal"] - exact) < 4 * errs)
 
@@ -331,7 +330,7 @@ class TestEmpiricalSweep:
         cfg = EnsembleConfig(dt=0.05, horizon=20.0, n_trajectories=100, master_seed=12)
         runs = [
             run_parameter_sweep(single_mode(), grid, ["critical_diagonal"],
-                                engine="empirical", config=cfg, threads=t)
+                                config=cfg, threads=t)
             for t in (1, 1, 3)
         ]
         assert np.array_equal(runs[0].quantities["critical_diagonal"],
@@ -344,14 +343,15 @@ class TestEmpiricalSweep:
         cfg = EnsembleConfig(dt=0.05, horizon=50.0, n_trajectories=10_000,
                              master_seed=20260813)
         sweep = run_parameter_sweep(single_mode(), grid, ["critical_diagonal"],
-                                    engine="empirical", config=cfg)
+                                    config=cfg)
         fit = fit_quantity(sweep, "critical_diagonal", window="all")
         assert abs(fit.exponent + 1.0) < 0.05
 
-    def test_missing_config_rejected(self):
-        with pytest.raises(ValueError):
-            run_parameter_sweep(single_mode(), np.array([-1.0, -0.5]),
-                                ["critical_diagonal"], engine="empirical")
+    def test_multiplication_model_rejects_ensemble_config(self):
+        model = MultiplicationSymbolModel.from_function(lambda x: -np.square(x))
+        cfg = EnsembleConfig(dt=0.05, horizon=20.0, n_trajectories=100, master_seed=12)
+        with pytest.raises(ValueError, match="only available for spectral models"):
+            run_parameter_sweep(model, np.array([-1.0, -0.5]), ["norm"], config=cfg)
 
 
 class TestWeylProbe:
@@ -395,7 +395,7 @@ class TestSweepResultAndCsv:
                 p_values=np.array([-1.0, -0.5]),
                 quantities={"q": np.array([1.0])},
                 p_star=0.0,
-                provenance={"q": "analytic"},
+                engine="analytic",
             )
 
     def test_csv_layout_and_determinism(self, tmp_path):
