@@ -45,6 +45,7 @@ from .scaling import (
     fit_quantity,
     make_p_grid,
     run_parameter_sweep,
+    weyl_divergence_probe,
     write_sweep_csv,
 )
 from .sde import _MIXING_THRESHOLD, splitmix64
@@ -311,9 +312,8 @@ def cmd_weyl(args) -> int:
         raise ConfigError("model.kind: command 'weyl' requires a multiplication model")
     if not cfg.weyl_k_values:
         raise ConfigError("weyl.k_values: required for the weyl command")
-    p_star, grid, _ = _preflight(cfg)
-    sweep = run_parameter_sweep(model, grid, [f"weyl_pairing:{k}" for k in cfg.weyl_k_values],
-                                p_star=p_star)
+    _, grid, _ = _preflight(cfg)
+    sweep = weyl_divergence_probe(model, cfg.weyl_k_values, grid)
     center = float(model.argmax_points[0])
     defects = {k: weyl_defect(model, build_weyl_sequence(model, k, center), model.esssup)
                for k in cfg.weyl_k_values}

@@ -14,7 +14,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigError
-from .scaling import _validate_specs, parse_quantity
+from .scaling import _entry_index, parse_quantity
 from .sde import EnsembleConfig
 from .spectrum import (
     DEFAULT_HALF_WIDTH,
@@ -321,10 +321,12 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     for i, q in enumerate(quantities_raw):
         try:
             spec = parse_quantity(q)
-            _validate_specs(model, [spec])
-            quantities.append(spec.name)
+            _entry_index(model, spec)
         except ValueError as exc:
             raise ConfigError(f"quantities[{i}]: {exc}") from exc
+        if spec.name in quantities:
+            raise ConfigError(f"quantities[{i}]: repeats {spec.name!r}")
+        quantities.append(spec.name)
 
     weyl_raw = _as_mapping(raw.get("weyl", {}), "weyl")
     k_values = []
@@ -335,6 +337,8 @@ def resolve_config(raw: dict) -> ExperimentConfig:
             k = _as_int(k, f"weyl.k_values[{i}]")
             if k < 1:
                 raise ConfigError(f"weyl.k_values[{i}]: must be >= 1")
+            if k in k_values:
+                raise ConfigError(f"weyl.k_values[{i}]: repeats {k}")
             k_values.append(k)
 
     windows_raw = _as_mapping(raw.get("fit_windows", {}), "fit_windows")

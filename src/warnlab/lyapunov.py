@@ -15,10 +15,9 @@ step covariance of the Monte Carlo engine.
 
 The multiplication drift p + T_f with unit noise has the diagonal stationary
 covariance 1 / (2 |p + f|) on the grid, so its norm and pairings are sums over
-the grid. ``_weighted_square`` gives a vector's numerator mu |h|^2 and
-``_StableShift`` the stability check and denominators at one p; the analytic
-sweep (``scaling.run_parameter_sweep``) is their one caller, and reuses each
-numerator over its grid and each denominator over its quantities.
+the grid. ``_StableShift`` gives the stability check and the denominators at
+each p; its one caller, the analytic sweep (``scaling.run_parameter_sweep``),
+builds one per sweep, and each vector's numerator mu |h|^2 once per sweep.
 
 ``finite_lyapunov_solve`` and ``assemble_drift_matrix`` are the brute-force
 dense route, kept independent of the kernel so the two can cross-check each
@@ -28,7 +27,6 @@ other.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -48,12 +46,13 @@ _SERIES_TERMS = 30  # 2^30 / 30! < 1e-23
 
 @dataclass(frozen=True)
 class XiEstimate:
-    """Limit estimate of sigma(p)^2 / (2 lambda_{k*}(p)) as p increases to p*."""
+    """Limit estimate of sigma(p)^2 / (2 lambda_{k*}(p)) as p increases to p*:
+    the last sample's value, every (p, value) sample, and whether the last
+    two samples agree within the tolerance ``noise_limit_xi`` was given."""
 
     value: complex
     samples: tuple
     converged: bool
-    tolerance: float = _XI_TOL
 
 
 def _finite_moments(z: complex, t: float, n_max: int) -> list:
@@ -210,47 +209,41 @@ def noise_limit_xi(model: SpectralModel, p_sequence, tolerance: float = _XI_TOL)
         samples.append((float(p), (s * s) / (2.0 * lam)))
     value = samples[-1][1]
     converged = abs(samples[-1][1] - samples[-2][1]) < tolerance
-    return XiEstimate(value=value, samples=tuple(samples), converged=converged, tolerance=tolerance)
-
-
-def _weighted_square(model: MultiplicationSymbolModel, h: np.ndarray) -> np.ndarray:
-    """mu_i |h(x_i)|^2 for h given on the model grid: the numerator of every
-    pairing with h, so a sweep computes it once per vector."""
-    return model.weights * np.abs(h) ** 2
+    return XiEstimate(value=value, samples=tuple(samples), converged=converged)
 
 
 class _StableShift:
-    """p + f on the grid at one p, which must be strictly stable (p + f < 0 at
-    every grid point), and the quantities of the multiplication drift with
-    unit noise at that p. Each denominator is computed on first use and
-    shared by every pairing at p; each pairing is one sum over the whole grid
-    (a sum over the support of h, or a multiply by the reciprocal, would
-    change the last bits)."""
+    """The multiplication drift with unit noise at the points of one sweep.
+    ``at(p)`` makes p current: it checks strict stability (p + f < 0 at every
+    grid point) and computes each denominator the sweep's pairings use, once
+    for all of them. Each pairing is one sum over the whole grid (a sum over
+    the support of h, or a multiply by the reciprocal, would change the last
+    bits). The grid-sized arrays are allocated once per sweep and rewritten in
+    place, so no point allocates one: glibc hands freed arrays of this size
+    back to the system, and the page faults of the next allocation cost more
+    kernel time than the arithmetic."""
 
-    def __init__(self, model: MultiplicationSymbolModel, p: float):
-        self.shifted = float(p) + model.values
-        if np.any(self.shifted >= 0.0):
-            raise NumericalError(
-                f"p + f >= 0 on the grid at p={p}: drift not strictly stable "
-                f"(p* = {-model.esssup})"
-            )
+    def __init__(self, model: MultiplicationSymbolModel, kinds):
+        self._model = model
+        self.shifted, self._quotient = np.empty_like(model.values), np.empty_like(model.values)
+        self._den = {kind: np.empty_like(model.values) for kind in kinds}
 
-    @functools.cached_property
-    def _stationary_den(self) -> np.ndarray:
-        return 2.0 * (-self.shifted)
-
-    @functools.cached_property
-    def _quadratic_den(self) -> np.ndarray:
-        return 4.0 * self.shifted * self.shifted
+    def at(self, p: float) -> None:
+        s = np.add(float(p), self._model.values, out=self.shifted)
+        if np.any(s >= 0.0):
+            raise NumericalError(f"p + f >= 0 on the grid at p={p}: drift not strictly "
+                                 f"stable (p* = {-self._model.esssup})")
+        den = self._den
+        if "quadratic" in den:  # 4 (p + f)^2
+            np.multiply(np.multiply(4.0, s, out=den["quadratic"]), s, out=den["quadratic"])
+        if "stationary" in den:  # 2 |p + f|
+            np.multiply(2.0, np.negative(s, out=den["stationary"]), out=den["stationary"])
 
     def norm(self) -> float:
-        return float(1.0 / (2.0 * np.min(-self.shifted)))
+        return float(1.0 / (2.0 * -np.max(self.shifted)))
 
-    def quadratic(self, num: np.ndarray) -> float:
-        return float(np.sum(num / self._quadratic_den))
-
-    def stationary(self, num: np.ndarray) -> float:
-        return float(np.sum(num / self._stationary_den))
+    def pairing(self, num: np.ndarray, kind: str) -> float:
+        return float(np.sum(np.divide(num, self._den[kind], out=self._quotient)))
 
 
 def unit_gaussian_profile(model: MultiplicationSymbolModel) -> np.ndarray:

@@ -6,7 +6,8 @@ it is given no ``EnsembleConfig``, and from ensemble simulation (the
 empirical engine) when it is given one. For a spectral model both engines
 produce one covariance matrix per point, ``model_covariance`` at t = inf
 (``_eval_point_analytic``) or the ensemble estimate, and read every quantity
-out of it through the same index map, ``_entry_index``. Scaling exponents
+out of it through the same index map, ``_entry_index``, which a sweep
+consults once per quantity before its first point. Scaling exponents
 are read off by ordinary least squares in log-log coordinates; by default
 fits use the last decade of distances |p - p*|, where the asymptotic laws
 dominate. ``_classify`` turns one fit into a warning-sign verdict, so a
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .errors import NumericalError
 from .lyapunov import (
     XiEstimate,
     _StableShift,
-    _weighted_square,
     model_covariance,
     unit_gaussian_profile,
 )
@@ -38,7 +38,6 @@ from .spectrum import (
     build_weyl_sequence,
 )
 
-_SPECTRAL_KINDS = ("critical_diagonal", "entry", "block_entry")
 _MULTIPLICATION_KINDS = ("norm", "gaussian_pairing", "weyl_pairing")
 
 
@@ -183,66 +182,58 @@ def make_p_grid(p_star: float, start: float, count: int, factor: float = 0.5,
     return grid
 
 
-def _validate_specs(model, specs: Sequence[QuantitySpec]) -> None:
-    spectral = isinstance(model, SpectralModel)
-    for spec in specs:
-        if spectral and spec.kind not in _SPECTRAL_KINDS:
-            raise ValueError(f"quantity {spec.name!r} is not defined for spectral models")
-        if not spectral and spec.kind not in _MULTIPLICATION_KINDS:
+def _entry_index(model, spec: QuantitySpec) -> tuple[int, int] | None:
+    """Row and column of a spectral quantity in the covariance matrix, for
+    both engines; None for a multiplication-model quantity. Checks the
+    quantity against the model: ValueError if the model does not define it."""
+    if not isinstance(model, SpectralModel):
+        if spec.kind not in _MULTIPLICATION_KINDS:
             raise ValueError(f"quantity {spec.name!r} is not defined for multiplication models")
-        if spec.kind == "entry":
-            for idx in (spec.k, spec.j):
-                model.curve(idx)
-                if model.block_size(idx) != 1:
-                    raise ValueError(
-                        f"quantity {spec.name!r}: mode {idx} carries a Jordan block, "
-                        "use block_entry:l,m instead"
-                    )
-        if spec.kind == "block_entry":
-            size = model.block_size(model.critical_index)
-            if max(spec.l, spec.m) > size:
-                raise ValueError(
-                    f"quantity {spec.name!r}: critical block has size {size}"
-                )
-
-
-def _entry_index(model: SpectralModel, spec: QuantitySpec) -> tuple[int, int]:
-    """Row and column of a spectral quantity in the covariance matrix, for both engines."""
+        return None
     if spec.kind == "entry":
+        for idx in (spec.k, spec.j):
+            model.curve(idx)
+            if model.block_size(idx) != 1:
+                raise ValueError(f"quantity {spec.name!r}: mode {idx} carries a Jordan "
+                                 "block, use block_entry:l,m instead")
         return model.block_offset(spec.k), model.block_offset(spec.j)
     off = model.block_offset(model.critical_index)
     if spec.kind == "critical_diagonal":
         return off, off
-    return off + spec.l - 1, off + spec.m - 1
+    if spec.kind == "block_entry":
+        size = model.block_size(model.critical_index)
+        if max(spec.l, spec.m) > size:
+            raise ValueError(f"quantity {spec.name!r}: critical block has size {size}")
+        return off + spec.l - 1, off + spec.m - 1
+    raise ValueError(f"quantity {spec.name!r} is not defined for spectral models")
 
 
-def _eval_point_analytic(model, p: float, specs, cache) -> list[float]:
-    if isinstance(model, SpectralModel):
+def _resolve(model, spec: QuantitySpec):
+    """What a sweep reads a quantity from at every point: its matrix index
+    (spectral model), or the numerator mu |h|^2 of its pairing with h and the
+    pairing's ``_StableShift`` kind (multiplication model; None for the norm)."""
+    index = _entry_index(model, spec)
+    if index is not None or spec.kind == "norm":
+        return index
+    if spec.kind == "gaussian_pairing":
+        return model.weights * np.abs(unit_gaussian_profile(model)) ** 2, "quadratic"
+    h = build_weyl_sequence(model, spec.k, float(model.argmax_points[0])).coefficients
+    return model.weights * np.abs(h) ** 2, "stationary"
+
+
+def _eval_point_analytic(model, p: float, resolved, shift) -> list[float]:
+    if shift is None:
         v = model_covariance(model, p, math.inf)
-        return [abs(v[_entry_index(model, s)]) for s in specs]
-    # one stability check and one set of denominators per point, shared by
-    # every quantity; the numerators mu |h|^2 come from the sweep's cache
-    shift = _StableShift(model, p)
-    out = []
-    for spec in specs:
-        if spec.kind == "norm":
-            out.append(shift.norm())
-        elif spec.kind == "gaussian_pairing":
-            out.append(shift.quadratic(cache["gaussian"]))
-        else:  # weyl_pairing; _validate_specs admits no other kind here
-            out.append(shift.stationary(cache["weyl", spec.k]))
-    return out
+        return [abs(v[index]) for index in resolved]
+    shift.at(p)  # one stability check and one set of denominators per point
+    return [shift.norm() if r is None else shift.pairing(*r) for r in resolved]
 
 
-def _eval_point_empirical(model, p, specs, config, point_seed, threads):
+def _eval_point_empirical(model, p, indices, config, point_seed, threads):
     cfg = replace(config, master_seed=point_seed)
     emp = simulate_ensemble(model, p, cfg, threads)
-    vals, errs = [], []
-    for spec in specs:
-        i, j = _entry_index(model, spec)
-        vals.append(abs(emp.matrix[i, j]))
-        errs.append(float(emp.standard_error[i, j]))
-    return vals, errs
+    return ([abs(emp.matrix[index]) for index in indices],
+            [float(emp.standard_error[index]) for index in indices])
 
 
 def run_parameter_sweep(model, p_grid, quantities, config: EnsembleConfig | None = None,
@@ -258,7 +249,8 @@ def run_parameter_sweep(model, p_grid, quantities, config: EnsembleConfig | None
     (``simulate_ensemble``; None means all cores); the closed forms ignore
     ``threads``. The wall time of each point's evaluation is kept in
     ``point_seconds``. Without ``p_star`` the threshold is located by
-    ``bifurcation_parameter`` with its default bracket.
+    ``bifurcation_parameter`` with its default bracket. A quantity named
+    twice is a ValueError.
     """
     p = np.asarray(p_grid, dtype=float)
     if p.ndim != 1 or p.size < 1:
@@ -268,7 +260,10 @@ def run_parameter_sweep(model, p_grid, quantities, config: EnsembleConfig | None
     specs = [parse_quantity(q) for q in quantities]
     if not specs:
         raise ValueError("quantities: need at least one quantity")
-    _validate_specs(model, specs)
+    names = [s.name for s in specs]
+    if len(set(names)) < len(names):
+        raise ValueError(f"quantities: a quantity is named twice in {names}")
+    resolved = [_resolve(model, s) for s in specs]
     if p_star is None:
         p_star = bifurcation_parameter(model)
     if np.any(p >= p_star):
@@ -277,17 +272,8 @@ def run_parameter_sweep(model, p_grid, quantities, config: EnsembleConfig | None
         )
     if config is not None and not isinstance(model, SpectralModel):
         raise ValueError("an ensemble config is only available for spectral models")
-    cache = {}  # numerator mu |h|^2 of each multiplication-model vector
-    if isinstance(model, MultiplicationSymbolModel):
-        if any(s.kind == "gaussian_pairing" for s in specs):
-            cache["gaussian"] = _weighted_square(model, unit_gaussian_profile(model))
-        for spec in specs:
-            if spec.kind == "weyl_pairing" and ("weyl", spec.k) not in cache:
-                center = float(model.argmax_points[0])
-                cache["weyl", spec.k] = _weighted_square(
-                    model, build_weyl_sequence(model, spec.k, center).coefficients)
-
-    names = [s.name for s in specs]
+    shift = (None if isinstance(model, SpectralModel) else
+             _StableShift(model, {r[1] for r in resolved if r is not None}))
     values = {name: np.empty(p.size) for name in names}
     errors = {name: (None if config is None else np.empty(p.size)) for name in names}
     seconds = []
@@ -295,9 +281,9 @@ def run_parameter_sweep(model, p_grid, quantities, config: EnsembleConfig | None
         start = time.perf_counter()
         try:
             if config is None:
-                vals, errs = _eval_point_analytic(model, pi, specs, cache), None
+                vals, errs = _eval_point_analytic(model, pi, resolved, shift), None
             else:
-                vals, errs = _eval_point_empirical(model, pi, specs, config,
+                vals, errs = _eval_point_empirical(model, pi, resolved, config,
                                                    splitmix64(config.master_seed, i), threads)
             for spec, v in zip(specs, vals):
                 if not math.isfinite(v):
@@ -350,7 +336,7 @@ def fit_power_law(distances, values) -> ScalingFit:
         log_prefactor=float(intercept),
         r_squared=float(r2),
         window=tuple(range(d.size)),
-        residual_std=float(np.sqrt(ss_res / (d.size - 2))) if d.size > 2 else 0.0,
+        residual_std=float(np.sqrt(ss_res / (d.size - 2))),
     )
 
 
@@ -358,9 +344,10 @@ def select_window(distances, window="last_decade") -> np.ndarray:
     """Resolve a fit-window description to grid indices.
 
     ``"last_decade"`` keeps points within a factor 10 of the smallest
-    distance (at least 3 points); ``"all"`` keeps everything; a (lo, hi) pair
-    keeps distances inside the closed interval; any other sequence is taken as
-    explicit indices.
+    distance (at least 3 points); ``"all"`` keeps everything; a pair of
+    floats (lo, hi) keeps distances inside the closed interval; any other
+    sequence, a pair of ints included, is taken as explicit indices, which
+    must be distinct and lie in [0, len(distances)) (ValueError otherwise).
     """
     d = np.asarray(distances, dtype=float)
     if isinstance(window, str):
@@ -381,7 +368,11 @@ def select_window(distances, window="last_decade") -> np.ndarray:
         if idx.size < 3:
             raise NumericalError(f"window [{lo}, {hi}]: fewer than 3 sweep points inside")
         return idx
-    return np.asarray(win, dtype=int)
+    idx = np.asarray(win, dtype=int)
+    if np.unique(idx).size < idx.size or np.any((idx < 0) | (idx >= d.size)):
+        raise ValueError(f"window: indices {idx.tolist()} must be distinct and lie in "
+                         f"[0, {d.size})")
+    return idx
 
 
 def fit_quantity(sweep: SweepResult, quantity: str, window="last_decade") -> ScalingFit:
@@ -434,9 +425,10 @@ def classify_warning_sign(sweep: SweepResult, quantity: str, xi: XiEstimate | No
 def weyl_divergence_probe(model: MultiplicationSymbolModel, k_values, p_grid) -> SweepResult:
     """Pairing series <V_inf u_k, u_k> for a family of Weyl vectors.
 
-    Each k is probed on the same grid; the Weyl vectors are centered on the
-    (leftmost) argmax point of the symbol. The limits never interleave: k is
-    fixed per series while p sweeps toward p*.
+    Each k, given once (ValueError on a repeat), is probed on the same grid;
+    the Weyl vectors are centered on the (leftmost) argmax point of the
+    symbol. The limits never interleave: k is fixed per series while p sweeps
+    toward p*, which is -esssup.
     """
     ks = [int(k) for k in k_values]
     if not ks:

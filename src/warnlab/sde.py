@@ -19,7 +19,8 @@ hashing but not a bit of the stream.
 
 Trajectories run in near-equal chunks on a pool of worker threads, at most
 one per core and one per ``_MIN_CHUNK_WORK`` trajectories · modes
-(``_chunk_plan``). Chunks share no state: worker w runs chunks w,
+(``_chunk_plan``); a lone worker runs on the pool too, so every ensemble
+takes the same path. Chunks share no state: worker w runs chunks w,
 w + workers, ... and writes only their rows of the per-trajectory time
 averages, which reduce over all N in index order after the join. Each chunk
 streams its horizon in time blocks through its worker's noise buffer of at
@@ -161,10 +162,11 @@ class EnsembleConfig:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalCovariance:
-    """Hermitian covariance estimate with per-entry standard errors."""
+    """Hermitian covariance estimate with per-entry standard errors, both
+    taken over the ensemble's per-trajectory time averages (the config's
+    ``n_trajectories``); ``mixing_warning`` flags a short horizon."""
 
     matrix: np.ndarray
-    n_samples: int
     standard_error: np.ndarray
     mixing_warning: bool = False
 
@@ -305,14 +307,10 @@ def simulate_ensemble(model: SpectralModel, p: float, config: EnsembleConfig,
                         acc += outer
             stats[c0:c1] = (acc / keep).transpose(2, 0, 1)
 
-    if workers == 1:
-        run_chunks(0)
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunks, range(workers)))  # re-raises a worker's exception
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run_chunks, range(workers)))  # re-raises a worker's exception
     mean = stats.mean(axis=0)
     mat = 0.5 * (mean + mean.conj().T)
     dev = stats - mean
     se = np.sqrt(np.sum(np.abs(dev) ** 2, axis=0) / (n * (n - 1)))
-    return EmpiricalCovariance(matrix=mat, n_samples=n, standard_error=se,
-                               mixing_warning=mixing_warning)
+    return EmpiricalCovariance(matrix=mat, standard_error=se, mixing_warning=mixing_warning)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import warnlab.cli as cli
 import warnlab.scaling as scaling
 from warnlab.cli import _build_parser, main
 
@@ -207,6 +208,22 @@ class TestConfigNumbers:
         cfg = minimal_spectral(fit_windows=windows)
         out = tmp_path / "out"
         assert run("analytic", "--config", write_json(tmp_path, cfg), "--out", out) == 2
+        assert dotted in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config,key,value,dotted", [
+        ("quadratic_symbol.json", "quantities", ["norm", "norm"], "quantities[1]: repeats"),
+        ("jordan_block.json", "quantities", ["block_entry:1,1", "block_entry:2,2",
+                                             "block_entry:1, 1"], "quantities[2]: repeats"),
+        ("quadratic_symbol.json", "weyl", {"k_values": [2, 5, 2]}, "weyl.k_values[2]: repeats"),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "analytic", "weyl"])
+    def test_repeated_quantity_is_config_error(self, config, key, value, dotted, command,
+                                               tmp_path, capsys):
+        cfg = json.loads((CONFIG_DIR / config).read_text())
+        cfg[key] = value
+        out = tmp_path / "out"
+        assert run(command, "--config", write_json(tmp_path, cfg), "--out", out) == 2
         assert dotted in capsys.readouterr().err
         assert not out.exists()
 
@@ -608,6 +625,19 @@ class TestWeylCommand:
             assert report["weyl"]["defects"][str(k)] <= 1.0 / k**2
             fit = report["results"][f"weyl_pairing:{k}"]["fit"]
             assert abs(fit["exponent"] + 1.0) < 0.05
+
+    def test_runs_the_probe_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        probe = cli.weyl_divergence_probe
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return probe(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "weyl_divergence_probe", counted)
+        assert run("weyl", "--config", CONFIG_DIR / "quadratic_symbol.json",
+                   "--out", tmp_path / "out") == 0
+        assert len(calls) == 1
 
     def test_failed_fit_carries_reason(self, tmp_path, capsys):
         cfg = json.loads((CONFIG_DIR / "quadratic_symbol.json").read_text())

@@ -1,3 +1,7 @@
+import ast
+import re
+from pathlib import Path
+
 import warnlab
 import warnlab.lyapunov
 
@@ -16,3 +20,51 @@ def test_deleted_multiplication_closed_forms_stay_gone():
         assert name not in warnlab.__all__
         assert not hasattr(warnlab, name)
         assert not hasattr(warnlab.lyapunov, name)
+
+
+def _top_level_names(tree):
+    """(name, statement) for every function, class and constant a module
+    defines at its top level; dunder names are module metadata."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield stmt.name, stmt
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                    yield target.id, stmt
+
+
+def _references(node) -> set:
+    """Names that a statement reads, bare or as an attribute."""
+    refs = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            refs.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            refs.add(sub.attr)
+    return refs
+
+
+def _console_scripts(pyproject: str) -> set:
+    """Function names of the ``name = "module:function"`` lines under
+    ``[project.scripts]``."""
+    section = pyproject.partition("[project.scripts]")[2].partition("\n[")[0]
+    return set(re.findall(r':(\w+)"', section))
+
+
+def test_no_dead_code_in_the_package():
+    # every top-level definition is read by another statement of the
+    # package, exported, or a console script
+    package = Path(warnlab.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    reads = [(stmt, _references(stmt)) for tree in trees.values() for stmt in tree.body]
+    scripts = _console_scripts((package.parents[1] / "pyproject.toml").read_text())
+    assert scripts == {"console_main"}
+    dead = []
+    for module, tree in trees.items():
+        for name, definition in _top_level_names(tree):
+            read = any(name in refs for stmt, refs in reads if stmt is not definition)
+            if not (read or name in warnlab.__all__ or name in scripts):
+                dead.append(f"{module}:{name}")
+    assert dead == []

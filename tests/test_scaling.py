@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import warnlab.scaling as scaling
 from warnlab import (
     EigenvalueCurve,
     EnsembleConfig,
@@ -14,6 +17,7 @@ from warnlab import (
     finite_lyapunov_solve,
     fit_power_law,
     fit_quantity,
+    load_config,
     make_p_grid,
     noise_limit_xi,
     parse_quantity,
@@ -22,6 +26,9 @@ from warnlab import (
     weyl_divergence_probe,
     write_sweep_csv,
 )
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def single_mode(sigma=1.0, noise=1.0, omega=0.0):
@@ -127,6 +134,20 @@ class TestWindows:
         with pytest.raises(ValueError):
             select_window(np.ones(4), "first_decade")
 
+    @pytest.mark.parametrize("window", [
+        [0, 1, 99],  # out of range: was an IndexError
+        [-1, 0, 1],  # negative: was wrapped to the last point
+        [2, 2, 2],  # repeated: was one point fitted three times
+    ])
+    def test_explicit_indices_must_be_distinct_and_in_range(self, window):
+        sweep = run_parameter_sweep(single_mode(), make_p_grid(0.0, -0.5, 6),
+                                    ["critical_diagonal"])
+        with pytest.raises(ValueError, match="distinct and lie in"):
+            fit_quantity(sweep, "critical_diagonal", window)
+
+    def test_pair_of_ints_is_indices(self):
+        assert list(select_window(np.array([1.0, 0.5, 0.25]), (0, 2))) == [0, 2]
+
 
 class TestAnalyticSweep:
     def test_frozen_values_single_mode(self):
@@ -204,6 +225,54 @@ class TestAnalyticSweep:
     def test_block_entry_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             run_parameter_sweep(jordan_mode(2), np.array([-1.0, -0.5]), ["block_entry:3,1"])
+
+    @pytest.mark.parametrize("quantities", [
+        ["critical_diagonal", "critical_diagonal"],
+        ["critical_diagonal", " critical_diagonal"],  # the same canonical name
+    ])
+    def test_repeated_quantity_rejected(self, quantities):
+        with pytest.raises(ValueError, match="named twice"):
+            run_parameter_sweep(single_mode(), make_p_grid(0.0, -0.5, 4), quantities)
+
+    def test_each_quantity_resolved_once_per_sweep(self, monkeypatch):
+        cfg = load_config(CONFIG_DIR / "jordan_block.json")
+        grid = make_p_grid(0.0, -1.0, 6)
+        calls = []
+        real = scaling._entry_index
+
+        def counted(model, spec):
+            calls.append(spec.name)
+            return real(model, spec)
+
+        monkeypatch.setattr(scaling, "_entry_index", counted)
+        sweep = run_parameter_sweep(cfg.model, grid, cfg.quantities, p_star=0.0)
+        assert sorted(calls) == sorted(cfg.quantities)
+        assert list(sweep.quantities) == list(cfg.quantities)
+
+    def test_multiplication_sweep_rewrites_one_set_of_arrays(self, monkeypatch):
+        # the pairings of both kinds share one _StableShift per sweep; its
+        # arrays keep their identity from point to point, and each series is
+        # bit-identical to the series swept alone
+        model = MultiplicationSymbolModel.from_function(lambda x: -np.square(x))
+        grid = make_p_grid(0.0, -0.1, 5)
+        names = ["weyl_pairing:3", "norm", "gaussian_pairing", "weyl_pairing:5"]
+        seen = []
+
+        class Recorded(scaling._StableShift):
+            def at(self, p):
+                seen.append((self, [id(a) for a in (self.shifted, self._quotient,
+                                                    *self._den.values())]))
+                return super().at(p)
+
+        monkeypatch.setattr(scaling, "_StableShift", Recorded)
+        sweep = run_parameter_sweep(model, grid, names)
+        assert len(seen) == grid.size
+        assert len({id(shift) for shift, _ in seen}) == 1
+        assert len({tuple(ids) for _, ids in seen}) == 1
+        assert len(seen[0][1]) == 4  # shifted, quotient, one denominator per kind
+        for name in names:
+            alone = run_parameter_sweep(model, grid, [name])
+            assert np.array_equal(sweep.quantities[name], alone.quantities[name]), name
 
     def test_multiplication_quantity_on_spectral_model_rejected(self):
         with pytest.raises(ValueError):
@@ -381,6 +450,11 @@ class TestWeylProbe:
         probe = weyl_divergence_probe(model, [5], grid)
         series = probe.quantities["weyl_pairing:5"]
         assert_allclose(series, 1.0 / (2.0 * np.abs(grid)), rtol=0.1)
+
+    def test_repeated_k_rejected(self):
+        model = MultiplicationSymbolModel.from_function(lambda x: -np.square(x))
+        with pytest.raises(ValueError, match="named twice"):
+            weyl_divergence_probe(model, [2, 5, 2], make_p_grid(0.0, -0.5, 4))
 
     def test_empty_k_values_rejected(self):
         model = MultiplicationSymbolModel.from_function(lambda x: -np.square(x))

@@ -1,4 +1,5 @@
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -430,6 +431,22 @@ class TestChunkPool:
         mat, se = full_horizon_oracle(model, -0.4, cfg, chunk=n)
         assert np.array_equal(ref.matrix, mat)
         assert np.array_equal(ref.standard_error, se)
+
+    def test_one_worker_runs_its_chunk_on_the_pool(self, monkeypatch):
+        # single_mode_mc.json's size: N = 400 at dim 1 plans one worker
+        threads = []
+        real = sde._chunk_generators
+
+        def recorded(seed, c0, c1):
+            threads.append(threading.current_thread())
+            return real(seed, c0, c1)
+
+        monkeypatch.setattr(sde, "_chunk_generators", recorded)
+        cfg = EnsembleConfig(dt=0.05, horizon=1.0, n_trajectories=400, master_seed=5)
+        assert _chunk_plan(cfg.n_trajectories, 2, 1) == (1, 1)
+        simulate_ensemble(single_mode_model(), -0.5, cfg, threads=2)
+        assert len(threads) == 1
+        assert threads[0] is not threading.main_thread()
 
     def test_worker_exception_reaches_caller(self, monkeypatch):
         monkeypatch.setattr(sde.os, "cpu_count", lambda: 2)
