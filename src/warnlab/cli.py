@@ -7,12 +7,13 @@ Subcommands:
     validate   run the pre-flight alone and summarize the config
 
 Every command runs the same pre-flight before it sweeps (``_preflight``): p*,
-the power_of_p noise threshold, the grid, for spectral models curve
-continuity and the spectral gap, then strict stability of the drift at every
-grid point and the mixing warning. Only a command's own
-requirements (simulate's empirical engine, weyl's multiplication model and
-k_values) are checked before it, so a config that ``validate`` rejects fails
-every command that accepts its kind with the same exit code and message.
+the power_of_p noise threshold, the grid, curve continuity and the spectral
+gap (spectral models) or every Weyl vector's support (multiplication models),
+then strict stability of the drift at every grid point and the mixing
+warning. Only a command's own requirements (simulate's empirical engine,
+weyl's multiplication model and k_values) are checked before it, so a config
+that ``validate`` rejects fails every command that accepts its kind with the
+same exit code and message.
 
 The three sweep commands report through one builder (``_sweep_report``):
 each quantity's series, its power-law fit (fitted once) and the verdict
@@ -44,14 +45,16 @@ from .scaling import (
     _classify,
     fit_quantity,
     make_p_grid,
+    parse_quantity,
     run_parameter_sweep,
     weyl_divergence_probe,
     write_sweep_csv,
 )
-from .sde import _MIXING_THRESHOLD, splitmix64
+from .sde import _mixing, splitmix64
 from .spectrum import (
     MultiplicationSymbolModel,
     SpectralModel,
+    _weyl_support,
     bifurcation_parameter,
     build_weyl_sequence,
     curve_continuity_violations,
@@ -93,21 +96,17 @@ def _resolve_formats(args, cfg: ExperimentConfig) -> tuple:
     return (args.format,)
 
 
-def _mixing_ratios(cfg: ExperimentConfig, abscissae) -> list:
-    """horizon * |spectral abscissa| at each grid point: how many relaxation
-    times of the slowest mode one trajectory of the ensemble spans."""
-    return [cfg.ensemble.horizon * abs(a) for a in abscissae]
-
-
 def _preflight(cfg: ExperimentConfig):
     """The checks every command runs before it sweeps; returns (p*, grid,
-    spectral abscissa at each grid point).
+    spectral abscissa at each grid point, ``sde._mixing`` of an ensemble).
 
     For spectral models: the power_of_p noise law vanishes at p* and has the
     two grid points its limit Xi needs, the curves are continuous on the
-    grid, and one curve alone enters the spectral gap at p*. For every model
-    the drift is strictly stable at each grid point, and an empirical horizon
-    too short to mix at some grid point is warned of.
+    grid, and one curve alone enters the spectral gap at p*. For
+    multiplication models: every Weyl vector, of ``weyl.k_values`` or a
+    quantity, has 3 grid points in its support. For every model the drift is
+    strictly stable at each grid point, and an empirical horizon too short to
+    mix at some grid point is warned of.
     """
     model = cfg.model
     p_star = bifurcation_parameter(model, cfg.p_star_bracket)
@@ -133,27 +132,33 @@ def _preflight(cfg: ExperimentConfig):
             raise NumericalError(
                 f"{len(violations)} eigenvalue curve continuity violations on the sweep grid"
             )
-        for c in model.curves:
-            if c.id == model.critical_index:
-                continue
-            re = model.lambda_at(c.id, p_star).real
-            if re > -cfg.spectral_gap:
+        for k, lam, _, _ in model.modes(p_star):
+            if k != model.critical_index and lam.real > -cfg.spectral_gap:
                 raise ConfigError(
-                    f"model.curves: curve {c.id} has Re(lambda) = {re:.6g} at p* = "
+                    f"model.curves: curve {k} has Re(lambda) = {lam.real:.6g} at p* = "
                     f"{p_star!r}, inside the spectral gap {cfg.spectral_gap:g} "
                     f"reserved for the critical curve {model.critical_index}"
                 )
+    else:
+        weyl = [(f"weyl.k_values[{i}]", k) for i, k in enumerate(cfg.weyl_k_values)]
+        weyl += [(f"quantities[{i}]", parse_quantity(q).k) for i, q in enumerate(cfg.quantities)
+                 if q.startswith("weyl_pairing:")]
+        for path, k in weyl:
+            try:
+                _weyl_support(model, k, float(model.argmax_points[0]))
+            except NumericalError as exc:
+                raise ConfigError(f"{path}: {exc}") from exc
     abscissae = [spectral_abscissa(model, float(p)) for p in grid]
     for p, a in zip(grid, abscissae):
         if a >= 0.0:
             raise NumericalError(
                 f"drift not strictly stable at p={float(p)!r}: spectral abscissa {a:.6g}"
             )
-    if cfg.ensemble is not None and min(_mixing_ratios(cfg, abscissae)) < _MIXING_THRESHOLD:
+    mixing = None if cfg.ensemble is None else _mixing(cfg.ensemble.horizon, abscissae)
+    if mixing is not None and mixing[1] is not None:
         print("warning: horizon is short against the slowest relaxation time "
-              f"(horizon * |spectral abscissa| < {_MIXING_THRESHOLD:g} on the grid)",
-              file=sys.stderr)
-    return p_star, grid, abscissae
+              f"({mixing[1]} on the grid)", file=sys.stderr)
+    return p_star, grid, abscissae, mixing
 
 
 def _write_outputs(cfg, args, sweep, report: dict) -> None:
@@ -230,7 +235,7 @@ def _sweep_report(command, cfg, sweep, xi, elapsed) -> dict:
     return report
 
 
-def _mc_diagnostics(cfg, sweep, p_star: float, abscissae) -> dict:
+def _mc_diagnostics(cfg, sweep, p_star: float, ratios) -> dict:
     """Audit of a Monte Carlo sweep against the closed forms: for each point
     the mixing ratio horizon * |spectral abscissa| and, for each quantity,
     the closed-form |V| and the z-score (value - closed_form) / stderr (None
@@ -238,7 +243,6 @@ def _mc_diagnostics(cfg, sweep, p_star: float, abscissae) -> dict:
     exact = run_parameter_sweep(cfg.model, sweep.p_values, cfg.quantities, p_star=p_star)
     points = []
     hits = total = 0
-    ratios = _mixing_ratios(cfg, abscissae)
     for i, p in enumerate(sweep.p_values):
         quantities = {}
         for name, values in sweep.quantities.items():
@@ -248,11 +252,7 @@ def _mc_diagnostics(cfg, sweep, p_star: float, abscissae) -> dict:
                                 "z": (value - closed) / se if se > 0.0 else None}
             total += 1
             hits += abs(value - closed) <= 3.0 * se
-        points.append({
-            "p": float(p),
-            "mixing_ratio": ratios[i],
-            "quantities": quantities,
-        })
+        points.append({"p": float(p), "mixing_ratio": ratios[i], "quantities": quantities})
     return {"points": points, "within_3se_frac": hits / total}
 
 
@@ -265,7 +265,7 @@ def _maybe_xi(model, grid):
 def cmd_analytic(args) -> int:
     start = time.perf_counter()
     cfg = load_config(args.config)
-    p_star, grid, _ = _preflight(cfg)
+    p_star, grid, _, _ = _preflight(cfg)
     sweep = run_parameter_sweep(cfg.model, grid, cfg.quantities, p_star=p_star)
     xi = _maybe_xi(cfg.model, grid)
     elapsed = time.perf_counter() - start
@@ -282,7 +282,7 @@ def cmd_simulate(args) -> int:
     ensemble = cfg.ensemble
     if args.seed is not None:
         ensemble = replace(ensemble, master_seed=args.seed & 0xFFFFFFFFFFFFFFFF)
-    p_star, grid, abscissae = _preflight(cfg)
+    p_star, grid, _, (ratios, short) = _preflight(cfg)
     log.info("simulating %d grid points, %d trajectories each",
              grid.size, ensemble.n_trajectories)
     sweep = run_parameter_sweep(cfg.model, grid, cfg.quantities, config=ensemble,
@@ -294,9 +294,8 @@ def cmd_simulate(args) -> int:
         "master_seed": ensemble.master_seed,
         "point_seeds": [splitmix64(ensemble.master_seed, i) for i in range(grid.size)],
     }
-    report["diagnostics"] = diagnostics = _mc_diagnostics(cfg, sweep, p_star, abscissae)
-    ratios = [pt["mixing_ratio"] for pt in diagnostics["points"]]
-    report["mixing_warning"] = min(ratios) < _MIXING_THRESHOLD
+    report["diagnostics"] = diagnostics = _mc_diagnostics(cfg, sweep, p_star, ratios)
+    report["mixing_warning"] = short is not None
     if diagnostics["within_3se_frac"] < 0.95:
         print(f"warning: only {diagnostics['within_3se_frac']:.1%} of the estimates lie "
               "within 3 standard errors of the closed forms", file=sys.stderr)
@@ -312,7 +311,7 @@ def cmd_weyl(args) -> int:
         raise ConfigError("model.kind: command 'weyl' requires a multiplication model")
     if not cfg.weyl_k_values:
         raise ConfigError("weyl.k_values: required for the weyl command")
-    _, grid, _ = _preflight(cfg)
+    _, grid, _, _ = _preflight(cfg)
     sweep = weyl_divergence_probe(model, cfg.weyl_k_values, grid)
     center = float(model.argmax_points[0])
     defects = {k: weyl_defect(model, build_weyl_sequence(model, k, center), model.esssup)
@@ -335,7 +334,7 @@ def cmd_weyl(args) -> int:
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     model = cfg.model
-    p_star, grid, abscissae = _preflight(cfg)
+    p_star, grid, abscissae, _ = _preflight(cfg)
     if isinstance(model, SpectralModel):
         kind, modes = "spectral", model.total_dim
     else:

@@ -15,9 +15,8 @@ step covariance of the Monte Carlo engine.
 
 The multiplication drift p + T_f with unit noise has the diagonal stationary
 covariance 1 / (2 |p + f|) on the grid, so its norm and pairings are sums over
-the grid. ``_StableShift`` gives the stability check and the denominators at
-each p; its one caller, the analytic sweep (``scaling.run_parameter_sweep``),
-builds one per sweep, and each vector's numerator mu |h|^2 once per sweep.
+the grid. ``_StableShift``, which the analytic sweep builds once from its
+quantities, evaluates them all: numerators once, denominators once per point.
 
 ``finite_lyapunov_solve`` and ``assemble_drift_matrix`` are the brute-force
 dense route, kept independent of the kernel so the two can cross-check each
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .spectrum import MultiplicationSymbolModel, SpectralModel
+from .spectrum import MultiplicationSymbolModel, SpectralModel, build_weyl_sequence
 
 _HERMITIAN_TOL = 1e-10
 _XI_TOL = 1e-8
@@ -48,7 +47,7 @@ _SERIES_TERMS = 30  # 2^30 / 30! < 1e-23
 class XiEstimate:
     """Limit estimate of sigma(p)^2 / (2 lambda_{k*}(p)) as p increases to p*:
     the last sample's value, every (p, value) sample, and whether the last
-    two samples agree within the tolerance ``noise_limit_xi`` was given."""
+    two samples agree within ``_XI_TOL``."""
 
     value: complex
     samples: tuple
@@ -189,11 +188,11 @@ def finite_lyapunov_solve(a, c, sigma: float) -> np.ndarray:
     return 0.5 * (v + v.conj().T)
 
 
-def noise_limit_xi(model: SpectralModel, p_sequence, tolerance: float = _XI_TOL) -> XiEstimate:
+def noise_limit_xi(model: SpectralModel, p_sequence) -> XiEstimate:
     """Evaluate sigma(p)^2 / (2 lambda_{k*}(p)) along an increasing sequence.
 
     The returned estimate carries the whole sample path; ``converged`` records
-    whether the last two values differ by less than ``tolerance``.
+    whether the last two values differ by less than ``_XI_TOL``.
     """
     p_seq = np.asarray(p_sequence, dtype=float)
     if p_seq.ndim != 1 or p_seq.size < 2:
@@ -208,27 +207,37 @@ def noise_limit_xi(model: SpectralModel, p_sequence, tolerance: float = _XI_TOL)
         s = model.sigma_at(float(p))
         samples.append((float(p), (s * s) / (2.0 * lam)))
     value = samples[-1][1]
-    converged = abs(samples[-1][1] - samples[-2][1]) < tolerance
+    converged = abs(samples[-1][1] - samples[-2][1]) < _XI_TOL
     return XiEstimate(value=value, samples=tuple(samples), converged=converged)
 
 
 class _StableShift:
-    """The multiplication drift with unit noise at the points of one sweep.
-    ``at(p)`` makes p current: it checks strict stability (p + f < 0 at every
-    grid point) and computes each denominator the sweep's pairings use, once
-    for all of them. Each pairing is one sum over the whole grid (a sum over
-    the support of h, or a multiply by the reciprocal, would change the last
-    bits). The grid-sized arrays are allocated once per sweep and rewritten in
-    place, so no point allocates one: glibc hands freed arrays of this size
-    back to the system, and the page faults of the next allocation cost more
-    kernel time than the arithmetic."""
+    """The multiplication drift with unit noise at the points of one sweep,
+    for its quantities (parsed specs). A pairing's numerator mu |h|^2 is made
+    once, h the unit Gaussian ("quadratic", over 4 (p + f)^2) or the Weyl
+    vector at the leftmost argmax ("stationary", over 2 |p + f|). ``at(p)``
+    checks strict stability (p + f < 0 on the grid), computes each denominator
+    once and returns the quantities. Each pairing is one sum over the whole
+    grid (a sum over the support of h, or a multiply by the reciprocal, would
+    change the last bits). Grid-sized arrays are made once per sweep and
+    rewritten in place: glibc returns freed arrays of this size to the system,
+    and the next allocation's page faults cost more than the arithmetic."""
 
-    def __init__(self, model: MultiplicationSymbolModel, kinds):
+    def __init__(self, model: MultiplicationSymbolModel, specs):
         self._model = model
+        self._pairings = [None if s.kind == "norm" else self._numerator(s) for s in specs]
         self.shifted, self._quotient = np.empty_like(model.values), np.empty_like(model.values)
-        self._den = {kind: np.empty_like(model.values) for kind in kinds}
+        self._den = {kind: np.empty_like(model.values) for _, kind in filter(None, self._pairings)}
 
-    def at(self, p: float) -> None:
+    def _numerator(self, spec) -> tuple[np.ndarray, str]:
+        """mu |h|^2 of a pairing with h, and the kind of its denominator."""
+        model = self._model
+        if spec.kind == "gaussian_pairing":
+            return model.weights * np.abs(unit_gaussian_profile(model)) ** 2, "quadratic"
+        h = build_weyl_sequence(model, spec.k, float(model.argmax_points[0])).coefficients
+        return model.weights * np.abs(h) ** 2, "stationary"
+
+    def at(self, p: float) -> list[float]:
         s = np.add(float(p), self._model.values, out=self.shifted)
         if np.any(s >= 0.0):
             raise NumericalError(f"p + f >= 0 on the grid at p={p}: drift not strictly "
@@ -238,12 +247,9 @@ class _StableShift:
             np.multiply(np.multiply(4.0, s, out=den["quadratic"]), s, out=den["quadratic"])
         if "stationary" in den:  # 2 |p + f|
             np.multiply(2.0, np.negative(s, out=den["stationary"]), out=den["stationary"])
-
-    def norm(self) -> float:
-        return float(1.0 / (2.0 * -np.max(self.shifted)))
-
-    def pairing(self, num: np.ndarray, kind: str) -> float:
-        return float(np.sum(np.divide(num, self._den[kind], out=self._quotient)))
+        return [float(1.0 / (2.0 * -np.max(s))) if r is None else
+                float(np.sum(np.divide(r[0], den[r[1]], out=self._quotient)))
+                for r in self._pairings]
 
 
 def unit_gaussian_profile(model: MultiplicationSymbolModel) -> np.ndarray:
@@ -261,32 +267,28 @@ def assemble_drift_matrix(model: SpectralModel, p: float) -> np.ndarray:
     drift with it (``tests/test_acceptance.py`` writes its matrices out)."""
     dim = model.total_dim
     a = np.zeros((dim, dim), dtype=complex)
-    for c in model.curves:
-        lam = model.lambda_at(c.id, p)
-        m = model.block_size(c.id)
-        off = model.block_offset(c.id)
-        for i in range(m):
-            a[off + i, off + i] = lam
-            if i + 1 < m:
-                a[off + i, off + i + 1] = 1.0
+    for _, lam, _, rows in model.modes(p):
+        i = np.arange(rows.start, rows.stop)
+        a[i, i] = lam
+        a[i[:-1], i[1:]] = 1.0
     return a
 
 
 def model_covariance(model: SpectralModel, p: float, t: float) -> np.ndarray:
     """Full Hermitian covariance int_0^t e^{sA} sigma^2 BQB* e^{sA*} ds at p:
     the one assembly of ``block_pair_covariance`` over all mode pairs, in
-    basis (curve) order, so a Jordan block of mode k occupies rows
-    ``model.block_offset(k)`` onward. sigma(p) and each lambda_k(p) are
+    basis order (``model.modes(p)``), so a Jordan block of mode k occupies
+    rows ``model.block_offset(k)`` onward. sigma(p) and each lambda_k(p) are
     evaluated once per matrix. t = inf gives the stationary covariance.
 
     Raises:
         NumericalError: for t = inf unless the drift is strictly stable at p.
     """
     sigma = model.sigma_at(p)
-    modes = [(c.id, model.lambda_at(c.id, p), model.block_size(c.id)) for c in model.curves]
-    v = np.block([[block_pair_covariance(lam_k, m_k, lam_j, m_j,
-                                         (sigma * sigma) * model.noise_block(k, j), t)
-                   for j, lam_j, m_j in modes]
-                  for k, lam_k, m_k in modes])
+    c = (sigma * sigma) * model.noise_matrix
+    modes = model.modes(p)
+    v = np.block([[block_pair_covariance(lam_k, m_k, lam_j, m_j, c[rows_k, rows_j], t)
+                   for _, lam_j, m_j, rows_j in modes]
+                  for _, lam_k, m_k, rows_k in modes])
     with np.errstate(all="ignore"):
         return 0.5 * (v + v.conj().T)

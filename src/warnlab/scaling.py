@@ -5,13 +5,14 @@ parameter values below p*: from the closed forms (the analytic engine) when
 it is given no ``EnsembleConfig``, and from ensemble simulation (the
 empirical engine) when it is given one. For a spectral model both engines
 produce one covariance matrix per point, ``model_covariance`` at t = inf
-(``_eval_point_analytic``) or the ensemble estimate, and read every quantity
-out of it through the same index map, ``_entry_index``, which a sweep
-consults once per quantity before its first point. Scaling exponents
-are read off by ordinary least squares in log-log coordinates; by default
-fits use the last decade of distances |p - p*|, where the asymptotic laws
-dominate. ``_classify`` turns one fit into a warning-sign verdict, so a
-caller that already holds the fit classifies without fitting again.
+or the ensemble estimate, and read every quantity out of it through the same
+index map, ``_entry_index``, which a sweep consults once per quantity before
+its first point; a multiplication model's quantities come from the one
+``lyapunov._StableShift`` the sweep builds. Scaling exponents are read off
+by ordinary least squares in log-log coordinates; by default fits use the
+last decade of distances |p - p*|, where the asymptotic laws dominate.
+``_classify`` turns one fit into a warning-sign verdict, so a caller that
+already holds the fit classifies without fitting again.
 """
 
 from __future__ import annotations
@@ -24,19 +25,9 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NumericalError
-from .lyapunov import (
-    XiEstimate,
-    _StableShift,
-    model_covariance,
-    unit_gaussian_profile,
-)
+from .lyapunov import XiEstimate, _StableShift, model_covariance
 from .sde import EnsembleConfig, simulate_ensemble, splitmix64
-from .spectrum import (
-    MultiplicationSymbolModel,
-    SpectralModel,
-    bifurcation_parameter,
-    build_weyl_sequence,
-)
+from .spectrum import MultiplicationSymbolModel, SpectralModel, bifurcation_parameter
 
 _MULTIPLICATION_KINDS = ("norm", "gaussian_pairing", "weyl_pairing")
 
@@ -67,8 +58,6 @@ def parse_quantity(q) -> QuantitySpec:
     """Parse a quantity description such as ``critical_diagonal``,
     ``entry:0,1``, ``block_entry:1,2``, ``norm``, ``gaussian_pairing`` or
     ``weyl_pairing:5``."""
-    if isinstance(q, QuantitySpec):
-        return q
     if not isinstance(q, str):
         raise ValueError(f"quantity: expected a string, got {type(q).__name__}")
     head, _, tail = q.partition(":")
@@ -208,27 +197,6 @@ def _entry_index(model, spec: QuantitySpec) -> tuple[int, int] | None:
     raise ValueError(f"quantity {spec.name!r} is not defined for spectral models")
 
 
-def _resolve(model, spec: QuantitySpec):
-    """What a sweep reads a quantity from at every point: its matrix index
-    (spectral model), or the numerator mu |h|^2 of its pairing with h and the
-    pairing's ``_StableShift`` kind (multiplication model; None for the norm)."""
-    index = _entry_index(model, spec)
-    if index is not None or spec.kind == "norm":
-        return index
-    if spec.kind == "gaussian_pairing":
-        return model.weights * np.abs(unit_gaussian_profile(model)) ** 2, "quadratic"
-    h = build_weyl_sequence(model, spec.k, float(model.argmax_points[0])).coefficients
-    return model.weights * np.abs(h) ** 2, "stationary"
-
-
-def _eval_point_analytic(model, p: float, resolved, shift) -> list[float]:
-    if shift is None:
-        v = model_covariance(model, p, math.inf)
-        return [abs(v[index]) for index in resolved]
-    shift.at(p)  # one stability check and one set of denominators per point
-    return [shift.norm() if r is None else shift.pairing(*r) for r in resolved]
-
-
 def _eval_point_empirical(model, p, indices, config, point_seed, threads):
     cfg = replace(config, master_seed=point_seed)
     emp = simulate_ensemble(model, p, cfg, threads)
@@ -263,7 +231,8 @@ def run_parameter_sweep(model, p_grid, quantities, config: EnsembleConfig | None
     names = [s.name for s in specs]
     if len(set(names)) < len(names):
         raise ValueError(f"quantities: a quantity is named twice in {names}")
-    resolved = [_resolve(model, s) for s in specs]
+    indices = [_entry_index(model, s) for s in specs]
+    shift = None if isinstance(model, SpectralModel) else _StableShift(model, specs)
     if p_star is None:
         p_star = bifurcation_parameter(model)
     if np.any(p >= p_star):
@@ -272,18 +241,19 @@ def run_parameter_sweep(model, p_grid, quantities, config: EnsembleConfig | None
         )
     if config is not None and not isinstance(model, SpectralModel):
         raise ValueError("an ensemble config is only available for spectral models")
-    shift = (None if isinstance(model, SpectralModel) else
-             _StableShift(model, {r[1] for r in resolved if r is not None}))
     values = {name: np.empty(p.size) for name in names}
     errors = {name: (None if config is None else np.empty(p.size)) for name in names}
     seconds = []
     for i, pi in enumerate(p.tolist()):
         start = time.perf_counter()
         try:
-            if config is None:
-                vals, errs = _eval_point_analytic(model, pi, resolved, shift), None
+            if shift is not None:  # one stability check, one set of denominators
+                vals, errs = shift.at(pi), None
+            elif config is None:
+                v = model_covariance(model, pi, math.inf)
+                vals, errs = [abs(v[index]) for index in indices], None
             else:
-                vals, errs = _eval_point_empirical(model, pi, resolved, config,
+                vals, errs = _eval_point_empirical(model, pi, indices, config,
                                                    splitmix64(config.master_seed, i), threads)
             for spec, v in zip(specs, vals):
                 if not math.isfinite(v):

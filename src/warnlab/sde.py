@@ -9,6 +9,8 @@ for Jordan blocks the matrix exponential is closed-form. The step covariance
 of the whole model is ``lyapunov.model_covariance`` at t = dt, the same
 block-pair kernel as the stationary covariance, which stays exact for stiff
 modes and near-critical blocks, so no discretization bias enters at any dt.
+``_mixing`` is the one mixing rule, which ``EmpiricalCovariance.mixing_warning``
+and the command line's pre-flight warning and report flag all read.
 
 Randomness is reproducible by construction: trajectory i draws from a
 dedicated generator, exactly PCG64(splitmix64(master_seed, i)), and
@@ -152,6 +154,8 @@ class EnsembleConfig:
             raise ValueError("dt: must be > 0")
         if not (self.horizon > self.dt):
             raise ValueError("horizon: must exceed dt")
+        if not np.isfinite(self.horizon / self.dt):
+            raise ValueError("horizon: the step count horizon / dt must be finite")
         if not (0.0 <= self.burn_in < 1.0):
             raise ValueError("burn_in: must lie in [0, 1)")
         if int(self.n_trajectories) != self.n_trajectories or self.n_trajectories < 2:
@@ -215,11 +219,17 @@ def _psd_factor(s: np.ndarray) -> np.ndarray:
 def _drift_expm(model: SpectralModel, p: float, t: float) -> np.ndarray:
     dim = model.total_dim
     e = np.zeros((dim, dim), dtype=complex)
-    for c in model.curves:
-        m = model.block_size(c.id)
-        off = model.block_offset(c.id)
-        e[off : off + m, off : off + m] = _jordan_expm(model.lambda_at(c.id, p), m, t)
+    for _, lam, m, rows in model.modes(p):
+        e[rows, rows] = _jordan_expm(lam, m, t)
     return e
+
+
+def _mixing(horizon: float, abscissae) -> tuple[list[float], str | None]:
+    """Relaxation times of the slowest mode a trajectory spans at each point,
+    and the rule broken when one is below ``_MIXING_THRESHOLD`` (else None)."""
+    ratios = [horizon * abs(a) for a in abscissae]
+    short = min(ratios) < _MIXING_THRESHOLD
+    return ratios, f"horizon * |spectral abscissa| < {_MIXING_THRESHOLD:g}" if short else None
 
 
 def _chunk_plan(n: int, threads: int, dim: int) -> tuple[int, int]:
@@ -260,7 +270,7 @@ def simulate_ensemble(model: SpectralModel, p: float, config: EnsembleConfig,
     absc = spectral_abscissa(model, p)
     if absc >= 0.0:
         raise NumericalError(f"simulate_ensemble: drift not strictly stable at p={p}")
-    mixing_warning = config.horizon * abs(absc) < _MIXING_THRESHOLD
+    mixing_warning = _mixing(config.horizon, [absc])[1] is not None
     dim = model.total_dim
     n_steps = max(1, int(round(config.horizon / config.dt)))
     burn = int(np.floor(config.burn_in * n_steps))

@@ -6,7 +6,8 @@ blocks) together with the noise quadratic form expressed in the chosen
 (generalized) eigenbasis. ``MultiplicationSymbolModel`` describes a real
 multiplication operator ``(T_f h)(x) = f(x) h(x)`` discretized on a finite
 grid with quadrature weights, which is the standing example of purely
-continuous spectrum.
+continuous spectrum. ``SpectralModel.modes(p)`` is the one walk over the
+curves: every reader of the basis layout at p gets it from there.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ class SpectralModel:
     basis vectors; for a mode carrying a Jordan block of size m the block
     occupies m consecutive rows/columns. ``sigma`` is either a constant noise
     amplitude or a map ``p -> sigma(p)`` for parameter-dependent noise.
+    ``modes(p)`` evaluates every curve at p once and lays the basis out.
     """
 
     curves: Sequence[EigenvalueCurve]
@@ -60,23 +62,23 @@ class SpectralModel:
         curves = tuple(self.curves)
         if not curves:
             raise ValueError("curves: at least one eigenvalue curve is required")
-        ids = [c.id for c in curves]
-        if len(set(ids)) != len(ids):
+        by_id = {c.id: c for c in curves}
+        if len(by_id) != len(curves):
             raise ValueError("curves: duplicate mode ids")
-        if self.critical_index not in ids:
+        if self.critical_index not in by_id:
             raise ValueError("critical_index: no curve with this id")
         sizes = {}
         for k, m in dict(self.jordan_sizes).items():
-            if int(k) not in ids:
+            if int(k) not in by_id:
                 raise ValueError(f"jordan_sizes: unknown mode id {k}")
             if int(m) != m or m < 1:
                 raise ValueError(f"jordan_sizes[{k}]: size must be a positive integer")
             sizes[int(k)] = int(m)
-        offsets = {}
+        rows = {}  # each curve's block of basis rows, in basis order
         pos = 0
         for c in curves:
-            offsets[c.id] = pos
-            pos += sizes.get(c.id, 1)
+            rows[c.id] = slice(pos, pos + sizes.get(c.id, 1))
+            pos = rows[c.id].stop
         b = np.array(self.noise_matrix, dtype=complex)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError("noise_matrix: must be a square matrix")
@@ -99,7 +101,8 @@ class SpectralModel:
         object.__setattr__(self, "curves", curves)
         object.__setattr__(self, "noise_matrix", b)
         object.__setattr__(self, "jordan_sizes", sizes)
-        object.__setattr__(self, "_offsets", offsets)
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_dim", pos)
 
     @property
@@ -111,16 +114,15 @@ class SpectralModel:
         return callable(self.sigma)
 
     def curve(self, k: int) -> EigenvalueCurve:
-        for c in self.curves:
-            if c.id == k:
-                return c
-        raise ValueError(f"no curve with id {k}")
+        if k not in self._by_id:
+            raise ValueError(f"no curve with id {k}")
+        return self._by_id[k]
 
     def block_size(self, k: int) -> int:
         return self.jordan_sizes.get(k, 1)
 
     def block_offset(self, k: int) -> int:
-        return self._offsets[k]
+        return self._rows[k].start
 
     def lambda_at(self, k: int, p: float) -> complex:
         """Evaluate curve k at p, signalling if it is undefined there."""
@@ -132,18 +134,16 @@ class SpectralModel:
             raise NumericalError(f"curve {k} is not finite at p={p!r}")
         return lam
 
+    def modes(self, p: float) -> list[tuple[int, complex, int, slice]]:
+        """(curve id, lambda_k(p), block size, rows of the block) for every
+        curve, in basis order; each curve is evaluated once, by ``lambda_at``."""
+        return [(k, self.lambda_at(k, p), r.stop - r.start, r) for k, r in self._rows.items()]
+
     def sigma_at(self, p: float) -> float:
         s = float(self.sigma(p)) if callable(self.sigma) else float(self.sigma)
         if not np.isfinite(s) or s < 0.0:
             raise NumericalError(f"sigma(p) must be finite and >= 0, got {s} at p={p!r}")
         return s
-
-    def noise_block(self, k: int, j: int | None = None) -> np.ndarray:
-        """Sub-block of noise pairings between modes k and j (default j=k)."""
-        j = k if j is None else j
-        rk = slice(self.block_offset(k), self.block_offset(k) + self.block_size(k))
-        rj = slice(self.block_offset(j), self.block_offset(j) + self.block_size(j))
-        return self.noise_matrix[rk, rj]
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,7 +259,7 @@ def spectral_abscissa(model: SpectralModel | MultiplicationSymbolModel, p: float
     """
     if isinstance(model, MultiplicationSymbolModel):
         return float(p + model.esssup)
-    return max(model.lambda_at(c.id, p).real for c in model.curves)
+    return max(lam.real for _, lam, _, _ in model.modes(p))
 
 
 def _critical_real_part(model: SpectralModel, p: float) -> float:
@@ -326,9 +326,31 @@ def bifurcation_parameter(
     return float(root)
 
 
+def _weyl_support(model: MultiplicationSymbolModel, k: int,
+                  center: float) -> tuple[slice, np.ndarray]:
+    """Grid window [center - 1/k, center + 1/k], found by bisection and widened
+    by a point a side, and the bump 1 - k|x - center| clipped at 0 on it.
+
+    Raises:
+        NumericalError: if fewer than 3 grid points fall inside the support.
+    """
+    x = model.grid
+    lo = max(int(np.searchsorted(x, center - 1.0 / k)) - 1, 0)
+    hi = min(int(np.searchsorted(x, center + 1.0 / k, side="right")) + 1, x.size)
+    profile = 1.0 - k * np.abs(x[lo:hi] - center)
+    bump = np.where(profile > 0.0, profile, 0.0)
+    support = int(np.count_nonzero(bump))
+    if support < 3:
+        raise NumericalError(
+            f"weyl vector k={k} at center={center}: support contains {support} "
+            "grid points, need at least 3 (refine the grid or lower k)"
+        )
+    return slice(lo, hi), bump
+
+
 def build_weyl_sequence(model: MultiplicationSymbolModel, k: int, center: float) -> WeylVector:
-    """Triangular bump of half-width 1/k at ``center``, unit-normalized in the
-    weighted l2 norm of the grid.
+    """Triangular bump of half-width 1/k at ``center`` (``_weyl_support``),
+    unit-normalized in the weighted l2 norm of the grid.
 
     Raises:
         NumericalError: if fewer than 3 grid points fall inside the support.
@@ -336,14 +358,9 @@ def build_weyl_sequence(model: MultiplicationSymbolModel, k: int, center: float)
     if int(k) != k or k < 1:
         raise ValueError("k: width index must be a positive integer")
     k = int(k)
-    profile = 1.0 - k * np.abs(model.grid - center)
-    u = np.where(profile > 0.0, profile, 0.0)
-    support = int(np.count_nonzero(u))
-    if support < 3:
-        raise NumericalError(
-            f"weyl vector k={k} at center={center}: support contains {support} "
-            "grid points, need at least 3 (refine the grid or lower k)"
-        )
+    window, bump = _weyl_support(model, k, center)
+    u = np.zeros_like(model.grid)
+    u[window] = bump
     nrm2 = float(np.sum(model.weights * u * u))
     u = u / np.sqrt(nrm2)
     return WeylVector(coefficients=u, width_index=k, center=float(center))
@@ -390,11 +407,10 @@ def curve_continuity_violations(
     curves look continuous at this resolution.
     """
     p = np.asarray(p_grid, dtype=float)
-    out = []
-    for c in model.curves:
-        vals = np.array([model.lambda_at(c.id, pi) for pi in p])
-        jumps = np.abs(np.diff(vals))
-        allowed = lipschitz_budget * np.abs(np.diff(p))
-        for i in np.nonzero(jumps > allowed)[0]:
-            out.append((c.id, float(p[i]), float(p[i + 1]), float(jumps[i])))
-    return out
+    ids = [c.id for c in model.curves]
+    vals = np.array([[lam for _, lam, _, _ in model.modes(pi)] for pi in p],
+                    dtype=complex).reshape(p.size, len(ids))
+    jumps = np.abs(np.diff(vals, axis=0))
+    allowed = lipschitz_budget * np.abs(np.diff(p))
+    return [(cid, float(p[i]), float(p[i + 1]), float(jumps[i, col]))
+            for col, cid in enumerate(ids) for i in np.nonzero(jumps[:, col] > allowed)[0]]

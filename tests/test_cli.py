@@ -298,6 +298,27 @@ class TestPreflight:
         assert rc == 3 and "drift not strictly stable at p=-1.0" in err
         assert outcomes["analytic"] == outcomes["simulate"] == (rc, err)
 
+    @pytest.mark.parametrize("field,path", [("weyl", "weyl.k_values[2]"),
+                                            ("quantities", "quantities[1]")])
+    def test_undersized_weyl_support_fails_every_command(self, field, path, tmp_path, capsys):
+        # half-width 1/k = 1e-4 on a grid of spacing 1e-3 covers one grid point
+        cfg = json.loads((CONFIG_DIR / "quadratic_symbol.json").read_text())
+        if field == "weyl":
+            cfg["weyl"]["k_values"] = [2, 5, 10_000]
+        else:
+            cfg["quantities"] = ["norm", "weyl_pairing:10000"]
+        config = write_json(tmp_path, cfg)
+        outcomes = {}
+        for command in ("validate", "analytic", "weyl"):
+            out = tmp_path / f"out_{command}"
+            outcomes[command] = (run(command, "--config", config, "--out", out),
+                                 capsys.readouterr().err)
+            assert not out.exists()
+        assert outcomes["validate"] == (
+            2, f"config error: {path}: weyl vector k=10000 at center=0.0: support contains 1 "
+               "grid points, need at least 3 (refine the grid or lower k)\n")
+        assert outcomes["analytic"] == outcomes["weyl"] == outcomes["validate"]
+
     def test_power_of_p_noise_on_one_point_grid_fails_every_command(self, tmp_path, capsys):
         cfg = self.empirical(minimal_spectral(sweep={"start": -0.5, "count": 1}))
         cfg["model"]["sigma"] = {"kind": "power_of_p", "exponent": 0.5}
@@ -464,6 +485,8 @@ class TestSimulateCommand:
     GOLDEN_RUNS = {
         "single_mode_mc_seed42": (CONFIG_DIR / "single_mode_mc.json", "--seed", 42),
         "jordan_dense_noise_mc": (DATA_DIR / "jordan_dense_noise_mc.json",),
+        # dim 8: a size-3 Jordan block and five simple complex modes
+        "jordan3_dense_noise_mc": (DATA_DIR / "jordan3_dense_noise_mc.json",),
     }
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -668,8 +691,9 @@ class TestWeylCommand:
         assert run("weyl", "--config", write_json(tmp_path, cfg)) == 2
         assert "k_values" in capsys.readouterr().err
 
-    def test_too_fine_weyl_vector_is_numerical_failure(self, tmp_path, capsys):
+    def test_too_fine_weyl_vector_is_config_error(self, tmp_path, capsys):
+        # the pre-flight rejects it before any sweep
         cfg = json.loads((CONFIG_DIR / "quadratic_symbol.json").read_text())
         cfg["weyl"]["k_values"] = [10_000_000]
-        assert run("weyl", "--config", write_json(tmp_path, cfg)) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        assert run("weyl", "--config", write_json(tmp_path, cfg)) == 2
+        assert "config error: weyl.k_values[0]: weyl vector" in capsys.readouterr().err

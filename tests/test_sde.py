@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import tracemalloc
@@ -214,6 +215,13 @@ class TestEnsembleConfig:
         ):
             with pytest.raises(ValueError):
                 EnsembleConfig(**bad)
+
+    @pytest.mark.parametrize("dt,horizon", [(0.05, math.inf), (0.05, -math.inf),
+                                            (0.05, math.nan), (5e-324, 1.0)])
+    def test_non_finite_step_count_rejected(self, dt, horizon):
+        # an infinite horizon / dt would reach simulate_ensemble's step count
+        with pytest.raises(ValueError, match="horizon"):
+            EnsembleConfig(dt=dt, horizon=horizon, n_trajectories=10, master_seed=1)
 
     def test_seed_is_reduced_to_64_bits(self):
         cfg = EnsembleConfig(dt=0.1, horizon=1.0, n_trajectories=2, master_seed=2**64 + 5)
@@ -465,3 +473,10 @@ class TestChunkPool:
         with pytest.raises(MemoryError) as info:
             simulate_ensemble(single_mode_model(), -0.5, cfg, threads=2)
         assert info.value is boom
+
+
+def test_mixing_rule_owns_ratio_and_threshold():
+    ratios, broken = sde._mixing(20.0, [-0.5, -0.25, -0.125])
+    assert ratios == [10.0, 5.0, 2.5]
+    assert broken == "horizon * |spectral abscissa| < 5"
+    assert sde._mixing(20.0, [-0.5, -0.25]) == ([10.0, 5.0], None)

@@ -291,3 +291,84 @@ class TestCurveContinuity:
         violations = curve_continuity_violations(m, grid, lipschitz_budget=10.0)
         assert violations
         assert all(v[0] == 1 for v in violations)
+
+
+def two_curve_model(second=lambda p: -1.0 + 0.5j * p):
+    # a size-2 Jordan block on curve 3, then simple curve 1: ids out of order
+    return SpectralModel(
+        curves=[EigenvalueCurve(3, lambda p: complex(p, 0.25)), EigenvalueCurve(1, second)],
+        noise_matrix=np.eye(3),
+        critical_index=3,
+        jordan_sizes={3: 2},
+    )
+
+
+class TestModes:
+    def test_entries_match_the_per_curve_accessors(self):
+        m = two_curve_model()
+        modes = m.modes(-0.3)
+        assert [k for k, _, _, _ in modes] == [3, 1]
+        for k, lam, size, rows in modes:
+            assert lam == m.lambda_at(k, -0.3)
+            assert size == m.block_size(k)
+            assert rows == slice(m.block_offset(k), m.block_offset(k) + size)
+        assert modes[-1][3].stop == m.total_dim
+
+    def test_failing_curve_raises_the_same_error_everywhere(self):
+        from warnlab.lyapunov import model_covariance
+
+        def undefined(p):
+            raise ArithmeticError("no value")
+
+        m = two_curve_model(undefined)
+        messages = set()
+        for evaluate in (m.modes, lambda p: spectral_abscissa(m, p),
+                         lambda p: model_covariance(m, p, math.inf)):
+            with pytest.raises(NumericalError) as info:
+                evaluate(-0.3)
+            messages.add(str(info.value))
+        assert messages == {"curve 1 undefined at p=-0.3: no value"}
+
+    def test_continuity_violations_stay_curve_major(self):
+        # both curves jump between the same grid points; curve 3 is reported first
+        m = SpectralModel(
+            curves=[EigenvalueCurve(3, lambda p: p if p < -1.0 else p + 40.0),
+                    EigenvalueCurve(1, lambda p: -1.0 if p < -1.0 else -50.0)],
+            noise_matrix=np.eye(3), critical_index=3, jordan_sizes={3: 2},
+        )
+        grid = np.array([-2.0, -1.5, -0.5, -0.25])
+        assert curve_continuity_violations(m, grid, lipschitz_budget=10.0) == [
+            (3, -1.5, -0.5, 41.0), (1, -1.5, -0.5, 49.0)]
+
+    def test_unknown_curve_id(self):
+        with pytest.raises(ValueError, match="no curve with id 2"):
+            two_curve_model().curve(2)
+
+
+class TestWeylSupport:
+    @pytest.mark.parametrize("grid", ["uniform", "table"])
+    def test_vector_matches_the_whole_grid_formula(self, grid):
+        # the bump evaluated on a window is bit-identical to the bump evaluated
+        # on every grid point, at grid points, between them and near the rim
+        if grid == "uniform":
+            m = MultiplicationSymbolModel.from_function(lambda x: -np.square(x), lo=-2.0,
+                                                        hi=2.0, spacing=1e-3)
+        else:
+            x = np.cumsum(np.random.default_rng(5).uniform(1e-3, 5e-3, 2000)) - 5.0
+            m = MultiplicationSymbolModel.from_table(x, -np.square(x))
+        for k in (1, 3, 7, 100):
+            for center in (0.0, 0.0123, float(m.grid[1]), float(m.grid[-2])):
+                profile = 1.0 - k * np.abs(m.grid - center)
+                u = np.where(profile > 0.0, profile, 0.0)
+                u = u / np.sqrt(float(np.sum(m.weights * u * u)))
+                got = build_weyl_sequence(m, k, center).coefficients
+                assert got.tobytes() == u.tobytes(), (k, center)
+
+    def test_window_is_the_support_plus_one_point_a_side(self):
+        from warnlab.spectrum import _weyl_support
+
+        m = MultiplicationSymbolModel.from_function(lambda x: -np.square(x))
+        window, bump = _weyl_support(m, 10, 0.0)
+        # x = -0.1 and 0.1, where the bump is 0, are grid points 9900 and 10100
+        assert (window.start, window.stop) == (9899, 10102)
+        assert bump.size == 203 and np.count_nonzero(bump) == 199
