@@ -343,6 +343,11 @@ def cmd_validate(args) -> int:
           f"quantities, p* = {p_star!r}, grid of {grid.size} points in "
           f"[{float(grid[0])!r}, {float(grid[-1])!r}], spectral abscissa "
           f"{abscissae[0]:.6g} -> {abscissae[-1]:.6g} across the sweep")
+    ens = cfg.ensemble
+    if ens is not None:
+        print(f"planned work: {ens.n_trajectories} trajectories x {ens.n_steps} steps x "
+              f"{grid.size} points = {ens.n_trajectories * ens.n_steps * grid.size} "
+              "trajectory-steps")
     return 0
 
 

@@ -289,7 +289,7 @@ def _build_engine(raw, path: str) -> EnsembleConfig | None:
             dt=dt, horizon=horizon, n_trajectories=n_traj, master_seed=seed, burn_in=burn
         )
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path}.{exc}") from exc  # each message starts with its field
     return cfg
 
 

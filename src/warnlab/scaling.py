@@ -198,10 +198,15 @@ def _entry_index(model, spec: QuantitySpec) -> tuple[int, int] | None:
 
 
 def _eval_point_empirical(model, p, indices, config, point_seed, threads):
+    # accumulate only the block of rows the quantities read; it holds each
+    # (k, j) with its (j, k), which the estimate's symmetrization pairs
+    rows = [i for index in indices for i in index]
+    lo = min(rows)
     cfg = replace(config, master_seed=point_seed)
-    emp = simulate_ensemble(model, p, cfg, threads)
-    return ([abs(emp.matrix[index]) for index in indices],
-            [float(emp.standard_error[index]) for index in indices])
+    emp = simulate_ensemble(model, p, cfg, threads, range(lo, max(rows) + 1))
+    local = [(k - lo, j - lo) for k, j in indices]
+    return ([abs(emp.matrix[index]) for index in local],
+            [float(emp.standard_error[index]) for index in local])
 
 
 def run_parameter_sweep(model, p_grid, quantities, config: EnsembleConfig | None = None,
@@ -214,11 +219,12 @@ def run_parameter_sweep(model, p_grid, quantities, config: EnsembleConfig | None
     order. The empirical engine derives one seed per grid point from the
     ensemble master seed, making the whole sweep reproducible, and runs each
     point's trajectory chunks on up to ``threads`` worker threads
-    (``simulate_ensemble``; None means all cores); the closed forms ignore
-    ``threads``. The wall time of each point's evaluation is kept in
-    ``point_seconds``. Without ``p_star`` the threshold is located by
-    ``bifurcation_parameter`` with its default bracket. A quantity named
-    twice is a ValueError.
+    (``simulate_ensemble``; None means all cores), accumulating second
+    moments only on the rows from the first to the last that the quantities
+    read; the closed forms ignore ``threads``. The wall time of each point's
+    evaluation is kept in ``point_seconds``. Without ``p_star`` the
+    threshold is located by ``bifurcation_parameter`` with its default
+    bracket. A quantity named twice is a ValueError.
     """
     p = np.asarray(p_grid, dtype=float)
     if p.ndim != 1 or p.size < 1:

@@ -30,8 +30,12 @@ most ``_BLOCK_BYTES``, so memory stays bounded whatever the horizon.
 Consecutive block draws concatenate to the same stream as one draw over the
 whole horizon, so neither the block length, the chunk width nor the thread
 count changes the bytes of the result. Second moments accumulate with the
-trajectory axis last; each entry still sums the same products in the same
-time order.
+trajectory axis last, and only on the contiguous block of r modes a caller
+asks for (``modes``; all of them by default), so the accumulators take
+O(width·r²) per worker and the time averages O(N·r²); each entry still sums
+the same products in the same time order, and the estimate's reductions
+over N run row by row as for the full matrix, because a one-mode block is
+widened to two.
 """
 
 from __future__ import annotations
@@ -55,6 +59,7 @@ _CHUNK = 2048  # widest chunk of trajectories
 _MIN_CHUNK_WORK = 1024
 _BLOCK_BYTES = 8 << 20  # bytes of one worker's noise buffer, over all trajectories of its chunk
 _MIXING_THRESHOLD = 5.0
+_MAX_STEPS = 2**53  # largest horizon / dt whose round() is an exact step count
 # numpy SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -154,14 +159,20 @@ class EnsembleConfig:
             raise ValueError("dt: must be > 0")
         if not (self.horizon > self.dt):
             raise ValueError("horizon: must exceed dt")
-        if not np.isfinite(self.horizon / self.dt):
-            raise ValueError("horizon: the step count horizon / dt must be finite")
+        if not (self.horizon / self.dt <= _MAX_STEPS):
+            raise ValueError("horizon: the step count horizon / dt must be finite and at "
+                             "most 2**53, where round() still counts steps exactly")
         if not (0.0 <= self.burn_in < 1.0):
             raise ValueError("burn_in: must lie in [0, 1)")
         if int(self.n_trajectories) != self.n_trajectories or self.n_trajectories < 2:
             raise ValueError("n_trajectories: need an integer >= 2")
         object.__setattr__(self, "n_trajectories", int(self.n_trajectories))
         object.__setattr__(self, "master_seed", int(self.master_seed) & _MASK64)
+
+    @property
+    def n_steps(self) -> int:
+        """Time steps of one trajectory, burn-in included."""
+        return max(1, int(round(self.horizon / self.dt)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,7 +262,8 @@ def _chunk_plan(n: int, threads: int, dim: int) -> tuple[int, int]:
 
 
 def simulate_ensemble(model: SpectralModel, p: float, config: EnsembleConfig,
-                      threads: int | None = None) -> EmpiricalCovariance:
+                      threads: int | None = None,
+                      modes: range | None = None) -> EmpiricalCovariance:
     """Estimate the stationary mode covariance by time-and-ensemble averaging.
 
     Runs ``config.n_trajectories`` independent trajectories from zero initial
@@ -262,17 +274,37 @@ def simulate_ensemble(model: SpectralModel, p: float, config: EnsembleConfig,
     ``_chunk_plan``). Fully deterministic for a fixed master seed, at any
     thread count; a ``mixing_warning`` flags horizons shorter than five
     relaxation times of the slowest mode.
+
+    ``modes`` is the contiguous range of mode rows whose second moments are
+    accumulated (default: all of them); the result is the principal block of
+    the full estimate on those rows, bit for bit, and memory is O(N·r²) for
+    r accumulated modes instead of O(N·dim²). Every mode is still stepped. A
+    one-mode range of a model with two or more modes is accumulated as two
+    modes and sliced back: numpy averages a lone (N, 1) column over N with
+    pairwise summation, but the rows of a wider block one after another, as
+    the full estimate does. ValueError for an empty range, one outside
+    [0, dim) or one whose step is not 1.
     """
     if threads is None:
         threads = os.cpu_count() or 1
     if threads < 1:
         raise ValueError(f"threads: need at least 1, got {threads}")
+    dim = model.total_dim
+    if modes is None:
+        modes = range(dim)
+    if not (isinstance(modes, range) and modes.step == 1
+            and 0 <= modes.start < modes.stop <= dim):
+        raise ValueError(f"modes: need a nonempty range with step 1 within [0, {dim}), "
+                         f"got {modes!r}")
+    lo, hi = modes.start, modes.stop
+    if hi - lo == 1 and dim >= 2:  # widen toward the inside of [0, dim)
+        lo, hi = (lo, hi + 1) if hi < dim else (lo - 1, hi)
+    r = hi - lo
     absc = spectral_abscissa(model, p)
     if absc >= 0.0:
         raise NumericalError(f"simulate_ensemble: drift not strictly stable at p={p}")
     mixing_warning = _mixing(config.horizon, [absc])[1] is not None
-    dim = model.total_dim
-    n_steps = max(1, int(round(config.horizon / config.dt)))
+    n_steps = config.n_steps
     burn = int(np.floor(config.burn_in * n_steps))
     keep = n_steps - burn
     trans = _drift_expm(model, p, config.dt).T.copy()
@@ -281,7 +313,7 @@ def simulate_ensemble(model: SpectralModel, p: float, config: EnsembleConfig,
     workers, chunks = _chunk_plan(n, threads, dim)
     width = -(-n // chunks)
     block = max(1, min(n_steps, _BLOCK_BYTES // (width * dim * 16)))
-    stats = np.empty((n, dim, dim), dtype=complex)
+    stats = np.empty((n, r, r), dtype=complex)
 
     def run_chunks(w: int) -> None:
         z = np.empty((width, block, dim), dtype=complex)
@@ -291,14 +323,15 @@ def simulate_ensemble(model: SpectralModel, p: float, config: EnsembleConfig,
             nc = c1 - c0
             gens = _chunk_generators(config.master_seed, c0, c1)
             x = np.zeros((nc, dim), dtype=complex)
+            x_read = x.T[lo:hi]  # the accumulated rows, a view that follows x
             drift, kick = np.empty_like(x), np.empty_like(x)
             # second moments accumulate with the trajectory axis last, so the
             # outer product's inner loop runs over the chunk, not over dim; the
             # state x keeps the trajectory axis first, because matmul's rounding
             # depends on the layout at dim >= 2
-            xt = np.empty((dim, nc), dtype=complex)
+            xt = np.empty((r, nc), dtype=complex)
             xt_conj = np.empty_like(xt)
-            acc = np.zeros((dim, dim, nc), dtype=complex)
+            acc = np.zeros((r, r, nc), dtype=complex)
             outer = np.empty_like(acc)
             for t0 in range(0, n_steps, block):
                 b = min(block, n_steps - t0)
@@ -311,7 +344,7 @@ def simulate_ensemble(model: SpectralModel, p: float, config: EnsembleConfig,
                     np.matmul(zb[:, s, :], noise_factor, out=kick)
                     np.add(drift, kick, out=x)
                     if t0 + s >= burn:
-                        np.copyto(xt, x.T)
+                        np.copyto(xt, x_read)
                         np.conjugate(xt, out=xt_conj)
                         np.multiply(xt[:, None, :], xt_conj[None, :, :], out=outer)
                         acc += outer
@@ -323,4 +356,6 @@ def simulate_ensemble(model: SpectralModel, p: float, config: EnsembleConfig,
     mat = 0.5 * (mean + mean.conj().T)
     dev = stats - mean
     se = np.sqrt(np.sum(np.abs(dev) ** 2, axis=0) / (n * (n - 1)))
-    return EmpiricalCovariance(matrix=mat, standard_error=se, mixing_warning=mixing_warning)
+    read = slice(modes.start - lo, modes.stop - lo)
+    return EmpiricalCovariance(matrix=mat[read, read], standard_error=se[read, read],
+                               mixing_warning=mixing_warning)

@@ -99,6 +99,28 @@ class TestValidate:
         assert "1 modes" in out
         assert "spectral abscissa" in out
 
+    def test_prints_planned_monte_carlo_work(self, capsys):
+        assert run("validate", "--config", CONFIG_DIR / "single_mode_mc.json") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("config OK")
+        # N = 400, horizon 40 / dt 0.05 = 800 steps, 3 grid points
+        assert lines[1] == ("planned work: 400 trajectories x 800 steps x 3 points = "
+                            "960000 trajectory-steps")
+
+    def test_closed_form_config_plans_no_monte_carlo_work(self, capsys):
+        assert run("validate", "--config", CONFIG_DIR / "single_mode.json") == 0
+        assert "planned work" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["validate", "simulate"])
+    def test_unrunnable_step_count_is_config_error(self, command, tmp_path, capsys):
+        # finite, but 1e300 steps per trajectory
+        cfg = json.loads((CONFIG_DIR / "single_mode_mc.json").read_text())
+        cfg["engine"]["dt"] = 1e-300
+        out = tmp_path / "out"
+        assert run(command, "--config", write_json(tmp_path, cfg), "--out", out) == 2
+        assert "engine.horizon" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grid_crossing_threshold_is_config_error(self, tmp_path, capsys):
         cfg = minimal_spectral(
             sweep={"start": -0.5, "count": 4, "spacing": "linear", "stop": 0.5}
@@ -487,6 +509,10 @@ class TestSimulateCommand:
         "jordan_dense_noise_mc": (DATA_DIR / "jordan_dense_noise_mc.json",),
         # dim 8: a size-3 Jordan block and five simple complex modes
         "jordan3_dense_noise_mc": (DATA_DIR / "jordan3_dense_noise_mc.json",),
+        # the same dim-8 model read at one diagonal entry of a middle mode: the
+        # engine accumulates a two-mode block, whose mean reduces like the
+        # full matrix's, not a lone column, which numpy sums pairwise
+        "jordan3_middle_entry_mc": (DATA_DIR / "jordan3_middle_entry_mc.json",),
     }
 
     @pytest.mark.parametrize("threads", [1, 2])

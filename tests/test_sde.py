@@ -223,6 +223,18 @@ class TestEnsembleConfig:
         with pytest.raises(ValueError, match="horizon"):
             EnsembleConfig(dt=dt, horizon=horizon, n_trajectories=10, master_seed=1)
 
+    @pytest.mark.parametrize("dt,horizon", [(1e-300, 1.0), (1.0, 2.0**53 + 2.0**2)])
+    def test_step_count_beyond_exact_rounding_rejected(self, dt, horizon):
+        # finite, but round(horizon / dt) no longer counts steps exactly
+        with pytest.raises(ValueError, match="horizon"):
+            EnsembleConfig(dt=dt, horizon=horizon, n_trajectories=10, master_seed=1)
+
+    def test_step_count(self):
+        assert EnsembleConfig(dt=1.0, horizon=2.0**53, n_trajectories=2,
+                              master_seed=1).n_steps == 2**53
+        assert EnsembleConfig(dt=0.05, horizon=40.0, n_trajectories=2,
+                              master_seed=1).n_steps == 800
+
     def test_seed_is_reduced_to_64_bits(self):
         cfg = EnsembleConfig(dt=0.1, horizon=1.0, n_trajectories=2, master_seed=2**64 + 5)
         assert cfg.master_seed == 5
@@ -473,6 +485,61 @@ class TestChunkPool:
         with pytest.raises(MemoryError) as info:
             simulate_ensemble(single_mode_model(), -0.5, cfg, threads=2)
         assert info.value is boom
+
+
+class TestModeBlock:
+    MODELS = {"dim8_dense": dim8_dense_model, "jordan_plus_simple": jordan_plus_simple_model}
+
+    @pytest.mark.parametrize("chunk", [2048, 3])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_block_is_the_full_estimate_bit_for_bit(self, monkeypatch, name, threads, chunk):
+        monkeypatch.setattr(sde.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(sde, "_MIN_CHUNK_WORK", 1)
+        monkeypatch.setattr(sde, "_CHUNK", chunk)
+        model = self.MODELS[name]()
+        dim = model.total_dim
+        # 20 trajectories: numpy sums a lone column of 20 pairwise, which a
+        # one-mode block must not do
+        cfg = EnsembleConfig(dt=0.05, horizon=2.0, n_trajectories=20, master_seed=13)
+        full = simulate_ensemble(model, -0.4, cfg, threads)  # modes=None
+        blocks = [
+            range(1, dim - 1),  # a middle range
+            range(dim // 2, dim // 2 + 1),  # one middle mode, widened upward
+            range(dim - 1, dim),  # the last mode, widened downward
+            range(0, 1),
+            range(dim),  # the full range is the default
+        ]
+        for modes in blocks:
+            est = simulate_ensemble(model, -0.4, cfg, threads, modes)
+            rows = slice(modes.start, modes.stop)
+            assert est.matrix.shape == (len(modes), len(modes))
+            assert np.array_equal(est.matrix, full.matrix[rows, rows])
+            assert np.array_equal(est.standard_error, full.standard_error[rows, rows])
+            assert est.mixing_warning == full.mixing_warning
+
+    @pytest.mark.parametrize("modes", [range(3, 3), range(0, 9), range(-1, 2), range(7, 9),
+                                       range(0, 4, 2), range(4, 0, -1), [1, 2]])
+    def test_bad_range_rejected(self, modes):
+        cfg = EnsembleConfig(dt=0.05, horizon=1.0, n_trajectories=4, master_seed=1)
+        with pytest.raises(ValueError, match="modes"):
+            simulate_ensemble(dim8_dense_model(), -0.4, cfg, 1, modes)
+
+    def test_time_averages_scale_with_the_block(self):
+        # (N, 8, 8) against (N, 2, 2) complex time averages per trajectory
+        model = dim8_dense_model()
+        n = 2048
+        cfg = EnsembleConfig(dt=0.05, horizon=0.2, n_trajectories=n, master_seed=4)
+        peaks = {}
+        for modes in (None, range(3, 5)):
+            tracemalloc.start()
+            try:
+                simulate_ensemble(model, -0.4, cfg, 1, modes)
+                peaks[modes] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        stats_saving = n * (8 * 8 - 2 * 2) * 16
+        assert peaks[None] - peaks[range(3, 5)] >= 0.9 * stats_saving
 
 
 def test_mixing_rule_owns_ratio_and_threshold():
