@@ -21,8 +21,9 @@ classified from that fit, with the command's and each grid point's wall
 time. simulate adds its seed record and Monte Carlo diagnostics, weyl each
 Weyl vector's defect.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure. The
-WARNLAB_LOG environment variable (error, info, debug) controls verbosity.
+Exit codes: 0 success, 2 configuration error (an output that cannot be
+written included), 3 numerical failure. The WARNLAB_LOG environment
+variable (error, info, debug) controls verbosity.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .errors import ConfigError, NumericalError
 from .lyapunov import noise_limit_xi
 from .scaling import (
     _classify,
+    _write_file,
     fit_quantity,
     make_p_grid,
     parse_quantity,
@@ -56,7 +58,6 @@ from .spectrum import (
     SpectralModel,
     _weyl_support,
     bifurcation_parameter,
-    build_weyl_sequence,
     curve_continuity_violations,
     spectral_abscissa,
     weyl_defect,
@@ -162,20 +163,24 @@ def _preflight(cfg: ExperimentConfig):
 
 
 def _write_outputs(cfg, args, sweep, report: dict) -> None:
-    outdir = Path(args.out) if args.out else Path(cfg.output_directory)
-    outdir.mkdir(parents=True, exist_ok=True)
+    """Write the sweep's CSVs and the report, each file in one write over its
+    old bytes (``scaling._write_file``); an OSError on the way is a
+    ConfigError naming the path."""
+    outdir = path = Path(args.out) if args.out else Path(cfg.output_directory)
     formats = _resolve_formats(args, cfg)
-    if "csv" in formats:
-        for name in sweep.quantities:
-            path = outdir / f"sweep_{_sanitize(name)}.csv"
-            write_sweep_csv(sweep, name, path)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        if "csv" in formats:
+            for name in sweep.quantities:
+                path = outdir / f"sweep_{_sanitize(name)}.csv"
+                write_sweep_csv(sweep, name, path)
+                log.info("wrote %s", path)
+        if "json" in formats:
+            path = outdir / "report.json"
+            _write_file(path, (json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
             log.info("wrote %s", path)
-    if "json" in formats:
-        path = outdir / "report.json"
-        with open(path, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        log.info("wrote %s", path)
+    except OSError as exc:
+        raise ConfigError(f"output {path}: cannot write ({exc.strerror or exc})") from exc
     print(f"outputs in {outdir}")
 
 
@@ -313,8 +318,7 @@ def cmd_weyl(args) -> int:
         raise ConfigError("weyl.k_values: required for the weyl command")
     _, grid, _, _ = _preflight(cfg)
     sweep = weyl_divergence_probe(model, cfg.weyl_k_values, grid)
-    center = float(model.argmax_points[0])
-    defects = {k: weyl_defect(model, build_weyl_sequence(model, k, center), model.esssup)
+    defects = {k: weyl_defect(model, sweep.weyl_vectors[k], model.esssup)
                for k in cfg.weyl_k_values}
     elapsed = time.perf_counter() - start
     report = _sweep_report("weyl", cfg, sweep, None, elapsed)
@@ -324,7 +328,7 @@ def cmd_weyl(args) -> int:
         print(f"{k:>6} {defect:>14.6e}")
     report["weyl"] = {
         "k_values": list(cfg.weyl_k_values),
-        "center": center,
+        "center": float(model.argmax_points[0]),
         "defects": {str(k): v for k, v in defects.items()},
     }
     _write_outputs(cfg, args, sweep, report)

@@ -225,6 +225,7 @@ class _StableShift:
 
     def __init__(self, model: MultiplicationSymbolModel, specs):
         self._model = model
+        self.weyl_vectors = {}  # k -> the Weyl vector of a weyl_pairing:k
         self._pairings = [None if s.kind == "norm" else self._numerator(s) for s in specs]
         self.shifted, self._quotient = np.empty_like(model.values), np.empty_like(model.values)
         self._den = {kind: np.empty_like(model.values) for _, kind in filter(None, self._pairings)}
@@ -234,8 +235,9 @@ class _StableShift:
         model = self._model
         if spec.kind == "gaussian_pairing":
             return model.weights * np.abs(unit_gaussian_profile(model)) ** 2, "quadratic"
-        h = build_weyl_sequence(model, spec.k, float(model.argmax_points[0])).coefficients
-        return model.weights * np.abs(h) ** 2, "stationary"
+        vector = build_weyl_sequence(model, spec.k, float(model.argmax_points[0]))
+        self.weyl_vectors[spec.k] = vector
+        return model.weights * np.abs(vector.coefficients) ** 2, "stationary"
 
     def at(self, p: float) -> list[float]:
         s = np.add(float(p), self._model.values, out=self.shifted)

@@ -17,7 +17,10 @@ already holds the fit classifies without fitting again.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Mapping
@@ -27,7 +30,7 @@ import numpy as np
 from .errors import NumericalError
 from .lyapunov import XiEstimate, _StableShift, model_covariance
 from .sde import EnsembleConfig, simulate_ensemble, splitmix64
-from .spectrum import MultiplicationSymbolModel, SpectralModel, bifurcation_parameter
+from .spectrum import MultiplicationSymbolModel, SpectralModel, WeylVector, bifurcation_parameter
 
 _MULTIPLICATION_KINDS = ("norm", "gaussian_pairing", "weyl_pairing")
 
@@ -92,7 +95,9 @@ class SweepResult:
 
     ``engine`` names what produced every series, "analytic" or "empirical".
     ``point_seconds`` holds the wall seconds each grid point's evaluation
-    took, in grid order (empty when the sweep was not timed)."""
+    took, in grid order (empty when the sweep was not timed).
+    ``weyl_vectors`` maps each ``weyl_pairing:k`` quantity's k to the Weyl
+    vector the sweep paired (empty for every other sweep)."""
 
     p_values: np.ndarray
     quantities: Mapping[str, np.ndarray]
@@ -100,6 +105,7 @@ class SweepResult:
     engine: str
     stderrs: Mapping[str, np.ndarray | None] = field(default_factory=dict)
     point_seconds: tuple[float, ...] = ()
+    weyl_vectors: Mapping[int, WeylVector] = field(default_factory=dict)
 
     def __post_init__(self):
         p = np.asarray(self.p_values, dtype=float)
@@ -278,6 +284,7 @@ def run_parameter_sweep(model, p_grid, quantities, config: EnsembleConfig | None
         engine="analytic" if config is None else "empirical",
         stderrs=errors,
         point_seconds=tuple(seconds),
+        weyl_vectors={} if shift is None else shift.weyl_vectors,
     )
 
 
@@ -403,8 +410,9 @@ def weyl_divergence_probe(model: MultiplicationSymbolModel, k_values, p_grid) ->
 
     Each k, given once (ValueError on a repeat), is probed on the same grid;
     the Weyl vectors are centered on the (leftmost) argmax point of the
-    symbol. The limits never interleave: k is fixed per series while p sweeps
-    toward p*, which is -esssup.
+    symbol, and the result's ``weyl_vectors`` holds each of them by k. The
+    limits never interleave: k is fixed per series while p sweeps toward p*,
+    which is -esssup.
     """
     ks = [int(k) for k in k_values]
     if not ks:
@@ -413,19 +421,34 @@ def weyl_divergence_probe(model: MultiplicationSymbolModel, k_values, p_grid) ->
     return run_parameter_sweep(model, p_grid, quantities)
 
 
+def _write_file(path, data: bytes) -> None:
+    """Make ``data`` the whole content of ``path`` (created with mode
+    0o666 & ~umask, as ``open(path, "w")`` does): write over the old bytes,
+    then truncate to ``len(data)``. Opening with O_TRUNC would empty the file
+    first, and on ext4 closing a file truncated to zero starts its writeback,
+    which costs an order of magnitude more than the write."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def write_sweep_csv(sweep: SweepResult, quantity: str, path) -> None:
     """Write one quantity series as CSV with columns
     p,quantity,value,stderr,provenance (stderr blank for analytic rows;
-    provenance is the sweep's engine)."""
-    import csv as _csv
-
+    provenance is the sweep's engine), rows ended by \\r\\n."""
     if quantity not in sweep.quantities:
         raise ValueError(f"quantity {quantity!r} not present in sweep")
     vals = sweep.quantities[quantity]
     errs = sweep.stderrs.get(quantity)
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["p", "quantity", "value", "stderr", "provenance"])
-        for i, p in enumerate(sweep.p_values):
-            err = "" if errs is None else repr(float(errs[i]))
-            writer.writerow([repr(float(p)), quantity, repr(float(vals[i])), err, sweep.engine])
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["p", "quantity", "value", "stderr", "provenance"])
+    for i, p in enumerate(sweep.p_values):
+        err = "" if errs is None else repr(float(errs[i]))
+        writer.writerow([repr(float(p)), quantity, repr(float(vals[i])), err, sweep.engine])
+    _write_file(path, buf.getvalue().encode())

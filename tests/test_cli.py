@@ -10,8 +10,11 @@ from pathlib import Path
 import pytest
 
 import warnlab.cli as cli
+import warnlab.lyapunov as lyapunov
 import warnlab.scaling as scaling
+import warnlab.spectrum as spectrum
 from warnlab.cli import _build_parser, main
+from warnlab.config import load_config
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -501,6 +504,52 @@ class TestAnalyticCommand:
         assert not (out / "report.json").exists()
 
 
+class TestOutputFiles:
+    def test_stale_longer_outputs_are_fully_replaced(self, tmp_path, capsys):
+        config = CONFIG_DIR / "single_mode.json"
+        fresh, stale = tmp_path / "fresh", tmp_path / "stale"
+        assert run("analytic", "--config", config, "--out", fresh) == 0
+        stale.mkdir()
+        junk = b"x" * 65536
+        for name in ("sweep_critical_diagonal.csv", "report.json"):
+            (stale / name).write_bytes(junk)
+        assert run("analytic", "--config", config, "--out", stale) == 0
+        csv_name = "sweep_critical_diagonal.csv"
+        assert (stale / csv_name).read_bytes() == (fresh / csv_name).read_bytes()
+        # json.loads rejects any stale tail after the document
+        assert json.loads((stale / "report.json").read_text())["command"] == "analytic"
+
+    def test_report_layout_and_new_file_modes(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("analytic", "--config", CONFIG_DIR / "single_mode.json", "--out", out) == 0
+        text = (out / "report.json").read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        umask = os.umask(0)
+        os.umask(umask)
+        (tmp_path / "reference").write_text("")  # through open(path, "w")
+        mode = (tmp_path / "reference").stat().st_mode & 0o777
+        assert mode == 0o666 & ~umask
+        for name in ("sweep_critical_diagonal.csv", "report.json"):
+            assert (out / name).stat().st_mode & 0o777 == mode, name
+
+    def test_out_naming_a_file_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert run("analytic", "--config", CONFIG_DIR / "single_mode.json", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: output {out}: cannot write")
+        assert len(err.splitlines()) == 1
+
+    def test_directory_in_place_of_an_output_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "sweep_critical_diagonal.csv").mkdir(parents=True)
+        assert run("analytic", "--config", CONFIG_DIR / "single_mode.json", "--out", out) == 2
+        err = capsys.readouterr().err
+        path = out / "sweep_critical_diagonal.csv"
+        assert err.startswith(f"config error: output {path}: cannot write")
+        assert len(err.splitlines()) == 1
+
+
 class TestSimulateCommand:
     # jordan_dense_noise_mc has 2100 trajectories, more than one chunk of the
     # widest size, under complex dense noise on a size-2 Jordan block
@@ -687,6 +736,27 @@ class TestWeylCommand:
         assert run("weyl", "--config", CONFIG_DIR / "quadratic_symbol.json",
                    "--out", tmp_path / "out") == 0
         assert len(calls) == 1
+
+    def test_builds_each_weyl_vector_once(self, tmp_path, monkeypatch, capsys):
+        # the defects are taken of the vectors the sweep paired, bit for bit
+        calls = []
+        build = lyapunov.build_weyl_sequence
+
+        def counted(model, k, center):
+            calls.append(k)
+            return build(model, k, center)
+
+        for module in (spectrum, lyapunov, cli):
+            monkeypatch.setattr(module, "build_weyl_sequence", counted, raising=False)
+        out = tmp_path / "out"
+        assert run("weyl", "--config", CONFIG_DIR / "quadratic_symbol.json", "--out", out) == 0
+        assert sorted(calls) == [2, 5, 10]
+        model = load_config(CONFIG_DIR / "quadratic_symbol.json").model
+        center = float(model.argmax_points[0])
+        defects = json.loads((out / "report.json").read_text())["weyl"]["defects"]
+        for k in (2, 5, 10):
+            expected = spectrum.weyl_defect(model, build(model, k, center), model.esssup)
+            assert defects[str(k)] == expected
 
     def test_failed_fit_carries_reason(self, tmp_path, capsys):
         cfg = json.loads((CONFIG_DIR / "quadratic_symbol.json").read_text())
