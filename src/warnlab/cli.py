@@ -19,7 +19,9 @@ The three sweep commands report through one builder (``_sweep_report``):
 each quantity's series, its power-law fit (fitted once) and the verdict
 classified from that fit, with the command's and each grid point's wall
 time. simulate adds its seed record and Monte Carlo diagnostics, weyl each
-Weyl vector's defect.
+Weyl vector's defect. Every path a sweep command will write is checked
+before it sweeps (``_planned_outputs``), so an output that cannot be
+written fails the run before any file changes.
 
 Exit codes: 0 success, 2 configuration error (an output that cannot be
 written included), 3 numerical failure. The WARNLAB_LOG environment
@@ -36,7 +38,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ExperimentConfig, check_noise_threshold, load_config
@@ -162,21 +164,44 @@ def _preflight(cfg: ExperimentConfig):
     return p_star, grid, abscissae, mixing
 
 
-def _write_outputs(cfg, args, sweep, report: dict) -> None:
-    """Write the sweep's CSVs and the report, each file in one write over its
-    old bytes (``scaling._write_file``); an OSError on the way is a
+def _planned_outputs(cfg, args, names) -> tuple[Path, dict, Path | None]:
+    """The output directory, the CSV path of each quantity in ``names``
+    (canonical, as the sweep keys its series) and the report path (None when
+    no report is written). Checked before the sweep, so that a run that
+    cannot write every output writes none: an existing output directory must
+    be a directory and each output file absent or a regular file, else a
     ConfigError naming the path."""
-    outdir = path = Path(args.out) if args.out else Path(cfg.output_directory)
+    outdir = Path(args.out) if args.out else Path(cfg.output_directory)
     formats = _resolve_formats(args, cfg)
+    csvs = {name: outdir / f"sweep_{_sanitize(name)}.csv" for name in names} \
+        if "csv" in formats else {}
+    report = outdir / "report.json" if "json" in formats else None
+    path = outdir
+    try:
+        if outdir.exists() and not outdir.is_dir():
+            raise ConfigError(f"output {outdir}: cannot write (not a directory)")
+        for path in filter(None, [*csvs.values(), report]):
+            if path.exists() and not path.is_file():
+                raise ConfigError(f"output {path}: cannot write (not a regular file)")
+    except OSError as exc:
+        raise ConfigError(f"output {path}: cannot write ({exc.strerror or exc})") from exc
+    return outdir, csvs, report
+
+
+def _write_outputs(outputs, sweep, report: dict) -> None:
+    """Write the sweep's CSVs and the report to the paths of
+    ``_planned_outputs``, each file in one write over its old bytes
+    (``scaling._write_file``); an OSError on the way is a ConfigError naming
+    the path."""
+    outdir, csvs, report_path = outputs
+    path = outdir
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        if "csv" in formats:
-            for name in sweep.quantities:
-                path = outdir / f"sweep_{_sanitize(name)}.csv"
-                write_sweep_csv(sweep, name, path)
-                log.info("wrote %s", path)
-        if "json" in formats:
-            path = outdir / "report.json"
+        for name, path in csvs.items():
+            write_sweep_csv(sweep, name, path)
+            log.info("wrote %s", path)
+        if report_path is not None:
+            path = report_path
             _write_file(path, (json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
             log.info("wrote %s", path)
     except OSError as exc:
@@ -190,9 +215,9 @@ def _quantity_result(cfg, sweep, name, xi) -> dict:
     the reason, which the entry then carries as ``fit_error``."""
     errs = sweep.stderrs.get(name)
     result = {
-        "p_values": [float(p) for p in sweep.p_values],
-        "values": [float(v) for v in sweep.quantities[name]],
-        "stderr": None if errs is None else [float(e) for e in errs],
+        "p_values": sweep.p_values.tolist(),
+        "values": sweep.quantities[name].tolist(),
+        "stderr": None if errs is None else errs.tolist(),
         "provenance": sweep.engine,
         "fit": None,
         "verdict": None,
@@ -205,8 +230,8 @@ def _quantity_result(cfg, sweep, name, xi) -> dict:
         print(f"{name}: no power-law fit ({exc})")
         return result
     verdict = _classify(fit, xi)
-    result["fit"] = asdict(fit)
-    result["verdict"] = asdict(verdict)
+    result["fit"] = dict(vars(fit))
+    result["verdict"] = dict(vars(verdict))
     print(f"{name}: exponent {fit.exponent:.6g} (r^2 {fit.r_squared:.6g}) "
           f"-> {verdict.classification}")
     return result
@@ -224,8 +249,8 @@ def _sweep_report(command, cfg, sweep, xi, elapsed) -> dict:
         "p_star": sweep.p_star,
         "timing": {
             "seconds": elapsed,
-            "points": [{"p": float(p), "seconds": s}
-                       for p, s in zip(sweep.p_values, sweep.point_seconds)],
+            "points": [{"p": p, "seconds": s}
+                       for p, s in zip(sweep.p_values.tolist(), sweep.point_seconds)],
         },
         "results": {name: _quantity_result(cfg, sweep, name, xi) for name in sweep.quantities},
     }
@@ -271,11 +296,12 @@ def cmd_analytic(args) -> int:
     start = time.perf_counter()
     cfg = load_config(args.config)
     p_star, grid, _, _ = _preflight(cfg)
+    outputs = _planned_outputs(cfg, args, cfg.quantities)
     sweep = run_parameter_sweep(cfg.model, grid, cfg.quantities, p_star=p_star)
     xi = _maybe_xi(cfg.model, grid)
     elapsed = time.perf_counter() - start
     report = _sweep_report("analytic", cfg, sweep, xi, elapsed)
-    _write_outputs(cfg, args, sweep, report)
+    _write_outputs(outputs, sweep, report)
     return 0
 
 
@@ -288,6 +314,7 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         ensemble = replace(ensemble, master_seed=args.seed & 0xFFFFFFFFFFFFFFFF)
     p_star, grid, _, (ratios, short) = _preflight(cfg)
+    outputs = _planned_outputs(cfg, args, cfg.quantities)
     log.info("simulating %d grid points, %d trajectories each",
              grid.size, ensemble.n_trajectories)
     sweep = run_parameter_sweep(cfg.model, grid, cfg.quantities, config=ensemble,
@@ -304,7 +331,7 @@ def cmd_simulate(args) -> int:
     if diagnostics["within_3se_frac"] < 0.95:
         print(f"warning: only {diagnostics['within_3se_frac']:.1%} of the estimates lie "
               "within 3 standard errors of the closed forms", file=sys.stderr)
-    _write_outputs(cfg, args, sweep, report)
+    _write_outputs(outputs, sweep, report)
     return 0
 
 
@@ -317,6 +344,7 @@ def cmd_weyl(args) -> int:
     if not cfg.weyl_k_values:
         raise ConfigError("weyl.k_values: required for the weyl command")
     _, grid, _, _ = _preflight(cfg)
+    outputs = _planned_outputs(cfg, args, [f"weyl_pairing:{k}" for k in cfg.weyl_k_values])
     sweep = weyl_divergence_probe(model, cfg.weyl_k_values, grid)
     defects = {k: weyl_defect(model, sweep.weyl_vectors[k], model.esssup)
                for k in cfg.weyl_k_values}
@@ -331,7 +359,7 @@ def cmd_weyl(args) -> int:
         "center": float(model.argmax_points[0]),
         "defects": {str(k): v for k, v in defects.items()},
     }
-    _write_outputs(cfg, args, sweep, report)
+    _write_outputs(outputs, sweep, report)
     return 0
 
 

@@ -14,9 +14,13 @@ every spectral quantity from that matrix. A finite t = dt gives the exact
 step covariance of the Monte Carlo engine.
 
 The multiplication drift p + T_f with unit noise has the diagonal stationary
-covariance 1 / (2 |p + f|) on the grid, so its norm and pairings are sums over
-the grid. ``_StableShift``, which the analytic sweep builds once from its
-quantities, evaluates them all: numerators once, denominators once per point.
+covariance 1 / (2 |p + f|) on the grid, so its norm is 1 / (2 |p + esssup f|)
+and its pairings are sums over the grid. ``_StableShift``, which the analytic
+sweep builds once from its quantities, evaluates them all: the stability
+check and the norm in O(1) per point, and each pairing's terms only on the
+window where its vector is nonzero (a Weyl vector's support, the whole grid
+for the Gaussian), each pairing still summed over the whole grid so that
+numpy's pairwise sum groups its terms as it would without the window.
 
 ``finite_lyapunov_solve`` and ``assemble_drift_matrix`` are the brute-force
 dense route, kept independent of the kernel so the two can cross-check each
@@ -211,54 +215,79 @@ def noise_limit_xi(model: SpectralModel, p_sequence) -> XiEstimate:
     return XiEstimate(value=value, samples=tuple(samples), converged=converged)
 
 
+class _Pairing:
+    """sum(mu |h|^2 / den) over the grid for one real vector h, den =
+    4 (p + f)^2 ("quadratic") or 2 |p + f| ("stationary"). The numerator,
+    the shift p + f and the denominator live on ``window``, the slice of the
+    grid off which h vanishes; the quotient is a grid-sized array, zero
+    outside the window, summed in full. Its arrays are made once and
+    rewritten in place at every point."""
+
+    def __init__(self, model: MultiplicationSymbolModel, h: np.ndarray, window: slice,
+                 quadratic: bool):
+        """``h`` holds the vector on ``window`` and becomes the numerator."""
+        num = np.multiply(model.weights[window], np.square(h, out=h), out=h)
+        self._num, self._quadratic = num, quadratic
+        self._values = model.values[window]
+        self._shift, self._den = np.empty_like(num), np.empty_like(num)
+        self._quotient = np.zeros(model.values.shape)
+        self._window_quotient = self._quotient[window]
+
+    def at(self, p: float) -> float:
+        s = np.add(p, self._values, out=self._shift)
+        den = self._den
+        if self._quadratic:  # 4 (p + f)^2
+            np.multiply(np.multiply(4.0, s, out=den), s, out=den)
+        else:  # 2 |p + f|
+            np.multiply(2.0, np.negative(s, out=den), out=den)
+        np.divide(self._num, den, out=self._window_quotient)
+        return float(np.sum(self._quotient))
+
+
 class _StableShift:
     """The multiplication drift with unit noise at the points of one sweep,
-    for its quantities (parsed specs). A pairing's numerator mu |h|^2 is made
-    once, h the unit Gaussian ("quadratic", over 4 (p + f)^2) or the Weyl
-    vector at the leftmost argmax ("stationary", over 2 |p + f|). ``at(p)``
-    checks strict stability (p + f < 0 on the grid), computes each denominator
-    once and returns the quantities. Each pairing is one sum over the whole
-    grid (a sum over the support of h, or a multiply by the reciprocal, would
-    change the last bits). Grid-sized arrays are made once per sweep and
-    rewritten in place: glibc returns freed arrays of this size to the system,
-    and the next allocation's page faults cost more than the arithmetic."""
+    for its quantities (parsed specs). ``at(p)`` checks strict stability,
+    p + esssup f < 0, and returns the quantities: the norm 1 / (2 |p +
+    esssup f|) in O(1), and each pairing from its ``_Pairing``, with h the
+    unit Gaussian (over 4 (p + f)^2, on the whole grid) or the Weyl vector
+    at the leftmost argmax (over 2 |p + f|, on the vector's window).
+    Rounding is monotone, so max(p + f) over the grid is exactly p + esssup
+    f. Each pairing is one sum over the whole grid (a sum over the window
+    alone, or a multiply by the reciprocal, would change the last bits).
+    Arrays are made once per sweep and rewritten in place: glibc returns
+    freed grid-sized arrays to the system, and the next allocation's page
+    faults cost more than the arithmetic."""
 
     def __init__(self, model: MultiplicationSymbolModel, specs):
         self._model = model
         self.weyl_vectors = {}  # k -> the Weyl vector of a weyl_pairing:k
-        self._pairings = [None if s.kind == "norm" else self._numerator(s) for s in specs]
-        self.shifted, self._quotient = np.empty_like(model.values), np.empty_like(model.values)
-        self._den = {kind: np.empty_like(model.values) for _, kind in filter(None, self._pairings)}
+        self._pairings = [None if s.kind == "norm" else self._pairing(s) for s in specs]
 
-    def _numerator(self, spec) -> tuple[np.ndarray, str]:
-        """mu |h|^2 of a pairing with h, and the kind of its denominator."""
+    def _pairing(self, spec) -> _Pairing:
         model = self._model
         if spec.kind == "gaussian_pairing":
-            return model.weights * np.abs(unit_gaussian_profile(model)) ** 2, "quadratic"
+            return _Pairing(model, unit_gaussian_profile(model), slice(None), True)
         vector = build_weyl_sequence(model, spec.k, float(model.argmax_points[0]))
         self.weyl_vectors[spec.k] = vector
-        return model.weights * np.abs(vector.coefficients) ** 2, "stationary"
+        return _Pairing(model, vector.coefficients[vector.window].copy(), vector.window, False)
 
     def at(self, p: float) -> list[float]:
-        s = np.add(float(p), self._model.values, out=self.shifted)
-        if np.any(s >= 0.0):
+        p = float(p)
+        top = p + self._model.esssup
+        if top >= 0.0:
             raise NumericalError(f"p + f >= 0 on the grid at p={p}: drift not strictly "
                                  f"stable (p* = {-self._model.esssup})")
-        den = self._den
-        if "quadratic" in den:  # 4 (p + f)^2
-            np.multiply(np.multiply(4.0, s, out=den["quadratic"]), s, out=den["quadratic"])
-        if "stationary" in den:  # 2 |p + f|
-            np.multiply(2.0, np.negative(s, out=den["stationary"]), out=den["stationary"])
-        return [float(1.0 / (2.0 * -np.max(s))) if r is None else
-                float(np.sum(np.divide(r[0], den[r[1]], out=self._quotient)))
-                for r in self._pairings]
+        return [1.0 / (2.0 * -top) if r is None else r.at(p) for r in self._pairings]
 
 
 def unit_gaussian_profile(model: MultiplicationSymbolModel) -> np.ndarray:
-    """Gaussian exp(-x^2/2) on the grid, normalized in the weighted l2 norm."""
-    h = np.exp(-0.5 * model.grid**2)
-    nrm2 = float(np.sum(model.weights * h * h))
-    return h / np.sqrt(nrm2)
+    """Gaussian exp(-x^2/2) on the grid, normalized in the weighted l2 norm;
+    computed in place, with one grid-sized temporary for the norm."""
+    h = np.square(model.grid)
+    np.exp(np.multiply(-0.5, h, out=h), out=h)
+    terms = np.multiply(model.weights, h)
+    nrm2 = float(np.sum(np.multiply(terms, h, out=terms)))
+    return np.divide(h, np.sqrt(nrm2), out=h)
 
 
 def assemble_drift_matrix(model: SpectralModel, p: float) -> np.ndarray:

@@ -443,12 +443,11 @@ def write_sweep_csv(sweep: SweepResult, quantity: str, path) -> None:
     provenance is the sweep's engine), rows ended by \\r\\n."""
     if quantity not in sweep.quantities:
         raise ValueError(f"quantity {quantity!r} not present in sweep")
-    vals = sweep.quantities[quantity]
     errs = sweep.stderrs.get(quantity)
+    errs = [""] * sweep.p_values.size if errs is None else [repr(e) for e in errs.tolist()]
     buf = io.StringIO(newline="")
     writer = csv.writer(buf)
     writer.writerow(["p", "quantity", "value", "stderr", "provenance"])
-    for i, p in enumerate(sweep.p_values):
-        err = "" if errs is None else repr(float(errs[i]))
-        writer.writerow([repr(float(p)), quantity, repr(float(vals[i])), err, sweep.engine])
+    for p, v, err in zip(sweep.p_values.tolist(), sweep.quantities[quantity].tolist(), errs):
+        writer.writerow([repr(p), quantity, repr(v), err, sweep.engine])
     _write_file(path, buf.getvalue().encode())

@@ -202,7 +202,8 @@ class MultiplicationSymbolModel:
         i1 = int(round(hi / spacing))
         if i1 - i0 < 1:
             raise ValueError("domain: grid would contain fewer than 2 points")
-        x = np.arange(i0, i1 + 1, dtype=float) * spacing
+        x = np.arange(i0, i1 + 1, dtype=float)
+        x *= spacing
         # a scalar-only symbol rejects the array with ValueError or TypeError,
         # or returns the wrong shape; any other error is a bug and propagates
         try:
@@ -239,11 +240,14 @@ class MultiplicationSymbolModel:
 
 @dataclass(frozen=True, eq=False)
 class WeylVector:
-    """Normalized near-eigenvector of a multiplication operator."""
+    """Normalized near-eigenvector of a multiplication operator. Its
+    coefficients vanish outside ``window``, the grid slice that elementwise
+    work on the vector is restricted to (by default the whole grid)."""
 
     coefficients: np.ndarray
     width_index: int
     center: float
+    window: slice = field(default_factory=lambda: slice(None))
 
     def __post_init__(self):
         u = np.asarray(self.coefficients, dtype=float)
@@ -350,7 +354,13 @@ def _weyl_support(model: MultiplicationSymbolModel, k: int,
 
 def build_weyl_sequence(model: MultiplicationSymbolModel, k: int, center: float) -> WeylVector:
     """Triangular bump of half-width 1/k at ``center`` (``_weyl_support``),
-    unit-normalized in the weighted l2 norm of the grid.
+    unit-normalized in the weighted l2 norm of the grid; the vector carries
+    the window of ``_weyl_support``.
+
+    The squared norm is computed on the window only, into a grid-sized array
+    of zeros that is then summed in full: numpy's pairwise sum groups terms
+    by their position in the array, so a sum over the window alone would
+    change the last bits. That array then holds the coefficients.
 
     Raises:
         NumericalError: if fewer than 3 grid points fall inside the support.
@@ -359,19 +369,26 @@ def build_weyl_sequence(model: MultiplicationSymbolModel, k: int, center: float)
         raise ValueError("k: width index must be a positive integer")
     k = int(k)
     window, bump = _weyl_support(model, k, center)
-    u = np.zeros_like(model.grid)
-    u[window] = bump
-    nrm2 = float(np.sum(model.weights * u * u))
-    u = u / np.sqrt(nrm2)
-    return WeylVector(coefficients=u, width_index=k, center=float(center))
+    u = np.zeros(model.grid.shape)
+    part = u[window]
+    np.multiply(np.multiply(model.weights[window], bump, out=part), bump, out=part)
+    nrm2 = float(np.sum(u))
+    np.divide(bump, np.sqrt(nrm2), out=part)
+    return WeylVector(coefficients=u, width_index=k, center=float(center), window=window)
 
 
 def weyl_defect(model: MultiplicationSymbolModel, vector: WeylVector, lambda_star: float) -> float:
     """Weighted l2 norm of (f - lambda*) u; bounded by sup |f - lambda*| over
-    the support of u."""
-    u = vector.coefficients
-    d2 = np.sum(model.weights * (model.values - lambda_star) ** 2 * u * u)
-    return float(np.sqrt(d2))
+    the support of u. The terms are computed on the vector's window and
+    summed over the whole grid, zeros included, as ``build_weyl_sequence``
+    sums its norm."""
+    window = vector.window
+    u = vector.coefficients[window]
+    terms = np.zeros(model.values.shape)
+    part = terms[window]
+    np.multiply(model.weights[window], (model.values[window] - lambda_star) ** 2, out=part)
+    np.multiply(np.multiply(part, u, out=part), u, out=part)
+    return float(np.sqrt(np.sum(terms)))
 
 
 def resolvent_bound_check(matrix, z: complex) -> bool:

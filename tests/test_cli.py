@@ -480,13 +480,16 @@ class TestAnalyticCommand:
     # jordan_dense_noise sweeps non-dyadic p under complex dense noise, so
     # its values are inexact and pin the kernel's last-bit rounding; the
     # quadratic_symbol ones pin the multiplication model's norm and Gaussian
-    # pairing summed over the whole grid
+    # pairing summed over the whole grid; table_symbol pins a tabulated
+    # symbol on a nonuniform grid, with its argmax off-centre, so that the
+    # window of weyl_pairing:2 is clipped at the last node
     GOLDEN_CONFIGS = {
         "single_mode": CONFIG_DIR / "single_mode.json",
         "jordan_block": CONFIG_DIR / "jordan_block.json",
         "jordan_dense_noise": DATA_DIR / "jordan_dense_noise.json",
         "quadratic_symbol": CONFIG_DIR / "quadratic_symbol.json",
         "quadratic_symbol_coarse": CONFIG_DIR / "quadratic_symbol_coarse.json",
+        "table_symbol": DATA_DIR / "table_symbol.json",
     }
 
     @pytest.mark.parametrize("name", list(GOLDEN_CONFIGS))
@@ -539,6 +542,46 @@ class TestOutputFiles:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: output {out}: cannot write")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["analytic", "simulate"])
+    def test_unwritable_output_fails_before_any_write(self, command, tmp_path, capsys):
+        # every output is checked before the sweep: a directory in the place
+        # of the second CSV leaves the first CSV and the report as the
+        # earlier run wrote them
+        cfg = json.loads((CONFIG_DIR / "jordan_block.json").read_text())
+        if command == "simulate":
+            cfg["engine"] = {"kind": "empirical", "dt": 0.05, "horizon": 4.0,
+                             "n_trajectories": 64, "master_seed": 3}
+        cfg["sweep"]["count"] = 4  # the earlier run writes different bytes
+        out = tmp_path / "out"
+        assert run(command, "--config", write_json(tmp_path, cfg, "earlier.json"),
+                   "--out", out) == 0
+        cfg["sweep"]["count"] = 7
+        earlier = {name: (out / name).read_bytes()
+                   for name in ("sweep_block_entry_1_1.csv", "report.json")}
+        blocked = out / "sweep_block_entry_1_2.csv"
+        blocked.unlink()
+        blocked.mkdir()
+        capsys.readouterr()
+        assert run(command, "--config", write_json(tmp_path, cfg), "--out", out) == 2
+        captured = capsys.readouterr()
+        # simulate's pre-flight may warn of a short horizon first
+        assert captured.err.splitlines()[-1] == f"config error: output {blocked}: cannot " \
+                                                "write (not a regular file)"
+        assert "exponent" not in captured.out  # no sweep was reported
+        for name, data in earlier.items():
+            assert (out / name).read_bytes() == data, name
+        assert blocked.is_dir() and not any(blocked.iterdir())
+
+    def test_weyl_checks_its_outputs_before_the_probe(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        (out / "report.json").mkdir(parents=True)
+        monkeypatch.setattr(cli, "weyl_divergence_probe", None)  # must not be reached
+        assert run("weyl", "--config", CONFIG_DIR / "quadratic_symbol.json", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: output {out / 'report.json'}: cannot write " \
+                      "(not a regular file)\n"
+        assert sorted(path.name for path in out.iterdir()) == ["report.json"]
 
     def test_directory_in_place_of_an_output_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -777,6 +820,14 @@ class TestWeylCommand:
         assert run("weyl", "--config", CONFIG_DIR / "quadratic_symbol.json", "--out", out,
                    "--format", "csv") == 0
         assert_matches_golden(out, "quadratic_symbol_weyl")
+
+    def test_table_symbol_csv_bytes_match_golden(self, tmp_path, capsys):
+        # a tabulated symbol on a nonuniform grid; the window of k = 2 is
+        # clipped at the last node
+        out = tmp_path / "out"
+        assert run("weyl", "--config", DATA_DIR / "table_symbol.json", "--out", out,
+                   "--format", "csv") == 0
+        assert_matches_golden(out, "table_symbol_weyl")
 
     def test_rejects_spectral_model(self, capsys):
         assert run("weyl", "--config", CONFIG_DIR / "single_mode.json") == 2

@@ -250,9 +250,9 @@ class TestAnalyticSweep:
         assert list(sweep.quantities) == list(cfg.quantities)
 
     def test_multiplication_sweep_rewrites_one_set_of_arrays(self, monkeypatch):
-        # the pairings of both kinds share one _StableShift per sweep; its
-        # arrays keep their identity from point to point, and each series is
-        # bit-identical to the series swept alone
+        # the pairings of both kinds share one _StableShift per sweep; each
+        # pairing's arrays keep their identity from point to point, and each
+        # series is bit-identical to the series swept alone
         model = MultiplicationSymbolModel.from_function(lambda x: -np.square(x))
         grid = make_p_grid(0.0, -0.1, 5)
         names = ["weyl_pairing:3", "norm", "gaussian_pairing", "weyl_pairing:5"]
@@ -260,8 +260,8 @@ class TestAnalyticSweep:
 
         class Recorded(scaling._StableShift):
             def at(self, p):
-                seen.append((self, [id(a) for a in (self.shifted, self._quotient,
-                                                    *self._den.values())]))
+                seen.append((self, [id(a) for r in self._pairings if r is not None
+                                    for a in (r, r._num, r._shift, r._den, r._quotient)]))
                 return super().at(p)
 
         monkeypatch.setattr(scaling, "_StableShift", Recorded)
@@ -269,7 +269,9 @@ class TestAnalyticSweep:
         assert len(seen) == grid.size
         assert len({id(shift) for shift, _ in seen}) == 1
         assert len({tuple(ids) for _, ids in seen}) == 1
-        assert len(seen[0][1]) == 4  # shifted, quotient, one denominator per kind
+        # three pairings, each with its numerator, shift, denominator and
+        # quotient; the norm has none
+        assert len(seen[0][1]) == 3 * 5
         for name in names:
             alone = run_parameter_sweep(model, grid, [name])
             assert np.array_equal(sweep.quantities[name], alone.quantities[name]), name
