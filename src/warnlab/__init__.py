@@ -18,19 +18,13 @@ from .spectrum import (
     bifurcation_parameter,
     build_weyl_sequence,
     curve_continuity_violations,
-    resolvent_bound_check,
     spectral_abscissa,
     weyl_defect,
 )
 from .lyapunov import (
     XiEstimate,
-    assemble_drift_matrix,
-    finite_lyapunov_solve,
-    jordan_stationary_covariance,
     model_covariance,
     noise_limit_xi,
-    stationary_covariance_entry,
-    unit_gaussian_profile,
 )
 from .sde import (
     EmpiricalCovariance,
@@ -53,7 +47,7 @@ from .scaling import (
     weyl_divergence_probe,
     write_sweep_csv,
 )
-from .config import ExperimentConfig, SweepSettings, load_config, resolve_config
+from .config import ExperimentConfig, SweepSettings, load_config
 
 __version__ = "0.1.0"
 
@@ -76,29 +70,22 @@ __all__ = [
     "WarningSignVerdict",
     "WeylVector",
     "XiEstimate",
-    "assemble_drift_matrix",
     "bifurcation_parameter",
     "build_weyl_sequence",
     "classify_warning_sign",
     "curve_continuity_violations",
-    "finite_lyapunov_solve",
     "fit_power_law",
     "fit_quantity",
-    "jordan_stationary_covariance",
     "load_config",
     "make_p_grid",
     "model_covariance",
     "noise_limit_xi",
     "parse_quantity",
-    "resolve_config",
-    "resolvent_bound_check",
     "run_parameter_sweep",
     "select_window",
     "simulate_ensemble",
     "spectral_abscissa",
     "splitmix64",
-    "stationary_covariance_entry",
-    "unit_gaussian_profile",
     "weyl_defect",
     "weyl_divergence_probe",
     "write_sweep_csv",

@@ -21,10 +21,6 @@ check and the norm in O(1) per point, and each pairing's terms only on the
 window where its vector is nonzero (a Weyl vector's support, the whole grid
 for the Gaussian), each pairing still summed over the whole grid so that
 numpy's pairwise sum groups its terms as it would without the window.
-
-``finite_lyapunov_solve`` and ``assemble_drift_matrix`` are the brute-force
-dense route, kept independent of the kernel so the two can cross-check each
-other.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ import numpy as np
 from .errors import NumericalError
 from .spectrum import MultiplicationSymbolModel, SpectralModel, build_weyl_sequence
 
-_HERMITIAN_TOL = 1e-10
 _XI_TOL = 1e-8
 # |z t| up to which the time moments come from their Taylor series; above it
 # the upward recurrence amplifies rounding by n / |z t| per step, a bounded
@@ -112,84 +107,6 @@ def block_pair_covariance(lam_k: complex, m_k: int, lam_j: complex, m_j: int, c_
                 w = num[a + b] / (math.factorial(a) * math.factorial(b))
                 v[: m_k - a, : m_j - b] += c[a:, b:] * w / den[a + b]
     return v
-
-
-def stationary_covariance_entry(lambda_k: complex, lambda_j: complex, b_kj: complex, sigma: float) -> complex:
-    """Closed-form covariance pairing -sigma^2 b_kj / (lambda_k + conj(lambda_j)).
-
-    No command calls it; ``tests/test_acceptance.py`` imports it for the
-    simple-mode oracle.
-
-    Raises:
-        NumericalError: on a degenerate on-axis pair (denominator zero) or if
-            either eigenvalue fails strict stability.
-    """
-    lk = complex(lambda_k)
-    lj = complex(lambda_j)
-    denom = lk + lj.conjugate()
-    if denom == 0:
-        raise NumericalError(
-            f"degenerate pair: lambda_k + conj(lambda_j) = 0 for ({lk}, {lj})"
-        )
-    sigma = float(sigma)
-    if sigma < 0.0:
-        raise ValueError("sigma: must be >= 0")
-    return complex(block_pair_covariance(lk, 1, lj, 1, [[(sigma * sigma) * complex(b_kj)]],
-                                         math.inf)[0, 0])
-
-
-def jordan_stationary_covariance(lam: complex, m: int, noise_block, sigma: float) -> np.ndarray:
-    """Stationary coordinate covariance of a single Jordan block: the solution
-    of J V + V J^H = -sigma^2 C for J = lam I + N (superdiagonal ones).
-
-    No command calls it; ``tests/test_acceptance.py`` imports it for the
-    Jordan-block oracles."""
-    lam = complex(lam)
-    if lam.real >= 0.0:
-        raise NumericalError(f"Jordan block eigenvalue must satisfy Re(lambda) < 0, got {lam}")
-    if int(m) != m or m < 1:
-        raise ValueError("m: block size must be a positive integer")
-    m = int(m)
-    c = np.asarray(noise_block, dtype=complex)
-    if c.shape != (m, m):
-        raise ValueError(f"noise_block: expected shape ({m}, {m}), got {c.shape}")
-    scale = max(1.0, float(np.max(np.abs(c))))
-    if np.max(np.abs(c - c.conj().T)) > _HERMITIAN_TOL * scale:
-        raise ValueError("noise_block: must be Hermitian")
-    sigma = float(sigma)
-    if sigma < 0.0:
-        raise ValueError("sigma: must be >= 0")
-    v = block_pair_covariance(lam, m, lam, m, (sigma * sigma) * c, math.inf)
-    return 0.5 * (v + v.conj().T)
-
-
-def finite_lyapunov_solve(a, c, sigma: float) -> np.ndarray:
-    """Dense Kronecker solve of A V + V A^H = -sigma^2 C.
-
-    Brute-force oracle: vectorizes the identity row-major and solves the
-    n^2 x n^2 system directly. No structure of A is exploited. No command
-    calls it; ``tests/test_acceptance.py`` imports it as the dense oracle.
-    """
-    a = np.asarray(a, dtype=complex)
-    c = np.asarray(c, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or c.shape != a.shape:
-        raise ValueError("finite_lyapunov_solve: A and C must be square with equal shapes")
-    eigs = np.linalg.eigvals(a)
-    if float(np.max(eigs.real)) >= 0.0:
-        raise NumericalError(
-            f"finite_lyapunov_solve: spectrum not strictly stable (max Re = {np.max(eigs.real)})"
-        )
-    n = a.shape[0]
-    eye = np.eye(n)
-    kron = np.kron(a, eye) + np.kron(eye, a.conj())
-    try:
-        vec = np.linalg.solve(kron, -(float(sigma) ** 2) * c.reshape(-1))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError("finite_lyapunov_solve: Kronecker system is singular") from exc
-    if not np.all(np.isfinite(vec)):
-        raise NumericalError("finite_lyapunov_solve: non-finite solution")
-    v = vec.reshape(n, n)
-    return 0.5 * (v + v.conj().T)
 
 
 def noise_limit_xi(model: SpectralModel, p_sequence) -> XiEstimate:
@@ -288,21 +205,6 @@ def unit_gaussian_profile(model: MultiplicationSymbolModel) -> np.ndarray:
     terms = np.multiply(model.weights, h)
     nrm2 = float(np.sum(np.multiply(terms, h, out=terms)))
     return np.divide(h, np.sqrt(nrm2), out=h)
-
-
-def assemble_drift_matrix(model: SpectralModel, p: float) -> np.ndarray:
-    """Block-diagonal matrix of the drift at p in the (generalized) eigenbasis:
-    one Jordan block lam_k I + N per mode.
-
-    No command calls it; ``tests/test_lyapunov.py`` builds the dense oracle's
-    drift with it (``tests/test_acceptance.py`` writes its matrices out)."""
-    dim = model.total_dim
-    a = np.zeros((dim, dim), dtype=complex)
-    for _, lam, _, rows in model.modes(p):
-        i = np.arange(rows.start, rows.stop)
-        a[i, i] = lam
-        a[i[:-1], i[1:]] = 1.0
-    return a
 
 
 def model_covariance(model: SpectralModel, p: float, t: float) -> np.ndarray:

@@ -23,7 +23,6 @@ DEFAULT_HALF_WIDTH = 10.0
 DEFAULT_SPACING = 1e-3
 
 _BISECTION_TOL = 1e-12
-_RESOLVENT_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -389,29 +388,6 @@ def weyl_defect(model: MultiplicationSymbolModel, vector: WeylVector, lambda_sta
     np.multiply(model.weights[window], (model.values[window] - lambda_star) ** 2, out=part)
     np.multiply(np.multiply(part, u, out=part), u, out=part)
     return float(np.sqrt(np.sum(terms)))
-
-
-def resolvent_bound_check(matrix, z: complex) -> bool:
-    """Check ||(A - z)^-1||_2 >= 1/dist(z, spec(A)) - 1e-9.
-
-    Raises:
-        NumericalError: if z is an eigenvalue of A or A - z Id is numerically
-            singular.
-    """
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix: must be square")
-    eigs = np.linalg.eigvals(a)
-    dist = float(np.min(np.abs(eigs - z)))
-    if dist == 0.0:
-        raise NumericalError(f"z={z!r} is an eigenvalue of the matrix")
-    shifted = a - z * np.eye(a.shape[0])
-    svals = np.linalg.svd(shifted, compute_uv=False)
-    smin = float(svals[-1])
-    if smin <= 1e-14 * max(1.0, float(svals[0])):
-        raise NumericalError(f"matrix - z*Id numerically singular at z={z!r}")
-    norm_inv = 1.0 / smin
-    return norm_inv >= 1.0 / dist - _RESOLVENT_SLACK
 
 
 def curve_continuity_violations(

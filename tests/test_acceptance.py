@@ -21,19 +21,21 @@ from warnlab import (
     bifurcation_parameter,
     build_weyl_sequence,
     classify_warning_sign,
-    finite_lyapunov_solve,
     fit_quantity,
-    jordan_stationary_covariance,
     make_p_grid,
     noise_limit_xi,
-    resolvent_bound_check,
     run_parameter_sweep,
     simulate_ensemble,
-    stationary_covariance_entry,
     weyl_defect,
     weyl_divergence_probe,
 )
 from warnlab.cli import main as cli_main
+from oracles import (
+    finite_lyapunov_solve,
+    jordan_stationary_covariance,
+    resolvent_bound_check,
+    stationary_covariance_entry,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MASTER_SEED = 20260813

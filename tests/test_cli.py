@@ -482,7 +482,8 @@ class TestAnalyticCommand:
     # quadratic_symbol ones pin the multiplication model's norm and Gaussian
     # pairing summed over the whole grid; table_symbol pins a tabulated
     # symbol on a nonuniform grid, with its argmax off-centre, so that the
-    # window of weyl_pairing:2 is clipped at the last node
+    # window of weyl_pairing:2 is clipped at the last node; constant_symbol
+    # pins the constant symbol, whose argmax set is the whole grid
     GOLDEN_CONFIGS = {
         "single_mode": CONFIG_DIR / "single_mode.json",
         "jordan_block": CONFIG_DIR / "jordan_block.json",
@@ -490,6 +491,7 @@ class TestAnalyticCommand:
         "quadratic_symbol": CONFIG_DIR / "quadratic_symbol.json",
         "quadratic_symbol_coarse": CONFIG_DIR / "quadratic_symbol_coarse.json",
         "table_symbol": DATA_DIR / "table_symbol.json",
+        "constant_symbol": DATA_DIR / "constant_symbol.json",
     }
 
     @pytest.mark.parametrize("name", list(GOLDEN_CONFIGS))
@@ -498,6 +500,18 @@ class TestAnalyticCommand:
         assert run("analytic", "--config", self.GOLDEN_CONFIGS[name], "--out", out,
                    "--format", "csv") == 0
         assert_matches_golden(out, name)
+
+    def test_constant_symbol_laws(self, tmp_path, capsys):
+        # f = c is one eigenvalue of infinite multiplicity: the norm and every
+        # Weyl pairing are 1 / (2 |p + c|), the Gaussian pairing 1 / (4 (p + c)^2)
+        out = tmp_path / "out"
+        assert run("analytic", "--config", DATA_DIR / "constant_symbol.json", "--out", out) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["p_star"] == 0.5
+        laws = {"norm": -1.0, "gaussian_pairing": -2.0, "weyl_pairing:4": -1.0}
+        for quantity, exponent in laws.items():
+            fit = report["results"][quantity]["fit"]
+            assert fit["exponent"] == pytest.approx(exponent, abs=1e-6)
 
     def test_format_csv_only(self, tmp_path):
         out = tmp_path / "out"
@@ -828,6 +842,18 @@ class TestWeylCommand:
         assert run("weyl", "--config", DATA_DIR / "table_symbol.json", "--out", out,
                    "--format", "csv") == 0
         assert_matches_golden(out, "table_symbol_weyl")
+
+    def test_constant_symbol_matches_golden_and_laws(self, tmp_path, capsys):
+        # every Weyl vector is an exact eigenvector of a constant symbol
+        out = tmp_path / "out"
+        assert run("weyl", "--config", DATA_DIR / "constant_symbol.json", "--out", out) == 0
+        report = json.loads((out / "report.json").read_text())
+        for k in (2, 8):
+            assert report["weyl"]["defects"][str(k)] == 0.0
+            fit = report["results"][f"weyl_pairing:{k}"]["fit"]
+            assert fit["exponent"] == pytest.approx(-1.0, abs=1e-6)
+        (out / "report.json").unlink()
+        assert_matches_golden(out, "constant_symbol_weyl")
 
     def test_rejects_spectral_model(self, capsys):
         assert run("weyl", "--config", CONFIG_DIR / "single_mode.json") == 2

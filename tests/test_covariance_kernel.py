@@ -166,6 +166,20 @@ def test_near_critical_jordan_law():
             math.comb(2 * m - 2, m - 1) / 2.0 ** (2 * m - 1) * 1e3 ** (2 * m - 1), rel=1e-2)
 
 
+@pytest.mark.parametrize("zt", [-1.95 + 0.3j, -2.05 + 0.3j])
+@pytest.mark.parametrize("m", [8, 12])
+def test_large_jordan_step_covariance_at_series_radius(m, zt):
+    # z t = lam_k + conj(lam_j) sits just inside and just outside the series
+    # radius 2, where the upward recurrence of the time moments starts; at
+    # m = 12 it climbs to the moment of order 22
+    lam_k, lam_j = complex(zt.real / 2, zt.imag), zt.real / 2
+    g = random_c(m, m, m)
+    c = g @ g.conj().T
+    got = block_pair_covariance(lam_k, m, lam_j, m, c, 1.0)
+    want = van_loan_mp(lam_k, m, lam_j, m, c, 1.0)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= RTOL
+
+
 def test_stationary_needs_stable_pair():
     with pytest.raises(NumericalError, match="Re\\(lambda\\) < 0"):
         block_pair_covariance(-1.0, 2, 0.0 + 1j, 1, np.ones((2, 1)), math.inf)

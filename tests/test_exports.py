@@ -68,3 +68,25 @@ def test_no_dead_code_in_the_package():
             if not (read or name in warnlab.__all__ or name in scripts):
                 dead.append(f"{module}:{name}")
     assert dead == []
+
+
+def _readme_sketch_names(readme: str) -> set:
+    """Names the README's "Library sketch" calls as ``wl.<name>``."""
+    section = readme.partition("## Library sketch")[2].partition("\n## ")[0]
+    return set(re.findall(r"\bwl\.(\w+)", section))
+
+
+def test_every_export_has_a_user():
+    # an export is read by a statement of the package other than its
+    # definition and the re-export in __init__, or is part of the README's
+    # library sketch; an export that only tests import belongs in the tests
+    package = Path(warnlab.__file__).parent
+    trees = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))
+             if path.name != "__init__.py"]
+    definitions = {name: stmt for tree in trees for name, stmt in _top_level_names(tree)}
+    reads = [(stmt, _references(stmt)) for tree in trees for stmt in tree.body
+             if not isinstance(stmt, (ast.Import, ast.ImportFrom))]
+    sketch = _readme_sketch_names((package.parents[1] / "README.md").read_text())
+    unused = [name for name in warnlab.__all__ if name not in sketch
+              and not any(name in refs for stmt, refs in reads if stmt is not definitions.get(name))]
+    assert unused == []

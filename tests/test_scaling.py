@@ -12,9 +12,7 @@ from warnlab import (
     NumericalError,
     SpectralModel,
     SweepResult,
-    assemble_drift_matrix,
     classify_warning_sign,
-    finite_lyapunov_solve,
     fit_power_law,
     fit_quantity,
     load_config,
@@ -26,6 +24,7 @@ from warnlab import (
     weyl_divergence_probe,
     write_sweep_csv,
 )
+from oracles import assemble_drift_matrix, finite_lyapunov_solve
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

@@ -14,10 +14,8 @@ from warnlab import (
     EnsembleConfig,
     NumericalError,
     SpectralModel,
-    jordan_stationary_covariance,
     simulate_ensemble,
     splitmix64,
-    stationary_covariance_entry,
 )
 from warnlab import sde
 from warnlab.lyapunov import model_covariance
@@ -30,6 +28,7 @@ from warnlab.sde import (
     _seed_state_type,
     _seed_states,
 )
+from oracles import jordan_stationary_covariance, stationary_covariance_entry
 
 
 def reference_splitmix64(seed, index):

@@ -12,10 +12,10 @@ from warnlab import (
     bifurcation_parameter,
     build_weyl_sequence,
     curve_continuity_violations,
-    resolvent_bound_check,
     spectral_abscissa,
     weyl_defect,
 )
+from oracles import resolvent_bound_check
 
 
 def single_mode(slope=1.0, offset=0.0):
