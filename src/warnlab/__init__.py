@@ -44,8 +44,6 @@ from .scaling import (
     parse_quantity,
     run_parameter_sweep,
     select_window,
-    weyl_divergence_probe,
-    write_sweep_csv,
 )
 from .config import ExperimentConfig, SweepSettings, load_config
 
@@ -87,6 +85,4 @@ __all__ = [
     "spectral_abscissa",
     "splitmix64",
     "weyl_defect",
-    "weyl_divergence_probe",
-    "write_sweep_csv",
 ]

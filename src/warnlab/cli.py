@@ -15,13 +15,16 @@ weyl's multiplication model and k_values) are checked before it, so a config
 that ``validate`` rejects fails every command that accepts its kind with the
 same exit code and message.
 
-The three sweep commands report through one builder (``_sweep_report``):
-each quantity's series, its power-law fit (fitted once) and the verdict
-classified from that fit, with the command's and each grid point's wall
-time. simulate adds its seed record and Monte Carlo diagnostics, weyl each
-Weyl vector's defect. Every path a sweep command will write is checked
+The three sweep commands run ``run_parameter_sweep`` once (weyl on the
+``weyl_pairing:k`` quantities of ``weyl.k_values``) and report through one
+builder (``_sweep_report``): each quantity's series, its power-law fit
+(fitted once) and the verdict classified from that fit, with the command's
+and each grid point's wall time. simulate adds its seed record and Monte
+Carlo diagnostics, weyl each Weyl vector's defect. This module is the only
+one that writes files. Every path a sweep command will write is checked
 before it sweeps (``_planned_outputs``), so an output that cannot be
-written fails the run before any file changes.
+written fails the run before any file changes; each file is then written
+in one write over its old bytes (``_write_file``).
 
 Exit codes: 0 success, 2 configuration error (an output that cannot be
 written included), 3 numerical failure. The WARNLAB_LOG environment
@@ -31,7 +34,9 @@ variable (error, info, debug) controls verbosity.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import logging
 import os
@@ -45,14 +50,11 @@ from .config import ExperimentConfig, check_noise_threshold, load_config
 from .errors import ConfigError, NumericalError
 from .lyapunov import noise_limit_xi
 from .scaling import (
-    _classify,
-    _write_file,
+    classify_warning_sign,
     fit_quantity,
     make_p_grid,
     parse_quantity,
     run_parameter_sweep,
-    weyl_divergence_probe,
-    write_sweep_csv,
 )
 from .sde import _mixing, splitmix64
 from .spectrum import (
@@ -188,17 +190,46 @@ def _planned_outputs(cfg, args, names) -> tuple[Path, dict, Path | None]:
     return outdir, csvs, report
 
 
+def _write_file(path, data: bytes) -> None:
+    """Make ``data`` the whole content of ``path`` (created with mode
+    0o666 & ~umask, as ``open(path, "w")`` does): write over the old bytes,
+    then truncate to ``len(data)``. Opening with O_TRUNC would empty the file
+    first, and on ext4 closing a file truncated to zero starts its writeback,
+    which costs an order of magnitude more than the write."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
+def _sweep_csv(sweep, quantity: str) -> bytes:
+    """One quantity series as CSV with columns
+    p,quantity,value,stderr,provenance (stderr blank for analytic rows;
+    provenance is the sweep's engine), rows ended by \\r\\n."""
+    errs = sweep.stderrs.get(quantity)
+    errs = [""] * sweep.p_values.size if errs is None else [repr(e) for e in errs.tolist()]
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["p", "quantity", "value", "stderr", "provenance"])
+    for p, v, err in zip(sweep.p_values.tolist(), sweep.quantities[quantity].tolist(), errs):
+        writer.writerow([repr(p), quantity, repr(v), err, sweep.engine])
+    return buf.getvalue().encode()
+
+
 def _write_outputs(outputs, sweep, report: dict) -> None:
     """Write the sweep's CSVs and the report to the paths of
-    ``_planned_outputs``, each file in one write over its old bytes
-    (``scaling._write_file``); an OSError on the way is a ConfigError naming
-    the path."""
+    ``_planned_outputs``, each file with ``_write_file``; an OSError on the
+    way is a ConfigError naming the path."""
     outdir, csvs, report_path = outputs
     path = outdir
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         for name, path in csvs.items():
-            write_sweep_csv(sweep, name, path)
+            _write_file(path, _sweep_csv(sweep, name))
             log.info("wrote %s", path)
         if report_path is not None:
             path = report_path
@@ -229,7 +260,7 @@ def _quantity_result(cfg, sweep, name, xi) -> dict:
         result["fit_error"] = str(exc)
         print(f"{name}: no power-law fit ({exc})")
         return result
-    verdict = _classify(fit, xi)
+    verdict = classify_warning_sign(fit, xi)
     result["fit"] = dict(vars(fit))
     result["verdict"] = dict(vars(verdict))
     print(f"{name}: exponent {fit.exponent:.6g} (r^2 {fit.r_squared:.6g}) "
@@ -343,9 +374,10 @@ def cmd_weyl(args) -> int:
         raise ConfigError("model.kind: command 'weyl' requires a multiplication model")
     if not cfg.weyl_k_values:
         raise ConfigError("weyl.k_values: required for the weyl command")
-    _, grid, _, _ = _preflight(cfg)
-    outputs = _planned_outputs(cfg, args, [f"weyl_pairing:{k}" for k in cfg.weyl_k_values])
-    sweep = weyl_divergence_probe(model, cfg.weyl_k_values, grid)
+    p_star, grid, _, _ = _preflight(cfg)
+    names = [f"weyl_pairing:{k}" for k in cfg.weyl_k_values]
+    outputs = _planned_outputs(cfg, args, names)
+    sweep = run_parameter_sweep(model, grid, names, p_star=p_star)
     defects = {k: weyl_defect(model, sweep.weyl_vectors[k], model.esssup)
                for k in cfg.weyl_k_values}
     elapsed = time.perf_counter() - start
@@ -356,7 +388,7 @@ def cmd_weyl(args) -> int:
         print(f"{k:>6} {defect:>14.6e}")
     report["weyl"] = {
         "k_values": list(cfg.weyl_k_values),
-        "center": float(model.argmax_points[0]),
+        "center": sweep.weyl_vectors[cfg.weyl_k_values[0]].center,
         "defects": {str(k): v for k, v in defects.items()},
     }
     _write_outputs(outputs, sweep, report)

@@ -201,30 +201,6 @@ def _symbol_function(raw: dict, path: str):
     if kind == "constant":
         value = _as_number(_require(raw, "value", path), f"{path}.value")
         return lambda x: np.full_like(np.asarray(x, dtype=float), value)
-    if kind == "piecewise":
-        pieces = _require(raw, "pieces", path)
-        if not isinstance(pieces, list) or not pieces:
-            raise ConfigError(f"{path}.pieces: expected a non-empty list")
-        default = _as_number(raw.get("default", 0.0), f"{path}.default")
-        parsed = []
-        for i, piece in enumerate(pieces):
-            ppath = f"{path}.pieces[{i}]"
-            piece = _as_mapping(piece, ppath)
-            lo = _as_number(_require(piece, "lo", ppath), f"{ppath}.lo")
-            hi = _as_number(_require(piece, "hi", ppath), f"{ppath}.hi")
-            val = _as_number(_require(piece, "value", ppath), f"{ppath}.value")
-            if hi <= lo:
-                raise ConfigError(f"{ppath}: hi must exceed lo")
-            parsed.append((lo, hi, val))
-
-        def f(x):
-            arr = np.asarray(x, dtype=float)
-            out = np.full_like(arr, default)
-            for lo, hi, val in parsed:
-                out = np.where((arr >= lo) & (arr <= hi), val, out)
-            return out
-
-        return f
     raise ConfigError(f"{path}.kind: unknown symbol kind {kind!r}")
 
 
@@ -361,6 +337,8 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         elif isinstance(win, list) and len(win) == 2:
             lo = _as_number(win[0], f"fit_windows.{raw_key}[0]")
             hi = _as_number(win[1], f"fit_windows.{raw_key}[1]")
+            if hi <= lo:
+                raise ConfigError(f"fit_windows.{raw_key}: hi must exceed lo")
             fit_windows[key] = (lo, hi)
         else:
             raise ConfigError(f"fit_windows.{raw_key}: expected a window name or [lo, hi]")

@@ -11,16 +11,13 @@ its first point; a multiplication model's quantities come from the one
 ``lyapunov._StableShift`` the sweep builds. Scaling exponents are read off
 by ordinary least squares in log-log coordinates; by default fits use the
 last decade of distances |p - p*|, where the asymptotic laws dominate.
-``_classify`` turns one fit into a warning-sign verdict, so a caller that
-already holds the fit classifies without fitting again.
+``classify_warning_sign`` turns a fit the caller already holds into a
+warning-sign verdict. The module does no I/O: ``cli`` writes every output.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Mapping
@@ -30,7 +27,7 @@ import numpy as np
 from .errors import NumericalError
 from .lyapunov import XiEstimate, _StableShift, model_covariance
 from .sde import EnsembleConfig, simulate_ensemble, splitmix64
-from .spectrum import MultiplicationSymbolModel, SpectralModel, WeylVector, bifurcation_parameter
+from .spectrum import SpectralModel, WeylVector, bifurcation_parameter
 
 _MULTIPLICATION_KINDS = ("norm", "gaussian_pairing", "weyl_pairing")
 
@@ -324,13 +321,12 @@ def fit_power_law(distances, values) -> ScalingFit:
 
 
 def select_window(distances, window="last_decade") -> np.ndarray:
-    """Resolve a fit-window description to grid indices.
+    """Resolve a fit window to grid indices.
 
     ``"last_decade"`` keeps points within a factor 10 of the smallest
-    distance (at least 3 points); ``"all"`` keeps everything; a pair of
-    floats (lo, hi) keeps distances inside the closed interval; any other
-    sequence, a pair of ints included, is taken as explicit indices, which
-    must be distinct and lie in [0, len(distances)) (ValueError otherwise).
+    distance (at least 3 points); ``"all"`` keeps everything; a pair
+    (lo, hi) keeps distances inside the closed interval. Any other window is
+    a ValueError.
     """
     d = np.asarray(distances, dtype=float)
     if isinstance(window, str):
@@ -344,17 +340,12 @@ def select_window(distances, window="last_decade") -> np.ndarray:
                 idx.sort()
             return idx
         raise ValueError(f"window: unknown specification {window!r}")
-    win = tuple(window)
-    if len(win) == 2 and not isinstance(win[0], (int, np.integer)):
-        lo, hi = float(win[0]), float(win[1])
-        idx = np.nonzero((d >= lo) & (d <= hi))[0]
-        if idx.size < 3:
-            raise NumericalError(f"window [{lo}, {hi}]: fewer than 3 sweep points inside")
-        return idx
-    idx = np.asarray(win, dtype=int)
-    if np.unique(idx).size < idx.size or np.any((idx < 0) | (idx >= d.size)):
-        raise ValueError(f"window: indices {idx.tolist()} must be distinct and lie in "
-                         f"[0, {d.size})")
+    if len(window) != 2:
+        raise ValueError(f"window: expected a name or a (lo, hi) pair, got {window!r}")
+    lo, hi = float(window[0]), float(window[1])
+    idx = np.nonzero((d >= lo) & (d <= hi))[0]
+    if idx.size < 3:
+        raise NumericalError(f"window [{lo}, {hi}]: fewer than 3 sweep points inside")
     return idx
 
 
@@ -368,8 +359,8 @@ def fit_quantity(sweep: SweepResult, quantity: str, window="last_decade") -> Sca
     return replace(fit, window=tuple(int(i) for i in idx))
 
 
-def _classify(fit: ScalingFit, xi: XiEstimate | None = None) -> WarningSignVerdict:
-    """Warning-sign verdict of one power-law fit.
+def classify_warning_sign(fit: ScalingFit, xi: XiEstimate | None = None) -> WarningSignVerdict:
+    """Warning-sign verdict of one power-law fit, such as ``fit_quantity`` returns.
 
     diverging: fitted exponent < -0.5 with r_squared > 0.99. vanishing:
     exponent > 0.5. finite_limit: |exponent| <= 0.1 (with a converged noise
@@ -396,58 +387,3 @@ def _classify(fit: ScalingFit, xi: XiEstimate | None = None) -> WarningSignVerdi
     return WarningSignVerdict(
         classification=cls, fitted_exponent=float(exp), rationale=f"{base}; {note}"
     )
-
-
-def classify_warning_sign(sweep: SweepResult, quantity: str, xi: XiEstimate | None = None,
-                          window="last_decade") -> WarningSignVerdict:
-    """Classify the near-critical behavior of one quantity series: fit it
-    over ``window`` and apply ``_classify``'s rule to the fit."""
-    return _classify(fit_quantity(sweep, quantity, window), xi)
-
-
-def weyl_divergence_probe(model: MultiplicationSymbolModel, k_values, p_grid) -> SweepResult:
-    """Pairing series <V_inf u_k, u_k> for a family of Weyl vectors.
-
-    Each k, given once (ValueError on a repeat), is probed on the same grid;
-    the Weyl vectors are centered on the (leftmost) argmax point of the
-    symbol, and the result's ``weyl_vectors`` holds each of them by k. The
-    limits never interleave: k is fixed per series while p sweeps toward p*,
-    which is -esssup.
-    """
-    ks = [int(k) for k in k_values]
-    if not ks:
-        raise ValueError("k_values: need at least one width index")
-    quantities = [f"weyl_pairing:{k}" for k in ks]
-    return run_parameter_sweep(model, p_grid, quantities)
-
-
-def _write_file(path, data: bytes) -> None:
-    """Make ``data`` the whole content of ``path`` (created with mode
-    0o666 & ~umask, as ``open(path, "w")`` does): write over the old bytes,
-    then truncate to ``len(data)``. Opening with O_TRUNC would empty the file
-    first, and on ext4 closing a file truncated to zero starts its writeback,
-    which costs an order of magnitude more than the write."""
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
-    try:
-        view = memoryview(data)
-        while view:
-            view = view[os.write(fd, view):]
-        os.ftruncate(fd, len(data))
-    finally:
-        os.close(fd)
-
-
-def write_sweep_csv(sweep: SweepResult, quantity: str, path) -> None:
-    """Write one quantity series as CSV with columns
-    p,quantity,value,stderr,provenance (stderr blank for analytic rows;
-    provenance is the sweep's engine), rows ended by \\r\\n."""
-    if quantity not in sweep.quantities:
-        raise ValueError(f"quantity {quantity!r} not present in sweep")
-    errs = sweep.stderrs.get(quantity)
-    errs = [""] * sweep.p_values.size if errs is None else [repr(e) for e in errs.tolist()]
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(["p", "quantity", "value", "stderr", "provenance"])
-    for p, v, err in zip(sweep.p_values.tolist(), sweep.quantities[quantity].tolist(), errs):
-        writer.writerow([repr(p), quantity, repr(v), err, sweep.engine])
-    _write_file(path, buf.getvalue().encode())

@@ -27,7 +27,6 @@ from warnlab import (
     run_parameter_sweep,
     simulate_ensemble,
     weyl_defect,
-    weyl_divergence_probe,
 )
 from warnlab.cli import main as cli_main
 from oracles import (
@@ -131,14 +130,14 @@ def test_criterion_4_degenerate_noise_classifications():
             balanced = single_mode(sigma=lambda p: abs(p) ** 0.5, noise=b)
             sweep = run_parameter_sweep(balanced, grid, ["critical_diagonal"])
             xi = noise_limit_xi(balanced, grid)
-            verdict = classify_warning_sign(sweep, "critical_diagonal", xi=xi)
+            verdict = classify_warning_sign(fit_quantity(sweep, "critical_diagonal"), xi=xi)
             assert verdict.classification == "finite_limit", verdict.rationale
             assert abs(sweep.quantities["critical_diagonal"][-1] - b / 2.0) <= 1e-8
             assert abs(xi.value - (-0.5)) <= 1e-10
 
         fast = single_mode(sigma=lambda p: abs(p))
         sweep = run_parameter_sweep(fast, grid, ["critical_diagonal"])
-        verdict = classify_warning_sign(sweep, "critical_diagonal")
+        verdict = classify_warning_sign(fit_quantity(sweep, "critical_diagonal"))
         assert verdict.classification == "vanishing", verdict.rationale
 
 
@@ -166,14 +165,14 @@ def test_criterion_6_weyl_probe_divergence():
         )
         grid = make_p_grid(0.0, -(2.0**-4), 26)
         ks = (2, 5, 10)
-        probe = weyl_divergence_probe(model, ks, grid)
+        probe = run_parameter_sweep(model, grid, [f"weyl_pairing:{k}" for k in ks])
         for k in ks:
             name = f"weyl_pairing:{k}"
             fit = fit_quantity(probe, name)
             fitted_p = probe.p_values[list(fit.window)]
             assert np.all(np.abs(fitted_p) < 1.0 / (4.0 * k**2))
             assert abs(fit.exponent - (-1.0)) <= 0.05
-            verdict = classify_warning_sign(probe, name)
+            verdict = classify_warning_sign(fit)
             assert verdict.classification == "diverging", verdict.rationale
             vector = build_weyl_sequence(model, k, float(model.argmax_points[0]))
             assert weyl_defect(model, vector, model.esssup) <= 1.0 / k**2

@@ -227,6 +227,7 @@ class TestConfigNumbers:
         ({"critical_diag": "all"}, "fit_windows.critical_diag:"),
         ({"critical_diagonal": "all", " critical_diagonal": "all"},
          "fit_windows. critical_diagonal: a second window"),
+        ({"critical_diagonal": [0.5, 0.1]}, "fit_windows.critical_diagonal: hi must exceed lo"),
     ])
     def test_fit_window_key_must_name_one_swept_quantity(self, windows, dotted,
                                                          tmp_path, capsys):
@@ -246,6 +247,26 @@ class TestConfigNumbers:
     def test_repeated_quantity_is_config_error(self, config, key, value, dotted, command,
                                                tmp_path, capsys):
         cfg = json.loads((CONFIG_DIR / config).read_text())
+        cfg[key] = value
+        out = tmp_path / "out"
+        assert run(command, "--config", write_json(tmp_path, cfg), "--out", out) == 2
+        assert dotted in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value,dotted", [
+        ("fit_windows", {"norm": [0.5, 0.1]}, "fit_windows.norm: hi must exceed lo"),
+        ("fit_windows", {"weyl_pairing:2": [1e-3, 1e-3]},
+         "fit_windows.weyl_pairing:2: hi must exceed lo"),
+        # piecewise is not a symbol kind, a plateau included
+        ("model", {"kind": "multiplication", "grid": {"lo": -2.0, "hi": 2.0, "spacing": 0.01},
+                   "symbol": {"kind": "piecewise", "default": -1.0,
+                              "pieces": [{"lo": -0.5, "hi": 0.5, "value": 0.0}]}},
+         "model.symbol.kind: unknown symbol kind 'piecewise'"),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "analytic", "weyl"])
+    def test_rejected_config_fails_every_command(self, key, value, dotted, command,
+                                                 tmp_path, capsys):
+        cfg = json.loads((CONFIG_DIR / "quadratic_symbol.json").read_text())
         cfg[key] = value
         out = tmp_path / "out"
         assert run(command, "--config", write_json(tmp_path, cfg), "--out", out) == 2
@@ -590,12 +611,23 @@ class TestOutputFiles:
     def test_weyl_checks_its_outputs_before_the_probe(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "out"
         (out / "report.json").mkdir(parents=True)
-        monkeypatch.setattr(cli, "weyl_divergence_probe", None)  # must not be reached
+        monkeypatch.setattr(cli, "run_parameter_sweep", None)  # must not be reached
         assert run("weyl", "--config", CONFIG_DIR / "quadratic_symbol.json", "--out", out) == 2
         err = capsys.readouterr().err
         assert err == f"config error: output {out / 'report.json'}: cannot write " \
                       "(not a regular file)\n"
         assert sorted(path.name for path in out.iterdir()) == ["report.json"]
+
+    def test_csv_layout_and_determinism(self, tmp_path):
+        model = load_config(CONFIG_DIR / "single_mode.json").model
+        sweep = scaling.run_parameter_sweep(model, [-0.5, -0.25], ["critical_diagonal"])
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        cli._write_file(a, cli._sweep_csv(sweep, "critical_diagonal"))
+        cli._write_file(b, cli._sweep_csv(sweep, "critical_diagonal"))
+        assert a.read_bytes() == b.read_bytes()
+        lines = a.read_text().splitlines()
+        assert lines[0] == "p,quantity,value,stderr,provenance"
+        assert lines[1] == "-0.5,critical_diagonal,1.0,,analytic"
 
     def test_directory_in_place_of_an_output_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -783,16 +815,17 @@ class TestWeylCommand:
 
     def test_runs_the_probe_once(self, tmp_path, monkeypatch, capsys):
         calls = []
-        probe = cli.weyl_divergence_probe
+        sweep = cli.run_parameter_sweep
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return probe(*args, **kwargs)
+            return sweep(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "weyl_divergence_probe", counted)
+        monkeypatch.setattr(cli, "run_parameter_sweep", counted)
         assert run("weyl", "--config", CONFIG_DIR / "quadratic_symbol.json",
                    "--out", tmp_path / "out") == 0
         assert len(calls) == 1
+        assert calls[0][2] == ["weyl_pairing:2", "weyl_pairing:5", "weyl_pairing:10"]
 
     def test_builds_each_weyl_vector_once(self, tmp_path, monkeypatch, capsys):
         # the defects are taken of the vectors the sweep paired, bit for bit

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import warnlab
 import warnlab.lyapunov
+import warnlab.scaling
 
 
 def test_every_export_resolves_once():
@@ -20,6 +21,12 @@ def test_deleted_multiplication_closed_forms_stay_gone():
         assert name not in warnlab.__all__
         assert not hasattr(warnlab, name)
         assert not hasattr(warnlab.lyapunov, name)
+    # a Weyl probe is run_parameter_sweep on weyl_pairing:k, and cli writes
+    # every output
+    for name in ("weyl_divergence_probe", "write_sweep_csv"):
+        assert name not in warnlab.__all__
+        assert not hasattr(warnlab, name)
+        assert not hasattr(warnlab.scaling, name)
 
 
 def _top_level_names(tree):

@@ -23,7 +23,6 @@ from warnlab import (
     run_parameter_sweep,
     weyl_defect,
 )
-from warnlab.config import _symbol_function
 from warnlab.lyapunov import _StableShift
 from warnlab.spectrum import _weyl_support
 
@@ -62,18 +61,21 @@ def whole_grid_sweep(model, p_values, k):
     return np.array(rows).T
 
 
-def _symbol(shape, a, b):
-    """-a (x - b)^2 with an interior argmax, or a x + b, whose argmax is the
-    last node (a > 0) or the first one (a < 0)."""
+def _symbol(shape, a, b, c=0.0):
+    """-a (x - b)^2 with an interior argmax; min(c, -a (x - b)^2), a plateau
+    at c whose argmax set spans every node within sqrt(-c / a) of b; or
+    a x + b, whose argmax is the last node (a > 0) or the first one (a < 0)."""
     if shape == "quadratic":
         return lambda x: -a * np.square(x - b)
+    if shape == "plateau":
+        return lambda x: np.minimum(c, -a * np.square(x - b))
     sign = 1.0 if shape == "increasing" else -1.0
     return lambda x: sign * a * x + b
 
 
 @st.composite
 def models(draw):
-    kind = draw(st.sampled_from(["function", "table", "piecewise"]))
+    kind = draw(st.sampled_from(["function", "table", "plateau"]))
     shape = draw(st.sampled_from(["quadratic", "increasing", "decreasing"]))
     a, b = draw(st.floats(0.1, 3.0)), draw(st.floats(-1.0, 1.0))
     lo, width = draw(st.floats(-4.0, 0.0)), draw(st.floats(0.5, 6.0))
@@ -86,14 +88,10 @@ def models(draw):
         steps = np.random.default_rng(seed).uniform(1e-3, 2e-2, int(width / 1e-2))
         x = lo + np.concatenate(([0.0], np.cumsum(steps)))
         return MultiplicationSymbolModel.from_table(x, _symbol(shape, a, b)(x))
-    cuts = sorted(draw(st.lists(st.floats(lo, hi), min_size=2, max_size=6, unique=True)))
-    levels = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(cuts) - 1,
-                           max_size=len(cuts) - 1))
-    raw = {"kind": "piecewise", "default": -3.0,
-           "pieces": [{"lo": c0, "hi": c1, "value": v}
-                      for c0, c1, v in zip(cuts, cuts[1:], levels) if c1 > c0]}
-    return MultiplicationSymbolModel.from_function(_symbol_function(raw, "symbol"), lo, hi,
-                                                   draw(st.floats(1e-3, 2e-2)))
+    # a flat top of half-width r, up to half the grid wide, anywhere on it
+    r, mid = draw(st.floats(0.0, width / 4.0)), lo + draw(st.floats(0.0, width))
+    return MultiplicationSymbolModel.from_function(_symbol("plateau", a, mid, -a * r * r),
+                                                   lo, hi, draw(st.floats(1e-3, 2e-2)))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -108,6 +106,8 @@ def test_windowed_path_matches_the_whole_grid_formulas(model, k, d0, factor):
     event("window clipped at the first node" if window.start == 0 else
           "window clipped at the last node" if window.stop == model.grid.size else
           "window inside the grid")
+    event("argmax set of several nodes" if model.argmax_points.size > 1 else
+          "argmax at one node")
     p_star = -model.esssup
     p_values = make_p_grid(p_star, p_star - d0, 6, factor=factor)
     k_name = f"weyl_pairing:{k}"

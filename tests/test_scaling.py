@@ -21,8 +21,6 @@ from warnlab import (
     parse_quantity,
     run_parameter_sweep,
     select_window,
-    weyl_divergence_probe,
-    write_sweep_csv,
 )
 from oracles import assemble_drift_matrix, finite_lyapunov_solve
 
@@ -126,26 +124,16 @@ class TestWindows:
         with pytest.raises(NumericalError):
             select_window(np.array([1.0, 0.5, 0.25]), (1e-6, 1e-5))
 
-    def test_explicit_indices_pass_through(self):
-        assert list(select_window(np.ones(6), [0, 2, 4])) == [0, 2, 4]
-
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             select_window(np.ones(4), "first_decade")
 
-    @pytest.mark.parametrize("window", [
-        [0, 1, 99],  # out of range: was an IndexError
-        [-1, 0, 1],  # negative: was wrapped to the last point
-        [2, 2, 2],  # repeated: was one point fitted three times
-    ])
-    def test_explicit_indices_must_be_distinct_and_in_range(self, window):
-        sweep = run_parameter_sweep(single_mode(), make_p_grid(0.0, -0.5, 6),
-                                    ["critical_diagonal"])
-        with pytest.raises(ValueError, match="distinct and lie in"):
-            fit_quantity(sweep, "critical_diagonal", window)
+    def test_pair_of_ints_is_a_distance_window(self):
+        assert list(select_window(np.array([1.0, 0.5, 0.25]), (0, 2))) == [0, 1, 2]
 
-    def test_pair_of_ints_is_indices(self):
-        assert list(select_window(np.array([1.0, 0.5, 0.25]), (0, 2))) == [0, 2]
+    def test_index_list_rejected(self):
+        with pytest.raises(ValueError, match="a name or a \\(lo, hi\\) pair"):
+            select_window(np.ones(6), [0, 2, 4])
 
 
 class TestAnalyticSweep:
@@ -321,7 +309,7 @@ class TestClassification:
 
     def test_constant_noise_diverges(self):
         sweep = run_parameter_sweep(single_mode(), self.grid(), ["critical_diagonal"])
-        verdict = classify_warning_sign(sweep, "critical_diagonal")
+        verdict = classify_warning_sign(fit_quantity(sweep, "critical_diagonal"))
         assert verdict.classification == "diverging"
         assert abs(verdict.fitted_exponent + 1.0) < 1e-10
 
@@ -330,7 +318,7 @@ class TestClassification:
         grid = self.grid()
         sweep = run_parameter_sweep(model, grid, ["critical_diagonal"])
         xi = noise_limit_xi(model, grid)
-        verdict = classify_warning_sign(sweep, "critical_diagonal", xi=xi)
+        verdict = classify_warning_sign(fit_quantity(sweep, "critical_diagonal"), xi=xi)
         assert verdict.classification == "finite_limit"
         assert abs(verdict.fitted_exponent) < 1e-10
         assert xi.converged and abs(xi.value - (-0.5)) < 1e-12
@@ -340,7 +328,7 @@ class TestClassification:
     def test_fast_noise_vanishes(self):
         model = single_mode(sigma=lambda p: abs(p))  # sigma^2 = p^2
         sweep = run_parameter_sweep(model, self.grid(), ["critical_diagonal"])
-        verdict = classify_warning_sign(sweep, "critical_diagonal")
+        verdict = classify_warning_sign(fit_quantity(sweep, "critical_diagonal"))
         assert verdict.classification == "vanishing"
         assert abs(verdict.fitted_exponent - 1.0) < 1e-10
 
@@ -354,7 +342,7 @@ class TestClassification:
         ]
         for model, expected in cases:
             sweep = run_parameter_sweep(model, grid, ["critical_diagonal"], config=cfg)
-            verdict = classify_warning_sign(sweep, "critical_diagonal")
+            verdict = classify_warning_sign(fit_quantity(sweep, "critical_diagonal"))
             assert verdict.classification == expected, verdict.rationale
 
     def test_noisy_steep_series_falls_back_with_rationale(self):
@@ -366,7 +354,7 @@ class TestClassification:
             p_values=p, quantities={"critical_diagonal": noisy}, p_star=0.0,
             engine="analytic",
         )
-        verdict = classify_warning_sign(sweep, "critical_diagonal", window="all")
+        verdict = classify_warning_sign(fit_quantity(sweep, "critical_diagonal", window="all"))
         if verdict.classification == "finite_limit":
             assert "inconclusive" in verdict.rationale
         else:
@@ -378,7 +366,7 @@ class TestClassification:
         sweep = SweepResult(
             p_values=p, quantities={"q": d**-0.3}, p_star=0.0, engine="analytic",
         )
-        verdict = classify_warning_sign(sweep, "q", window="all")
+        verdict = classify_warning_sign(fit_quantity(sweep, "q", window="all"))
         assert verdict.classification == "finite_limit"
         assert "inconclusive" in verdict.rationale
 
@@ -430,7 +418,7 @@ class TestWeylProbe:
             lambda x: np.zeros_like(np.asarray(x, float)), lo=-2.0, hi=2.0, spacing=1e-3
         )
         grid = make_p_grid(0.0, -0.5, 8)
-        probe = weyl_divergence_probe(flat, [2, 5], grid)
+        probe = run_parameter_sweep(flat, grid, ["weyl_pairing:2", "weyl_pairing:5"])
         for k in (2, 5):
             series = probe.quantities[f"weyl_pairing:{k}"]
             assert_allclose(series, 1.0 / (2.0 * np.abs(grid)), rtol=1e-12)
@@ -440,7 +428,7 @@ class TestWeylProbe:
     def test_quadratic_symbol_series_increases_toward_threshold(self):
         model = MultiplicationSymbolModel.from_function(lambda x: -np.square(x))
         grid = make_p_grid(0.0, -0.0625, 12)
-        probe = weyl_divergence_probe(model, [5], grid)
+        probe = run_parameter_sweep(model, grid, ["weyl_pairing:5"])
         series = probe.quantities["weyl_pairing:5"]
         assert np.all(np.diff(series) > 0)
 
@@ -448,19 +436,20 @@ class TestWeylProbe:
         # far below p* the bump sees an almost constant symbol
         model = MultiplicationSymbolModel.from_function(lambda x: -np.square(x))
         grid = np.array([-100.0, -10.0])
-        probe = weyl_divergence_probe(model, [5], grid)
+        probe = run_parameter_sweep(model, grid, ["weyl_pairing:5"])
         series = probe.quantities["weyl_pairing:5"]
         assert_allclose(series, 1.0 / (2.0 * np.abs(grid)), rtol=0.1)
 
     def test_repeated_k_rejected(self):
         model = MultiplicationSymbolModel.from_function(lambda x: -np.square(x))
         with pytest.raises(ValueError, match="named twice"):
-            weyl_divergence_probe(model, [2, 5, 2], make_p_grid(0.0, -0.5, 4))
+            run_parameter_sweep(model, make_p_grid(0.0, -0.5, 4),
+                                ["weyl_pairing:2", "weyl_pairing:5", "weyl_pairing:2"])
 
     def test_empty_k_values_rejected(self):
         model = MultiplicationSymbolModel.from_function(lambda x: -np.square(x))
-        with pytest.raises(ValueError):
-            weyl_divergence_probe(model, [], make_p_grid(0.0, -0.5, 4))
+        with pytest.raises(ValueError, match="at least one quantity"):
+            run_parameter_sweep(model, make_p_grid(0.0, -0.5, 4), [])
 
 
 class TestSweepResultAndCsv:
@@ -472,14 +461,3 @@ class TestSweepResultAndCsv:
                 p_star=0.0,
                 engine="analytic",
             )
-
-    def test_csv_layout_and_determinism(self, tmp_path):
-        grid = np.array([-0.5, -0.25])
-        sweep = run_parameter_sweep(single_mode(), grid, ["critical_diagonal"])
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_sweep_csv(sweep, "critical_diagonal", a)
-        write_sweep_csv(sweep, "critical_diagonal", b)
-        assert a.read_bytes() == b.read_bytes()
-        lines = a.read_text().splitlines()
-        assert lines[0] == "p,quantity,value,stderr,provenance"
-        assert lines[1] == "-0.5,critical_diagonal,1.0,,analytic"
