@@ -17,7 +17,6 @@ from .spectrum import (
     WeylVector,
     bifurcation_parameter,
     build_weyl_sequence,
-    curve_continuity_violations,
     spectral_abscissa,
     weyl_defect,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "bifurcation_parameter",
     "build_weyl_sequence",
     "classify_warning_sign",
-    "curve_continuity_violations",
     "fit_power_law",
     "fit_quantity",
     "load_config",

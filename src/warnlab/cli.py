@@ -7,13 +7,13 @@ Subcommands:
     validate   run the pre-flight alone and summarize the config
 
 Every command runs the same pre-flight before it sweeps (``_preflight``): p*,
-the power_of_p noise threshold, the grid, curve continuity and the spectral
-gap (spectral models) or every Weyl vector's support (multiplication models),
-then strict stability of the drift at every grid point and the mixing
-warning. Only a command's own requirements (simulate's empirical engine,
-weyl's multiplication model and k_values) are checked before it, so a config
-that ``validate`` rejects fails every command that accepts its kind with the
-same exit code and message.
+the power_of_p noise threshold, the grid and the spectral gap (spectral
+models) or every Weyl vector's support (multiplication models), then strict
+stability of the drift at every grid point and the mixing warning. Only a
+command's own requirements (simulate's empirical engine, weyl's
+multiplication model and k_values) are checked before it, so a config that
+``validate`` rejects fails every command that accepts its kind with the same
+exit code and message.
 
 The three sweep commands run ``run_parameter_sweep`` once (weyl on the
 ``weyl_pairing:k`` quantities of ``weyl.k_values``) and report through one
@@ -56,13 +56,12 @@ from .scaling import (
     parse_quantity,
     run_parameter_sweep,
 )
-from .sde import _mixing, splitmix64
+from .sde import _mixing
 from .spectrum import (
     MultiplicationSymbolModel,
     SpectralModel,
     _weyl_support,
     bifurcation_parameter,
-    curve_continuity_violations,
     spectral_abscissa,
     weyl_defect,
 )
@@ -106,12 +105,12 @@ def _preflight(cfg: ExperimentConfig):
     spectral abscissa at each grid point, ``sde._mixing`` of an ensemble).
 
     For spectral models: the power_of_p noise law vanishes at p* and has the
-    two grid points its limit Xi needs, the curves are continuous on the
-    grid, and one curve alone enters the spectral gap at p*. For
-    multiplication models: every Weyl vector, of ``weyl.k_values`` or a
-    quantity, has 3 grid points in its support. For every model the drift is
-    strictly stable at each grid point, and an empirical horizon too short to
-    mix at some grid point is warned of.
+    two grid points its limit Xi needs, and one curve alone enters the
+    spectral gap at p*. For multiplication models: every Weyl vector, of
+    ``weyl.k_values`` or a quantity, has 3 grid points in its support around
+    the model's ``weyl_center``. For every model the drift is strictly stable
+    at each grid point (each curve evaluated once there), and an empirical
+    horizon too short to mix at some grid point is warned of.
     """
     model = cfg.model
     p_star = bifurcation_parameter(model, cfg.p_star_bracket)
@@ -129,14 +128,6 @@ def _preflight(cfg: ExperimentConfig):
         if model.sigma_depends_on_p and grid.size < 2:
             raise ConfigError("sweep.count: a power_of_p noise law needs at least 2 grid "
                               "points for its noise limit Xi")
-        violations = curve_continuity_violations(model, grid, cfg.lipschitz_budget)
-        if violations:
-            for cid, p_lo, p_hi, jump in violations:
-                print(f"curve {cid}: jump {jump:.3e} between p={p_lo!r} and p={p_hi!r}",
-                      file=sys.stderr)
-            raise NumericalError(
-                f"{len(violations)} eigenvalue curve continuity violations on the sweep grid"
-            )
         for k, lam, _, _ in model.modes(p_star):
             if k != model.critical_index and lam.real > -cfg.spectral_gap:
                 raise ConfigError(
@@ -150,7 +141,7 @@ def _preflight(cfg: ExperimentConfig):
                  if q.startswith("weyl_pairing:")]
         for path, k in weyl:
             try:
-                _weyl_support(model, k, float(model.argmax_points[0]))
+                _weyl_support(model, k, model.weyl_center)
             except NumericalError as exc:
                 raise ConfigError(f"{path}: {exc}") from exc
     abscissae = [spectral_abscissa(model, float(p)) for p in grid]
@@ -355,7 +346,7 @@ def cmd_simulate(args) -> int:
     report = _sweep_report("simulate", cfg, sweep, xi, elapsed)
     report["seed_record"] = {
         "master_seed": ensemble.master_seed,
-        "point_seeds": [splitmix64(ensemble.master_seed, i) for i in range(grid.size)],
+        "point_seeds": list(sweep.point_seeds),
     }
     report["diagnostics"] = diagnostics = _mc_diagnostics(cfg, sweep, p_star, ratios)
     report["mixing_warning"] = short is not None

@@ -54,7 +54,6 @@ class ExperimentConfig:
     output_directory: str
     output_formats: tuple
     p_star_bracket: tuple
-    lipschitz_budget: float
     spectral_gap: float
     echo: dict
 
@@ -197,7 +196,11 @@ def _build_spectral_model(raw: dict, path: str) -> SpectralModel:
 def _symbol_function(raw: dict, path: str):
     kind = _require(raw, "kind", path)
     if kind == "neg_square":
-        return lambda x: -np.square(x)
+        def neg_square(x):  # negated in place: no second grid-sized array
+            square = np.square(x)
+            return np.negative(square, out=square)
+
+        return neg_square
     if kind == "constant":
         value = _as_number(_require(raw, "value", path), f"{path}.value")
         return lambda x: np.full_like(np.asarray(x, dtype=float), value)
@@ -363,9 +366,6 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("p_star_bracket: hi must exceed lo")
 
     validation_raw = _as_mapping(raw.get("validation", {}), "validation")
-    budget = _as_number(validation_raw.get("lipschitz_budget", 1e3), "validation.lipschitz_budget")
-    if budget <= 0:
-        raise ConfigError("validation.lipschitz_budget: must be > 0")
     gap = _as_number(validation_raw.get("spectral_gap", 1e-6), "validation.spectral_gap")
     if gap <= 0:
         raise ConfigError("validation.spectral_gap: must be > 0")
@@ -381,7 +381,6 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         output_directory=directory,
         output_formats=tuple(dict.fromkeys(formats_raw)),
         p_star_bracket=(b_lo, b_hi),
-        lipschitz_budget=budget,
         spectral_gap=gap,
         echo=raw,
     )

@@ -167,7 +167,7 @@ class _StableShift:
     p + esssup f < 0, and returns the quantities: the norm 1 / (2 |p +
     esssup f|) in O(1), and each pairing from its ``_Pairing``, with h the
     unit Gaussian (over 4 (p + f)^2, on the whole grid) or the Weyl vector
-    at the leftmost argmax (over 2 |p + f|, on the vector's window).
+    at the model's ``weyl_center`` (over 2 |p + f|, on the vector's window).
     Rounding is monotone, so max(p + f) over the grid is exactly p + esssup
     f. Each pairing is one sum over the whole grid (a sum over the window
     alone, or a multiply by the reciprocal, would change the last bits).
@@ -184,7 +184,7 @@ class _StableShift:
         model = self._model
         if spec.kind == "gaussian_pairing":
             return _Pairing(model, unit_gaussian_profile(model), slice(None), True)
-        vector = build_weyl_sequence(model, spec.k, float(model.argmax_points[0]))
+        vector = build_weyl_sequence(model, spec.k, model.weyl_center)
         self.weyl_vectors[spec.k] = vector
         return _Pairing(model, vector.coefficients[vector.window].copy(), vector.window, False)
 

@@ -94,7 +94,9 @@ class SweepResult:
     ``point_seconds`` holds the wall seconds each grid point's evaluation
     took, in grid order (empty when the sweep was not timed).
     ``weyl_vectors`` maps each ``weyl_pairing:k`` quantity's k to the Weyl
-    vector the sweep paired (empty for every other sweep)."""
+    vector the sweep paired (empty for every other sweep). ``point_seeds``
+    holds the master seed each grid point's ensemble ran with, in grid order
+    (empty for the closed forms)."""
 
     p_values: np.ndarray
     quantities: Mapping[str, np.ndarray]
@@ -103,6 +105,7 @@ class SweepResult:
     stderrs: Mapping[str, np.ndarray | None] = field(default_factory=dict)
     point_seconds: tuple[float, ...] = ()
     weyl_vectors: Mapping[int, WeylVector] = field(default_factory=dict)
+    point_seeds: tuple[int, ...] = ()
 
     def __post_init__(self):
         p = np.asarray(self.p_values, dtype=float)
@@ -220,14 +223,15 @@ def run_parameter_sweep(model, p_grid, quantities, config: EnsembleConfig | None
     comes from an ensemble simulation, which only spectral models have
     (ValueError otherwise). Points are evaluated one after another in grid
     order. The empirical engine derives one seed per grid point from the
-    ensemble master seed, making the whole sweep reproducible, and runs each
-    point's trajectory chunks on up to ``threads`` worker threads
-    (``simulate_ensemble``; None means all cores), accumulating second
-    moments only on the rows from the first to the last that the quantities
-    read; the closed forms ignore ``threads``. The wall time of each point's
-    evaluation is kept in ``point_seconds``. Without ``p_star`` the
-    threshold is located by ``bifurcation_parameter`` with its default
-    bracket. A quantity named twice is a ValueError.
+    ensemble master seed, making the whole sweep reproducible (the result
+    keeps them in ``point_seeds``), and runs each point's trajectory chunks
+    on up to ``threads`` worker threads (``simulate_ensemble``; None means
+    all cores), accumulating second moments only on the rows from the first
+    to the last that the quantities read; the closed forms ignore
+    ``threads``. The wall time of each point's evaluation is kept in
+    ``point_seconds``. Without ``p_star`` the threshold is located by
+    ``bifurcation_parameter`` with its default bracket. A quantity named
+    twice is a ValueError.
     """
     p = np.asarray(p_grid, dtype=float)
     if p.ndim != 1 or p.size < 1:
@@ -250,6 +254,8 @@ def run_parameter_sweep(model, p_grid, quantities, config: EnsembleConfig | None
         )
     if config is not None and not isinstance(model, SpectralModel):
         raise ValueError("an ensemble config is only available for spectral models")
+    seeds = () if config is None else tuple(splitmix64(config.master_seed, i)
+                                            for i in range(p.size))
     values = {name: np.empty(p.size) for name in names}
     errors = {name: (None if config is None else np.empty(p.size)) for name in names}
     seconds = []
@@ -262,8 +268,8 @@ def run_parameter_sweep(model, p_grid, quantities, config: EnsembleConfig | None
                 v = model_covariance(model, pi, math.inf)
                 vals, errs = [abs(v[index]) for index in indices], None
             else:
-                vals, errs = _eval_point_empirical(model, pi, indices, config,
-                                                   splitmix64(config.master_seed, i), threads)
+                vals, errs = _eval_point_empirical(model, pi, indices, config, seeds[i],
+                                                   threads)
             for spec, v in zip(specs, vals):
                 if not math.isfinite(v):
                     raise NumericalError(f"{spec.name} evaluates to {v}")
@@ -282,6 +288,7 @@ def run_parameter_sweep(model, p_grid, quantities, config: EnsembleConfig | None
         stderrs=errors,
         point_seconds=tuple(seconds),
         weyl_vectors={} if shift is None else shift.weyl_vectors,
+        point_seeds=seeds,
     )
 
 

@@ -354,8 +354,11 @@ def simulate_ensemble(model: SpectralModel, p: float, config: EnsembleConfig,
         list(pool.map(run_chunks, range(workers)))  # re-raises a worker's exception
     mean = stats.mean(axis=0)
     mat = 0.5 * (mean + mean.conj().T)
-    dev = stats - mean
-    se = np.sqrt(np.sum(np.abs(dev) ** 2, axis=0) / (n * (n - 1)))
+    # nothing reads stats after the mean: the deviations overwrite it and
+    # their squared moduli fill one real array, half the size of stats
+    stats -= mean
+    dev2 = np.abs(stats)
+    se = np.sqrt(np.sum(np.square(dev2, out=dev2), axis=0) / (n * (n - 1)))
     read = slice(modes.start - lo, modes.stop - lo)
     return EmpiricalCovariance(matrix=mat[read, read], standard_error=se[read, read],
                                mixing_warning=mixing_warning)

@@ -166,7 +166,7 @@ class MultiplicationSymbolModel:
         v = np.asarray(self.values, dtype=float)
         if x.ndim != 1 or x.size < 2:
             raise ValueError("grid: need a 1-d grid with at least 2 points")
-        if np.any(np.diff(x) <= 0):
+        if np.any(x[1:] <= x[:-1]):
             raise ValueError("grid: must be strictly increasing")
         if w.shape != x.shape or v.shape != x.shape:
             raise ValueError("weights/values: shape mismatch with grid")
@@ -184,6 +184,12 @@ class MultiplicationSymbolModel:
         am = np.asarray(self.argmax_points, dtype=float)
         am.flags.writeable = False
         object.__setattr__(self, "argmax_points", am)
+
+    @property
+    def weyl_center(self) -> float:
+        """Where every Weyl vector of the model is centred: the leftmost
+        argmax of the symbol."""
+        return float(self.argmax_points[0])
 
     @classmethod
     def from_function(
@@ -388,22 +394,3 @@ def weyl_defect(model: MultiplicationSymbolModel, vector: WeylVector, lambda_sta
     np.multiply(model.weights[window], (model.values[window] - lambda_star) ** 2, out=part)
     np.multiply(np.multiply(part, u, out=part), u, out=part)
     return float(np.sqrt(np.sum(terms)))
-
-
-def curve_continuity_violations(
-    model: SpectralModel, p_grid, lipschitz_budget: float = 1e3
-) -> list[tuple[int, float, float, float]]:
-    """Sample every curve on ``p_grid`` and flag jumps exceeding
-    ``lipschitz_budget * |dp|`` between adjacent points.
-
-    Returns a list of (curve id, p_left, p_right, jump) tuples; empty when all
-    curves look continuous at this resolution.
-    """
-    p = np.asarray(p_grid, dtype=float)
-    ids = [c.id for c in model.curves]
-    vals = np.array([[lam for _, lam, _, _ in model.modes(pi)] for pi in p],
-                    dtype=complex).reshape(p.size, len(ids))
-    jumps = np.abs(np.diff(vals, axis=0))
-    allowed = lipschitz_budget * np.abs(np.diff(p))
-    return [(cid, float(p[i]), float(p[i + 1]), float(jumps[i, col]))
-            for col, cid in enumerate(ids) for i in np.nonzero(jumps[:, col] > allowed)[0]]

@@ -21,6 +21,7 @@ from warnlab import (
     parse_quantity,
     run_parameter_sweep,
     select_window,
+    splitmix64,
 )
 from oracles import assemble_drift_matrix, finite_lyapunov_solve
 
@@ -395,6 +396,21 @@ class TestEmpiricalSweep:
                               runs[1].quantities["critical_diagonal"])
         assert np.array_equal(runs[0].quantities["critical_diagonal"],
                               runs[2].quantities["critical_diagonal"])
+
+    def test_point_seeds_are_the_seeds_each_point_ran_with(self, monkeypatch):
+        seen = []
+
+        def recorded(model, p, config, *args):
+            seen.append(config.master_seed)
+            return simulate(model, p, config, *args)
+
+        simulate = scaling.simulate_ensemble
+        monkeypatch.setattr(scaling, "simulate_ensemble", recorded)
+        grid = np.array([-0.5, -0.25, -0.125])
+        cfg = EnsembleConfig(dt=0.05, horizon=2.0, n_trajectories=4, master_seed=12)
+        sweep = run_parameter_sweep(single_mode(), grid, ["critical_diagonal"], config=cfg)
+        assert sweep.point_seeds == tuple(seen) == tuple(splitmix64(12, i) for i in range(3))
+        assert run_parameter_sweep(single_mode(), grid, ["critical_diagonal"]).point_seeds == ()
 
     def test_large_ensemble_fit_recovers_inverse_law(self):
         grid = np.array([-1.0, -0.5, -0.25, -0.125])

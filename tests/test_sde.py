@@ -541,6 +541,28 @@ class TestModeBlock:
         assert peaks[None] - peaks[range(3, 5)] >= 0.9 * stats_saving
 
 
+def test_reduction_peak_stays_below_twice_the_time_averages(monkeypatch):
+    # after the join the deviations overwrite the (N, r, r) time averages and
+    # their squared moduli fill one real array; few live generators per
+    # chunk leave the reduction to set the peak
+    monkeypatch.setattr(sde.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sde, "_CHUNK", 256)
+    model = SpectralModel(
+        curves=[EigenvalueCurve(k, lambda p, k=k: complex(p - k)) for k in range(4)],
+        noise_matrix=np.eye(4),
+        critical_index=0,
+    )
+    n = 16384
+    cfg = EnsembleConfig(dt=0.1, horizon=0.2, n_trajectories=n, master_seed=5)
+    tracemalloc.start()
+    try:
+        simulate_ensemble(model, -0.5, cfg, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * 4 * 4 * 16
+
+
 def test_mixing_rule_owns_ratio_and_threshold():
     ratios, broken = sde._mixing(20.0, [-0.5, -0.25, -0.125])
     assert ratios == [10.0, 5.0, 2.5]

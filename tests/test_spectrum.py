@@ -11,7 +11,6 @@ from warnlab import (
     SpectralModel,
     bifurcation_parameter,
     build_weyl_sequence,
-    curve_continuity_violations,
     spectral_abscissa,
     weyl_defect,
 )
@@ -118,6 +117,14 @@ class TestModelValidation:
         m = MultiplicationSymbolModel.from_function(np.sin, lo=-3.0, hi=3.0, spacing=1e-3)
         assert m.esssup == np.max(m.values)
         assert m.argmax_points.size >= 1
+
+    def test_weyl_center_is_the_leftmost_argmax(self):
+        # a plateau on [-0.5, 0.5]: every node of it is an argmax
+        m = MultiplicationSymbolModel.from_function(
+            lambda x: -np.square(np.maximum(np.abs(x) - 0.5, 0.0)), lo=-2.0, hi=2.0,
+            spacing=0.25)
+        assert m.argmax_points.tolist() == [-0.5, -0.25, 0.0, 0.25, 0.5]
+        assert m.weyl_center == -0.5
 
 
 class TestAbscissaAndBifurcation:
@@ -268,31 +275,6 @@ class TestResolventBound:
             assert resolvent_bound_check(a, z) is True
 
 
-class TestCurveContinuity:
-    def test_smooth_curves_pass(self):
-        m = SpectralModel(
-            curves=[EigenvalueCurve(0, lambda p: p), EigenvalueCurve(1, lambda p: -1 + 2j * p)],
-            noise_matrix=np.eye(2),
-            critical_index=0,
-        )
-        grid = np.linspace(-2.0, -0.1, 50)
-        assert curve_continuity_violations(m, grid) == []
-
-    def test_jump_is_reported_with_curve_id(self):
-        m = SpectralModel(
-            curves=[
-                EigenvalueCurve(0, lambda p: p),
-                EigenvalueCurve(1, lambda p: -1.0 if p < -1.0 else -50.0),
-            ],
-            noise_matrix=np.eye(2),
-            critical_index=0,
-        )
-        grid = np.linspace(-2.0, -0.5, 16)
-        violations = curve_continuity_violations(m, grid, lipschitz_budget=10.0)
-        assert violations
-        assert all(v[0] == 1 for v in violations)
-
-
 def two_curve_model(second=lambda p: -1.0 + 0.5j * p):
     # a size-2 Jordan block on curve 3, then simple curve 1: ids out of order
     return SpectralModel(
@@ -328,17 +310,6 @@ class TestModes:
                 evaluate(-0.3)
             messages.add(str(info.value))
         assert messages == {"curve 1 undefined at p=-0.3: no value"}
-
-    def test_continuity_violations_stay_curve_major(self):
-        # both curves jump between the same grid points; curve 3 is reported first
-        m = SpectralModel(
-            curves=[EigenvalueCurve(3, lambda p: p if p < -1.0 else p + 40.0),
-                    EigenvalueCurve(1, lambda p: -1.0 if p < -1.0 else -50.0)],
-            noise_matrix=np.eye(3), critical_index=3, jordan_sizes={3: 2},
-        )
-        grid = np.array([-2.0, -1.5, -0.5, -0.25])
-        assert curve_continuity_violations(m, grid, lipschitz_budget=10.0) == [
-            (3, -1.5, -0.5, 41.0), (1, -1.5, -0.5, 49.0)]
 
     def test_unknown_curve_id(self):
         with pytest.raises(ValueError, match="no curve with id 2"):
