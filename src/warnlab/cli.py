@@ -113,7 +113,7 @@ def _preflight(cfg: ExperimentConfig):
     horizon too short to mix at some grid point is warned of.
     """
     model = cfg.model
-    p_star = bifurcation_parameter(model, cfg.p_star_bracket)
+    p_star = bifurcation_parameter(model)
     log.info("bifurcation parameter p* = %r", p_star)
     spectral = isinstance(model, SpectralModel)
     if spectral:

@@ -26,8 +26,8 @@ from .spectrum import (
 
 _FORMATS = ("csv", "json")
 _SIGMA_P_STAR = 0.0  # default threshold of a power_of_p noise law
-# relative slack between a declared and the computed p*, far above the 1e-12
-# bisection tolerance of the root find
+# relative slack between a declared and the computed p*, far above the
+# rounding of the closed-form quotient
 _P_STAR_TOL = 1e-9
 
 
@@ -53,7 +53,6 @@ class ExperimentConfig:
     fit_windows: dict
     output_directory: str
     output_formats: tuple
-    p_star_bracket: tuple
     spectral_gap: float
     echo: dict
 
@@ -97,13 +96,6 @@ def _as_complex(value, path: str) -> complex:
     raise ConfigError(f"{path}: expected a number or a [re, im] pair")
 
 
-def _affine_curve(slope: float, offset: complex):
-    def value_at(p: float) -> complex:
-        return offset + slope * p
-
-    return value_at
-
-
 def _build_curves(raw, path: str):
     if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{path}: expected a non-empty list of curves")
@@ -117,9 +109,8 @@ def _build_curves(raw, path: str):
         cid = _as_int(_require(item, "id", cpath), f"{cpath}.id")
         slope = _as_number(item.get("slope", 0.0), f"{cpath}.slope")
         offset = _as_complex(item.get("offset", 0.0), f"{cpath}.offset")
-        desc = item.get("description", "")
         try:
-            curves.append(EigenvalueCurve(cid, _affine_curve(slope, offset), desc))
+            curves.append(EigenvalueCurve(cid, slope, offset))
         except ValueError as exc:
             raise ConfigError(f"{cpath}: {exc}") from exc
     return curves
@@ -357,14 +348,6 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         if fmt not in _FORMATS:
             raise ConfigError(f"output.formats[{i}]: expected 'csv' or 'json'")
 
-    bracket_raw = raw.get("p_star_bracket", [-100.0, 100.0])
-    if not isinstance(bracket_raw, list) or len(bracket_raw) != 2:
-        raise ConfigError("p_star_bracket: expected [lo, hi]")
-    b_lo = _as_number(bracket_raw[0], "p_star_bracket[0]")
-    b_hi = _as_number(bracket_raw[1], "p_star_bracket[1]")
-    if b_hi <= b_lo:
-        raise ConfigError("p_star_bracket: hi must exceed lo")
-
     validation_raw = _as_mapping(raw.get("validation", {}), "validation")
     gap = _as_number(validation_raw.get("spectral_gap", 1e-6), "validation.spectral_gap")
     if gap <= 0:
@@ -380,7 +363,6 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         fit_windows=fit_windows,
         output_directory=directory,
         output_formats=tuple(dict.fromkeys(formats_raw)),
-        p_star_bracket=(b_lo, b_hi),
         spectral_gap=gap,
         echo=raw,
     )

@@ -136,19 +136,20 @@ class _Pairing:
     """sum(mu |h|^2 / den) over the grid for one real vector h, den =
     4 (p + f)^2 ("quadratic") or 2 |p + f| ("stationary"). The numerator,
     the shift p + f and the denominator live on ``window``, the slice of the
-    grid off which h vanishes; the quotient is a grid-sized array, zero
-    outside the window, summed in full. Its arrays are made once and
-    rewritten in place at every point."""
+    grid off which h vanishes. The quotient goes into ``quotient``, a
+    grid-sized array of zeros that the pairings of a sweep share: each
+    writes its window, sums the whole array and zeroes its window again.
+    Its arrays are made once and rewritten in place at every point."""
 
     def __init__(self, model: MultiplicationSymbolModel, h: np.ndarray, window: slice,
-                 quadratic: bool):
+                 quadratic: bool, quotient: np.ndarray):
         """``h`` holds the vector on ``window`` and becomes the numerator."""
         num = np.multiply(model.weights[window], np.square(h, out=h), out=h)
         self._num, self._quadratic = num, quadratic
         self._values = model.values[window]
         self._shift, self._den = np.empty_like(num), np.empty_like(num)
-        self._quotient = np.zeros(model.values.shape)
-        self._window_quotient = self._quotient[window]
+        self._quotient = quotient
+        self._window_quotient = quotient[window]
 
     def at(self, p: float) -> float:
         s = np.add(p, self._values, out=self._shift)
@@ -158,7 +159,9 @@ class _Pairing:
         else:  # 2 |p + f|
             np.multiply(2.0, np.negative(s, out=den), out=den)
         np.divide(self._num, den, out=self._window_quotient)
-        return float(np.sum(self._quotient))
+        total = float(np.sum(self._quotient))
+        self._window_quotient.fill(0.0)
+        return total
 
 
 class _StableShift:
@@ -171,22 +174,26 @@ class _StableShift:
     Rounding is monotone, so max(p + f) over the grid is exactly p + esssup
     f. Each pairing is one sum over the whole grid (a sum over the window
     alone, or a multiply by the reciprocal, would change the last bits).
-    Arrays are made once per sweep and rewritten in place: glibc returns
-    freed grid-sized arrays to the system, and the next allocation's page
-    faults cost more than the arithmetic."""
+    Arrays are made once per sweep and rewritten in place, and the pairings
+    share one zero-padded quotient: glibc returns freed grid-sized arrays to
+    the system, and the next allocation's page faults cost more than the
+    arithmetic."""
 
     def __init__(self, model: MultiplicationSymbolModel, specs):
         self._model = model
         self.weyl_vectors = {}  # k -> the Weyl vector of a weyl_pairing:k
+        self._quotient = np.zeros(model.values.shape)
         self._pairings = [None if s.kind == "norm" else self._pairing(s) for s in specs]
 
     def _pairing(self, spec) -> _Pairing:
         model = self._model
         if spec.kind == "gaussian_pairing":
-            return _Pairing(model, unit_gaussian_profile(model), slice(None), True)
+            return _Pairing(model, unit_gaussian_profile(model), slice(None), True,
+                            self._quotient)
         vector = build_weyl_sequence(model, spec.k, model.weyl_center)
         self.weyl_vectors[spec.k] = vector
-        return _Pairing(model, vector.coefficients[vector.window].copy(), vector.window, False)
+        return _Pairing(model, vector.coefficients[vector.window].copy(), vector.window, False,
+                        self._quotient)
 
     def at(self, p: float) -> list[float]:
         p = float(p)

@@ -229,9 +229,8 @@ def run_parameter_sweep(model, p_grid, quantities, config: EnsembleConfig | None
     all cores), accumulating second moments only on the rows from the first
     to the last that the quantities read; the closed forms ignore
     ``threads``. The wall time of each point's evaluation is kept in
-    ``point_seconds``. Without ``p_star`` the threshold is located by
-    ``bifurcation_parameter`` with its default bracket. A quantity named
-    twice is a ValueError.
+    ``point_seconds``. Without ``p_star`` the threshold is
+    ``bifurcation_parameter``'s. A quantity named twice is a ValueError.
     """
     p = np.asarray(p_grid, dtype=float)
     if p.ndim != 1 or p.size < 1:

@@ -1,17 +1,20 @@
 """Spectral models for linear drift operators.
 
 Two model families are supported. ``SpectralModel`` describes a drift with a
-discrete set of eigenvalue curves ``p -> lambda_k(p)`` (optionally with Jordan
-blocks) together with the noise quadratic form expressed in the chosen
-(generalized) eigenbasis. ``MultiplicationSymbolModel`` describes a real
-multiplication operator ``(T_f h)(x) = f(x) h(x)`` discretized on a finite
-grid with quadrature weights, which is the standing example of purely
-continuous spectrum. ``SpectralModel.modes(p)`` is the one walk over the
-curves: every reader of the basis layout at p gets it from there.
+discrete set of affine eigenvalue curves ``lambda_k(p) = offset + slope * p``
+(optionally with Jordan blocks) together with the noise quadratic form
+expressed in the chosen (generalized) eigenbasis. ``MultiplicationSymbolModel``
+describes a real multiplication operator ``(T_f h)(x) = f(x) h(x)``
+discretized on a finite grid with quadrature weights, which is the standing
+example of purely continuous spectrum. ``SpectralModel.modes(p)`` is the one
+walk over the curves, which every reader of the basis layout at p uses.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -22,22 +25,25 @@ from .errors import NumericalError
 DEFAULT_HALF_WIDTH = 10.0
 DEFAULT_SPACING = 1e-3
 
-_BISECTION_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class EigenvalueCurve:
-    """One eigenvalue branch of the drift, parameterized by p."""
+    """One eigenvalue branch of the drift, affine in p: ``offset + slope * p``
+    with a finite real slope and a finite complex offset."""
 
     id: int
-    value_at: Callable[[float], complex]
-    description: str = ""
+    slope: float
+    offset: complex = 0j
 
     def __post_init__(self):
         if int(self.id) != self.id or self.id < 0:
             raise ValueError("curve id must be a non-negative integer")
-        if not callable(self.value_at):
-            raise ValueError("value_at must be callable")
+        if not (isinstance(self.slope, numbers.Real) and math.isfinite(self.slope)):
+            raise ValueError(f"slope: expected a finite real number, got {self.slope!r}")
+        if not (isinstance(self.offset, numbers.Complex) and cmath.isfinite(self.offset)):
+            raise ValueError(f"offset: expected a finite complex number, got {self.offset!r}")
+        object.__setattr__(self, "slope", float(self.slope))
+        object.__setattr__(self, "offset", complex(self.offset))
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,12 +130,10 @@ class SpectralModel:
         return self._rows[k].start
 
     def lambda_at(self, k: int, p: float) -> complex:
-        """Evaluate curve k at p, signalling if it is undefined there."""
-        try:
-            lam = complex(self.curve(k).value_at(p))
-        except Exception as exc:  # noqa: BLE001 - user-supplied callable
-            raise NumericalError(f"curve {k} undefined at p={p!r}: {exc}") from exc
-        if not (np.isfinite(lam.real) and np.isfinite(lam.imag)):
+        """Evaluate curve k at p, signalling if the value overflows."""
+        c = self.curve(k)
+        lam = c.offset + c.slope * p
+        if not cmath.isfinite(lam):
             raise NumericalError(f"curve {k} is not finite at p={p!r}")
         return lam
 
@@ -271,68 +275,30 @@ def spectral_abscissa(model: SpectralModel | MultiplicationSymbolModel, p: float
     return max(lam.real for _, lam, _, _ in model.modes(p))
 
 
-def _critical_real_part(model: SpectralModel, p: float) -> float:
-    return model.lambda_at(model.critical_index, p).real
+def bifurcation_parameter(model: SpectralModel | MultiplicationSymbolModel) -> float:
+    """Parameter value where the drift loses stability, in closed form.
 
-
-def bifurcation_parameter(
-    model: SpectralModel | MultiplicationSymbolModel,
-    bracket: tuple[float, float] = (-100.0, 100.0),
-) -> float:
-    """Parameter value where the drift loses stability.
-
-    For a multiplication model this is exactly ``-esssup(f)``. For a spectral
-    model the root of Re(lambda_{k*}(p)) is bracketed in ``bracket`` and
-    resolved by bisection to 1e-12, then polished by a few secant steps.
+    For a multiplication model this is ``-esssup(f)``. For a spectral model
+    it is the root of Re(lambda_{k*}(p)) = Re(offset) + slope * p, the
+    correctly rounded quotient ``-Re(offset) / slope``; ``+ 0.0`` turns a
+    root of -0.0 into 0.0.
 
     Raises:
-        NumericalError: if no sign change of the critical real part is
-            bracketed.
+        NumericalError: if the critical slope is not > 0, so the critical
+            real part never changes sign from negative to positive, or if
+            the quotient overflows.
     """
     if isinstance(model, MultiplicationSymbolModel):
         return float(-model.esssup + 0.0)
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not lo < hi:
-        raise ValueError("bracket: need lo < hi")
-    glo = _critical_real_part(model, lo)
-    ghi = _critical_real_part(model, hi)
-    if not (glo < 0.0 < ghi):
-        raise NumericalError(
-            f"no sign change of Re(lambda_{model.critical_index}) bracketed in "
-            f"[{lo}, {hi}]: endpoints ({glo}, {ghi})"
-        )
-    a, ga, b, gb = lo, glo, hi, ghi
-    root = None
-    for _ in range(200):
-        if b - a <= _BISECTION_TOL:
-            break
-        mid = 0.5 * (a + b)
-        gm = _critical_real_part(model, mid)
-        if gm == 0.0:
-            root = mid
-            break
-        if gm < 0.0:
-            a, ga = mid, gm
-        else:
-            b, gb = mid, gm
-    if root is None:
-        root = 0.5 * (a + b)
-        best, gbest = root, abs(_critical_real_part(model, root))
-        xa, fa, xb, fb = a, ga, b, gb
-        for _ in range(8):
-            if fb == fa:
-                break
-            xc = xb - fb * (xb - xa) / (fb - fa)
-            if not (lo <= xc <= hi) or not np.isfinite(xc):
-                break
-            fc = _critical_real_part(model, xc)
-            if abs(fc) < gbest:
-                best, gbest = xc, abs(fc)
-            if fc == 0.0:
-                break
-            xa, fa, xb, fb = xb, fb, xc, fc
-        root = best
-    return float(root)
+    k = model.critical_index
+    curve = model.curve(k)
+    if not curve.slope > 0.0:
+        raise NumericalError(f"no sign change of Re(lambda_{k}) from negative to positive: "
+                             f"its slope {curve.slope!r} is not > 0")
+    p_star = -curve.offset.real / curve.slope + 0.0
+    if not math.isfinite(p_star):
+        raise NumericalError(f"p* = -Re(offset) / slope of curve {k} overflows")
+    return p_star
 
 
 def _weyl_support(model: MultiplicationSymbolModel, k: int,

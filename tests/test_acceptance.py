@@ -52,7 +52,7 @@ def criterion(number: int, description: str):
 
 def single_mode(sigma=1.0, noise=1.0, omega=0.0):
     return SpectralModel(
-        curves=[EigenvalueCurve(0, lambda p: p + 1j * omega)],
+        curves=[EigenvalueCurve(0, 1.0, 1j * omega)],
         noise_matrix=np.array([[noise]]),
         critical_index=0,
         sigma=sigma,
@@ -61,7 +61,7 @@ def single_mode(sigma=1.0, noise=1.0, omega=0.0):
 
 def jordan_mode():
     return SpectralModel(
-        curves=[EigenvalueCurve(0, lambda p: complex(p))],
+        curves=[EigenvalueCurve(0, 1.0)],
         noise_matrix=np.eye(2),
         critical_index=0,
         jordan_sizes={0: 2},

@@ -91,10 +91,19 @@ class TestValidate:
         assert "quantities[0]" in capsys.readouterr().err
 
     def test_stable_curve_without_root_is_numerical_failure(self, tmp_path, capsys):
-        cfg = minimal_spectral()
-        cfg["model"]["curves"][0] = {"id": 0, "kind": "affine", "slope": 0.0, "offset": -1.0}
-        assert run("validate", "--config", write_json(tmp_path, cfg)) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        for slope in (0.0, -1.0):
+            cfg = minimal_spectral()
+            cfg["model"]["curves"][0] = {"id": 0, "kind": "affine", "slope": slope,
+                                         "offset": -1.0}
+            assert run("validate", "--config", write_json(tmp_path, cfg)) == 3, slope
+            err = capsys.readouterr().err
+            assert "numerical failure" in err and "no sign change" in err, slope
+
+    def test_threshold_far_from_zero_validates(self, tmp_path, capsys):
+        cfg = minimal_spectral(sweep={"start": 149.5, "count": 4})
+        cfg["model"]["curves"][0]["offset"] = -150.0
+        assert run("validate", "--config", write_json(tmp_path, cfg)) == 0
+        assert "p* = 150.0" in capsys.readouterr().out
 
     def test_prints_mode_count_and_abscissa(self, capsys):
         assert run("validate", "--config", CONFIG_DIR / "single_mode.json") == 0
@@ -322,6 +331,12 @@ class TestPreflight:
 
     def test_lipschitz_budget_of_old_configs_is_ignored(self, tmp_path, capsys):
         cfg = minimal_spectral(validation={"lipschitz_budget": 0.5})
+        assert run("validate", "--config", write_json(tmp_path, cfg)) == 0
+        assert "config OK" in capsys.readouterr().out
+
+    def test_p_star_bracket_of_old_configs_is_ignored(self, tmp_path, capsys):
+        # p* = 0.0 lies on the rim of the old bracket, where no sign change was found
+        cfg = minimal_spectral(p_star_bracket=[0.0, 1.0])
         assert run("validate", "--config", write_json(tmp_path, cfg)) == 0
         assert "config OK" in capsys.readouterr().out
 

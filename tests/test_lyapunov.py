@@ -142,7 +142,7 @@ class TestFiniteSolve:
 class TestNoiseLimitXi:
     def make(self, sigma):
         return SpectralModel(
-            curves=[EigenvalueCurve(0, lambda p: complex(p))],
+            curves=[EigenvalueCurve(0, 1.0)],
             noise_matrix=np.array([[1.0]]),
             critical_index=0,
             sigma=sigma,
@@ -249,8 +249,8 @@ class TestAnalyticReport:
         noise = random_hermitian_psd(rng, 2)
         model = SpectralModel(
             curves=[
-                EigenvalueCurve(0, lambda p: p),
-                EigenvalueCurve(1, lambda p: -1.0 + 2.0j),
+                EigenvalueCurve(0, 1.0),
+                EigenvalueCurve(1, 0.0, -1.0 + 2.0j),
             ],
             noise_matrix=noise,
             critical_index=0,
@@ -264,7 +264,7 @@ class TestAnalyticReport:
 
     def test_jordan_model_report(self):
         model = SpectralModel(
-            curves=[EigenvalueCurve(0, lambda p: p)],
+            curves=[EigenvalueCurve(0, 1.0)],
             noise_matrix=np.eye(2),
             critical_index=0,
             jordan_sizes={0: 2},
@@ -278,10 +278,10 @@ class TestAnalyticReport:
         noise = random_hermitian_psd(rng, 7)
         model = SpectralModel(
             curves=[
-                EigenvalueCurve(0, lambda p: p + 0.5j),
-                EigenvalueCurve(1, lambda p: -1.0 + 2.0j),
-                EigenvalueCurve(2, lambda p: p - 0.3),
-                EigenvalueCurve(3, lambda p: -2.0 - 1.0j),
+                EigenvalueCurve(0, 1.0, 0.5j),
+                EigenvalueCurve(1, 0.0, -1.0 + 2.0j),
+                EigenvalueCurve(2, 1.0, -0.3),
+                EigenvalueCurve(3, 0.0, -2.0 - 1.0j),
             ],
             noise_matrix=noise,
             critical_index=0,
@@ -297,7 +297,7 @@ class TestAnalyticReport:
 
     def test_unstable_point_signals(self):
         model = SpectralModel(
-            curves=[EigenvalueCurve(0, lambda p: p)],
+            curves=[EigenvalueCurve(0, 1.0)],
             noise_matrix=np.array([[1.0]]),
             critical_index=0,
         )

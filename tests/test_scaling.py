@@ -31,7 +31,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 def single_mode(sigma=1.0, noise=1.0, omega=0.0):
     return SpectralModel(
-        curves=[EigenvalueCurve(0, lambda p: p + 1j * omega)],
+        curves=[EigenvalueCurve(0, 1.0, 1j * omega)],
         noise_matrix=np.array([[noise]]),
         critical_index=0,
         sigma=sigma,
@@ -40,7 +40,7 @@ def single_mode(sigma=1.0, noise=1.0, omega=0.0):
 
 def jordan_mode(m=2):
     return SpectralModel(
-        curves=[EigenvalueCurve(0, lambda p: complex(p))],
+        curves=[EigenvalueCurve(0, 1.0)],
         noise_matrix=np.eye(m),
         critical_index=0,
         jordan_sizes={0: m},
@@ -240,7 +240,8 @@ class TestAnalyticSweep:
     def test_multiplication_sweep_rewrites_one_set_of_arrays(self, monkeypatch):
         # the pairings of both kinds share one _StableShift per sweep; each
         # pairing's arrays keep their identity from point to point, and each
-        # series is bit-identical to the series swept alone
+        # series is bit-identical to the series swept alone, although the
+        # pairings share one quotient array
         model = MultiplicationSymbolModel.from_function(lambda x: -np.square(x))
         grid = make_p_grid(0.0, -0.1, 5)
         names = ["weyl_pairing:3", "norm", "gaussian_pairing", "weyl_pairing:5"]
@@ -260,6 +261,9 @@ class TestAnalyticSweep:
         # three pairings, each with its numerator, shift, denominator and
         # quotient; the norm has none
         assert len(seen[0][1]) == 3 * 5
+        # the three share one zero-padded quotient
+        shift = seen[0][0]
+        assert len({id(r._quotient) for r in shift._pairings if r is not None}) == 1
         for name in names:
             alone = run_parameter_sweep(model, grid, [name])
             assert np.array_equal(sweep.quantities[name], alone.quantities[name]), name
@@ -276,9 +280,9 @@ class TestAnalyticSweep:
                       [0.1j, -0.4, 0.9, 0.2],
                       [0.3, 0.1 - 0.2j, 0.6j, 1.1]])
         model = SpectralModel(
-            curves=[EigenvalueCurve(0, lambda p: complex(p - 1.0)),
-                    EigenvalueCurve(1, lambda p: complex(p)),
-                    EigenvalueCurve(2, lambda p: complex(p - 0.5, 2.0))],
+            curves=[EigenvalueCurve(0, 1.0, -1.0),
+                    EigenvalueCurve(1, 1.0),
+                    EigenvalueCurve(2, 1.0, -0.5 + 2.0j)],
             noise_matrix=g @ g.conj().T,
             critical_index=1,
             jordan_sizes={1: 2},

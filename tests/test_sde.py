@@ -41,7 +41,7 @@ def reference_splitmix64(seed, index):
 
 def single_mode_model(sigma=1.0, noise=1.0):
     return SpectralModel(
-        curves=[EigenvalueCurve(0, lambda p: complex(p))],
+        curves=[EigenvalueCurve(0, 1.0)],
         noise_matrix=np.array([[noise]]),
         critical_index=0,
         sigma=sigma,
@@ -89,9 +89,9 @@ def jordan_plus_simple_model():
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     return SpectralModel(
         curves=[
-            EigenvalueCurve(0, lambda p: complex(p)),
-            EigenvalueCurve(1, lambda p: p - 1.0 + 2.0j),
-            EigenvalueCurve(2, lambda p: -0.7 - 0.5j),
+            EigenvalueCurve(0, 1.0),
+            EigenvalueCurve(1, 1.0, -1.0 + 2.0j),
+            EigenvalueCurve(2, 0.0, -0.7 - 0.5j),
         ],
         noise_matrix=g @ g.conj().T / 4.0,
         critical_index=0,
@@ -106,11 +106,11 @@ def dim8_dense_model():
     g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     return SpectralModel(
         curves=[
-            EigenvalueCurve(0, lambda p: complex(p)),
-            EigenvalueCurve(1, lambda p: p - 0.5 + 1.0j),
-            EigenvalueCurve(2, lambda p: -0.7 - 0.5j),
-            EigenvalueCurve(3, lambda p: -1.2 + 2.0j),
-            EigenvalueCurve(4, lambda p: p - 2.0),
+            EigenvalueCurve(0, 1.0),
+            EigenvalueCurve(1, 1.0, -0.5 + 1.0j),
+            EigenvalueCurve(2, 0.0, -0.7 - 0.5j),
+            EigenvalueCurve(3, 0.0, -1.2 + 2.0j),
+            EigenvalueCurve(4, 1.0, -2.0),
         ],
         noise_matrix=g @ g.conj().T / 8.0,
         critical_index=0,
@@ -189,7 +189,7 @@ class TestJordanStep:
 
         expected, _ = scipy.integrate.quad_vec(integrand, 0.0, dt)
         model = SpectralModel(
-            curves=[EigenvalueCurve(0, lambda p: complex(p))],
+            curves=[EigenvalueCurve(0, 1.0)],
             noise_matrix=c,
             critical_index=0,
             jordan_sizes={0: 2},
@@ -272,8 +272,8 @@ class TestSimulateEnsemble:
     def test_decoupled_modes_match_closed_form(self):
         model = SpectralModel(
             curves=[
-                EigenvalueCurve(0, lambda p: complex(p)),
-                EigenvalueCurve(1, lambda p: -1.0 + 2.0j),
+                EigenvalueCurve(0, 1.0),
+                EigenvalueCurve(1, 0.0, -1.0 + 2.0j),
             ],
             noise_matrix=np.diag([1.0, 2.0]),
             critical_index=0,
@@ -285,7 +285,7 @@ class TestSimulateEnsemble:
 
     def test_jordan_model_matches_closed_form(self):
         model = SpectralModel(
-            curves=[EigenvalueCurve(0, lambda p: complex(p))],
+            curves=[EigenvalueCurve(0, 1.0)],
             noise_matrix=np.eye(2),
             critical_index=0,
             jordan_sizes={0: 2},
@@ -319,7 +319,7 @@ class TestTimeBlocks:
     MODELS = {
         "single": single_mode_model,
         "jordan2": lambda: SpectralModel(
-            curves=[EigenvalueCurve(0, lambda p: complex(p))],
+            curves=[EigenvalueCurve(0, 1.0)],
             noise_matrix=np.array([[1.0, 0.3], [0.3, 0.5]]),
             critical_index=0,
             jordan_sizes={0: 2},
@@ -348,7 +348,7 @@ class TestTimeBlocks:
     def test_memory_does_not_grow_with_horizon(self, monkeypatch):
         monkeypatch.setattr(sde, "_BLOCK_BYTES", 64 << 10)
         model = SpectralModel(
-            curves=[EigenvalueCurve(0, lambda p: complex(p))],
+            curves=[EigenvalueCurve(0, 1.0)],
             noise_matrix=np.eye(2),
             critical_index=0,
             jordan_sizes={0: 2},
@@ -548,7 +548,7 @@ def test_reduction_peak_stays_below_twice_the_time_averages(monkeypatch):
     monkeypatch.setattr(sde.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(sde, "_CHUNK", 256)
     model = SpectralModel(
-        curves=[EigenvalueCurve(k, lambda p, k=k: complex(p - k)) for k in range(4)],
+        curves=[EigenvalueCurve(k, 1.0, -k) for k in range(4)],
         noise_matrix=np.eye(4),
         critical_index=0,
     )

@@ -19,7 +19,7 @@ from oracles import resolvent_bound_check
 
 def single_mode(slope=1.0, offset=0.0):
     return SpectralModel(
-        curves=[EigenvalueCurve(0, lambda p: offset + slope * p)],
+        curves=[EigenvalueCurve(0, slope, offset)],
         noise_matrix=np.array([[1.0]]),
         critical_index=0,
     )
@@ -28,16 +28,21 @@ def single_mode(slope=1.0, offset=0.0):
 class TestModelValidation:
     def test_curve_rejects_negative_id(self):
         with pytest.raises(ValueError):
-            EigenvalueCurve(-1, lambda p: p)
+            EigenvalueCurve(-1, 1.0)
 
-    def test_curve_rejects_non_callable(self):
-        with pytest.raises(ValueError):
-            EigenvalueCurve(0, 3.0)
+    @pytest.mark.parametrize("slope, offset, field", [
+        (math.nan, 0.0, "slope"),
+        (1.0, complex(math.inf, 0.0), "offset"),
+        (lambda p: p, 0.0, "slope"),
+    ], ids=["nan-slope", "inf-offset", "callable-slope"])
+    def test_curve_rejects_non_finite_or_callable_data(self, slope, offset, field):
+        with pytest.raises(ValueError, match=field):
+            EigenvalueCurve(0, slope, offset)
 
     def test_duplicate_curve_ids(self):
         with pytest.raises(ValueError, match="id"):
             SpectralModel(
-                curves=[EigenvalueCurve(0, lambda p: p), EigenvalueCurve(0, lambda p: p - 1)],
+                curves=[EigenvalueCurve(0, 1.0), EigenvalueCurve(0, 1.0, -1.0)],
                 noise_matrix=np.eye(2),
                 critical_index=0,
             )
@@ -45,7 +50,7 @@ class TestModelValidation:
     def test_missing_critical_index(self):
         with pytest.raises(ValueError, match="critical"):
             SpectralModel(
-                curves=[EigenvalueCurve(0, lambda p: p)],
+                curves=[EigenvalueCurve(0, 1.0)],
                 noise_matrix=np.eye(1),
                 critical_index=3,
             )
@@ -53,7 +58,7 @@ class TestModelValidation:
     def test_noise_dimension_must_match_blocks(self):
         with pytest.raises(ValueError):
             SpectralModel(
-                curves=[EigenvalueCurve(0, lambda p: p)],
+                curves=[EigenvalueCurve(0, 1.0)],
                 noise_matrix=np.eye(3),
                 critical_index=0,
                 jordan_sizes={0: 2},
@@ -62,7 +67,7 @@ class TestModelValidation:
     def test_noise_must_be_hermitian(self):
         with pytest.raises(ValueError, match="[Hh]ermitian"):
             SpectralModel(
-                curves=[EigenvalueCurve(0, lambda p: p), EigenvalueCurve(1, lambda p: p - 1)],
+                curves=[EigenvalueCurve(0, 1.0), EigenvalueCurve(1, 1.0, -1.0)],
                 noise_matrix=np.array([[1.0, 1.0], [0.0, 1.0]]),
                 critical_index=0,
             )
@@ -70,7 +75,7 @@ class TestModelValidation:
     def test_noise_must_be_psd(self):
         with pytest.raises(ValueError):
             SpectralModel(
-                curves=[EigenvalueCurve(0, lambda p: p), EigenvalueCurve(1, lambda p: p - 1)],
+                curves=[EigenvalueCurve(0, 1.0), EigenvalueCurve(1, 1.0, -1.0)],
                 noise_matrix=np.array([[1.0, 2.0], [2.0, 1.0]]),
                 critical_index=0,
             )
@@ -131,8 +136,8 @@ class TestAbscissaAndBifurcation:
     def test_abscissa_takes_max_real_part(self):
         m = SpectralModel(
             curves=[
-                EigenvalueCurve(0, lambda p: p),
-                EigenvalueCurve(1, lambda p: -1.0 + 2.0j),
+                EigenvalueCurve(0, 1.0),
+                EigenvalueCurve(1, 0.0, -1.0 + 2.0j),
             ],
             noise_matrix=np.eye(2),
             critical_index=0,
@@ -155,18 +160,14 @@ class TestAbscissaAndBifurcation:
         p_star = bifurcation_parameter(single_mode(offset=2.0))
         assert abs(p_star - (-2.0)) < 1e-12
 
-    def test_nonlinear_curve_root(self):
-        m = SpectralModel(
-            curves=[EigenvalueCurve(0, lambda p: p**3 - 1.0)],
-            noise_matrix=np.array([[1.0]]),
-            critical_index=0,
-        )
-        p_star = bifurcation_parameter(m)
-        assert abs(p_star - 1.0) < 1e-12
+    def test_root_is_the_correctly_rounded_quotient(self):
+        rng = np.random.default_rng(20)
+        for a, b in zip(rng.uniform(0.1, 10.0, 25), rng.uniform(-50.0, 50.0, 25)):
+            assert bifurcation_parameter(single_mode(a, complex(b, a))) == -b / a + 0.0
 
     def test_imaginary_offset_does_not_move_root(self):
         m = SpectralModel(
-            curves=[EigenvalueCurve(0, lambda p: p + 10.0j)],
+            curves=[EigenvalueCurve(0, 1.0, 10.0j)],
             noise_matrix=np.array([[1.0]]),
             critical_index=0,
         )
@@ -174,12 +175,16 @@ class TestAbscissaAndBifurcation:
 
     def test_no_sign_change_signals(self):
         m = SpectralModel(
-            curves=[EigenvalueCurve(0, lambda p: -1.0)],
+            curves=[EigenvalueCurve(0, 0.0, -1.0)],
             noise_matrix=np.array([[1.0]]),
             critical_index=0,
         )
         with pytest.raises(NumericalError, match="sign change"):
             bifurcation_parameter(m)
+
+    def test_overflowing_root_signals(self):
+        with pytest.raises(NumericalError, match="overflows"):
+            bifurcation_parameter(single_mode(1e-310, -1.0))
 
     def test_multiplication_threshold_is_negated_esssup(self):
         m = MultiplicationSymbolModel.from_function(lambda x: -np.square(x))
@@ -275,10 +280,11 @@ class TestResolventBound:
             assert resolvent_bound_check(a, z) is True
 
 
-def two_curve_model(second=lambda p: -1.0 + 0.5j * p):
-    # a size-2 Jordan block on curve 3, then simple curve 1: ids out of order
+def two_curve_model(second=(0.5, -1.0)):
+    # a size-2 Jordan block on curve 3, then simple curve 1 (slope, offset):
+    # ids out of order
     return SpectralModel(
-        curves=[EigenvalueCurve(3, lambda p: complex(p, 0.25)), EigenvalueCurve(1, second)],
+        curves=[EigenvalueCurve(3, 1.0, 0.25j), EigenvalueCurve(1, *second)],
         noise_matrix=np.eye(3),
         critical_index=3,
         jordan_sizes={3: 2},
@@ -299,17 +305,14 @@ class TestModes:
     def test_failing_curve_raises_the_same_error_everywhere(self):
         from warnlab.lyapunov import model_covariance
 
-        def undefined(p):
-            raise ArithmeticError("no value")
-
-        m = two_curve_model(undefined)
+        m = two_curve_model((1e308, 0.0))  # overflows at p = -30
         messages = set()
         for evaluate in (m.modes, lambda p: spectral_abscissa(m, p),
                          lambda p: model_covariance(m, p, math.inf)):
             with pytest.raises(NumericalError) as info:
-                evaluate(-0.3)
+                evaluate(-30.0)
             messages.add(str(info.value))
-        assert messages == {"curve 1 undefined at p=-0.3: no value"}
+        assert messages == {"curve 1 is not finite at p=-30.0"}
 
     def test_unknown_curve_id(self):
         with pytest.raises(ValueError, match="no curve with id 2"):
