@@ -7,13 +7,13 @@ Subcommands:
     validate   run the pre-flight alone and summarize the config
 
 Every command runs the same pre-flight before it sweeps (``_preflight``): p*,
-the power_of_p noise threshold, the grid and the spectral gap (spectral
-models) or every Weyl vector's support (multiplication models), then strict
-stability of the drift at every grid point and the mixing warning. Only a
-command's own requirements (simulate's empirical engine, weyl's
-multiplication model and k_values) are checked before it, so a config that
-``validate`` rejects fails every command that accepts its kind with the same
-exit code and message.
+where a power_of_p noise law is anchored, the grid and the spectral gap
+(spectral models) or every Weyl vector's support (multiplication models),
+then strict stability of the drift at every grid point and the mixing
+warning. Only a command's own requirements (simulate's empirical engine,
+weyl's multiplication model and k_values) are checked before it, so a config
+that ``validate`` rejects fails every command that accepts its kind with the
+same exit code and message.
 
 The three sweep commands run ``run_parameter_sweep`` once (weyl on the
 ``weyl_pairing:k`` quantities of ``weyl.k_values``) and report through one
@@ -46,7 +46,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ExperimentConfig, check_noise_threshold, load_config
+from .config import ExperimentConfig, load_config
 from .errors import ConfigError, NumericalError
 from .lyapunov import noise_limit_xi
 from .scaling import (
@@ -104,8 +104,8 @@ def _preflight(cfg: ExperimentConfig):
     """The checks every command runs before it sweeps; returns (p*, grid,
     spectral abscissa at each grid point, ``sde._mixing`` of an ensemble).
 
-    For spectral models: the power_of_p noise law vanishes at p* and has the
-    two grid points its limit Xi needs, and one curve alone enters the
+    For spectral models: a power_of_p noise law, which vanishes at p*, has
+    the two grid points its limit Xi needs, and one curve alone enters the
     spectral gap at p*. For multiplication models: every Weyl vector, of
     ``weyl.k_values`` or a quantity, has 3 grid points in its support around
     the model's ``weyl_center``. For every model the drift is strictly stable
@@ -116,8 +116,6 @@ def _preflight(cfg: ExperimentConfig):
     p_star = bifurcation_parameter(model)
     log.info("bifurcation parameter p* = %r", p_star)
     spectral = isinstance(model, SpectralModel)
-    if spectral:
-        check_noise_threshold(cfg, p_star)
     s = cfg.sweep
     try:
         grid = make_p_grid(p_star, s.start, s.count, factor=s.factor, stop=s.stop,
@@ -259,10 +257,14 @@ def _quantity_result(cfg, sweep, name, xi) -> dict:
     return result
 
 
-def _sweep_report(command, cfg, sweep, xi, elapsed) -> dict:
+def _sweep_report(command, cfg, sweep, elapsed) -> dict:
     """The report every sweep command writes: config echo, p*, timings (the
     whole command and each grid point), one result per quantity and, for a
-    power_of_p noise law, the noise limit Xi (reported once per sweep)."""
+    power_of_p noise law, the noise limit Xi on the grid (reported once per
+    sweep, and read by each verdict)."""
+    model = cfg.model
+    xi = noise_limit_xi(model, sweep.p_values) \
+        if isinstance(model, SpectralModel) and model.sigma_depends_on_p else None
     report = {
         "schema_version": _SCHEMA_VERSION,
         "command": command,
@@ -308,21 +310,14 @@ def _mc_diagnostics(cfg, sweep, p_star: float, ratios) -> dict:
     return {"points": points, "within_3se_frac": hits / total}
 
 
-def _maybe_xi(model, grid):
-    if isinstance(model, SpectralModel) and model.sigma_depends_on_p:
-        return noise_limit_xi(model, grid)
-    return None
-
-
 def cmd_analytic(args) -> int:
     start = time.perf_counter()
     cfg = load_config(args.config)
     p_star, grid, _, _ = _preflight(cfg)
     outputs = _planned_outputs(cfg, args, cfg.quantities)
     sweep = run_parameter_sweep(cfg.model, grid, cfg.quantities, p_star=p_star)
-    xi = _maybe_xi(cfg.model, grid)
     elapsed = time.perf_counter() - start
-    report = _sweep_report("analytic", cfg, sweep, xi, elapsed)
+    report = _sweep_report("analytic", cfg, sweep, elapsed)
     _write_outputs(outputs, sweep, report)
     return 0
 
@@ -341,9 +336,8 @@ def cmd_simulate(args) -> int:
              grid.size, ensemble.n_trajectories)
     sweep = run_parameter_sweep(cfg.model, grid, cfg.quantities, config=ensemble,
                                 p_star=p_star, threads=args.threads)
-    xi = _maybe_xi(cfg.model, grid)
     elapsed = time.perf_counter() - start
-    report = _sweep_report("simulate", cfg, sweep, xi, elapsed)
+    report = _sweep_report("simulate", cfg, sweep, elapsed)
     report["seed_record"] = {
         "master_seed": ensemble.master_seed,
         "point_seeds": list(sweep.point_seeds),
@@ -372,7 +366,7 @@ def cmd_weyl(args) -> int:
     defects = {k: weyl_defect(model, sweep.weyl_vectors[k], model.esssup)
                for k in cfg.weyl_k_values}
     elapsed = time.perf_counter() - start
-    report = _sweep_report("weyl", cfg, sweep, None, elapsed)
+    report = _sweep_report("weyl", cfg, sweep, elapsed)
     print(f"{'k':>6} {'defect':>14}")
     for k, defect in defects.items():
         report["results"][f"weyl_pairing:{k}"]["defect"] = defect

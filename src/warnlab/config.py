@@ -25,10 +25,6 @@ from .spectrum import (
 )
 
 _FORMATS = ("csv", "json")
-_SIGMA_P_STAR = 0.0  # default threshold of a power_of_p noise law
-# relative slack between a declared and the computed p*, far above the
-# rounding of the closed-form quotient
-_P_STAR_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -116,27 +112,23 @@ def _build_curves(raw, path: str):
     return curves
 
 
-def _build_sigma(raw, path: str):
+def _build_sigma(raw, path: str) -> tuple[float, float]:
+    """(scale, exponent) of the law sigma(p) = scale * |p - p*| ** exponent."""
     if raw is None:
-        return 1.0
+        return 1.0, 0.0
     raw = _as_mapping(raw, path)
     kind = _require(raw, "kind", path)
     if kind == "constant":
         value = _as_number(_require(raw, "value", path), f"{path}.value")
         if value < 0:
             raise ConfigError(f"{path}.value: noise amplitude must be >= 0")
-        return value
+        return value, 0.0
     if kind == "power_of_p":
         scale = _as_number(raw.get("scale", 1.0), f"{path}.scale")
         exponent = _as_number(_require(raw, "exponent", path), f"{path}.exponent")
-        p_star = _as_number(raw.get("p_star", _SIGMA_P_STAR), f"{path}.p_star")
         if scale <= 0:
             raise ConfigError(f"{path}.scale: must be > 0")
-
-        def sigma_at(p: float) -> float:
-            return scale * abs(p - p_star) ** exponent
-
-        return sigma_at
+        return scale, exponent  # anchored at the computed p*: an old p_star key is ignored
     raise ConfigError(f"{path}.kind: unknown noise kind {kind!r}")
 
 
@@ -171,7 +163,7 @@ def _build_spectral_model(raw: dict, path: str) -> SpectralModel:
         jordan[cid] = size
     dim = sum(jordan.get(c.id, 1) for c in curves)
     noise = _build_noise_matrix(raw.get("noise_matrix"), dim, f"{path}.noise_matrix")
-    sigma = _build_sigma(raw.get("sigma"), f"{path}.sigma")
+    sigma, exponent = _build_sigma(raw.get("sigma"), f"{path}.sigma")
     try:
         return SpectralModel(
             curves=curves,
@@ -179,6 +171,7 @@ def _build_spectral_model(raw: dict, path: str) -> SpectralModel:
             critical_index=critical,
             jordan_sizes=jordan,
             sigma=sigma,
+            sigma_exponent=exponent,
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -366,22 +359,6 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         spectral_gap=gap,
         echo=raw,
     )
-
-
-def check_noise_threshold(cfg: ExperimentConfig, p_star: float) -> None:
-    """Reject a power_of_p noise law whose p_star is not the computed p*.
-
-    Such a law is meant to vanish at the threshold; a mismatch leaves
-    sigma(p*) > 0 and silently changes the finite-limit or vanishing verdict.
-    """
-    sigma = cfg.echo["model"].get("sigma")
-    if not isinstance(sigma, dict) or sigma.get("kind") != "power_of_p":
-        return
-    declared = float(sigma.get("p_star", _SIGMA_P_STAR))
-    if abs(declared - p_star) > _P_STAR_TOL * max(1.0, abs(p_star)):
-        raise ConfigError(
-            f"model.sigma.p_star: {declared!r} differs from the computed p* = {p_star!r}"
-        )
 
 
 def load_config(path) -> ExperimentConfig:

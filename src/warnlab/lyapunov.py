@@ -84,10 +84,12 @@ def block_pair_covariance(lam_k: complex, m_k: int, lam_j: complex, m_j: int, c_
     warning, and the sweep's non-finite check reports it.
 
     Raises:
-        NumericalError: for t = inf unless both eigenvalues satisfy Re < 0.
+        NumericalError: for t = inf unless both eigenvalues satisfy Re < 0; on overflow.
     """
     lam_k, lam_j = complex(lam_k), complex(lam_j)
     z = lam_k + lam_j.conjugate()
+    if not cmath.isfinite(z):
+        raise NumericalError(f"lambda_k + conj(lambda_j) overflows for ({lam_k}, {lam_j})")
     n_max = m_k + m_j - 2
     if t == math.inf:
         if lam_k.real >= 0.0 or lam_j.real >= 0.0:
@@ -95,7 +97,10 @@ def block_pair_covariance(lam_k: complex, m_k: int, lam_j: complex, m_j: int, c_
                 f"stationary covariance needs Re(lambda) < 0, got ({lam_k}, {lam_j})"
             )
         num = [float(math.factorial(n)) for n in range(n_max + 1)]
-        den = [(-z) ** (n + 1) for n in range(n_max + 1)]
+        try:
+            den = [(-z) ** (n + 1) for n in range(n_max + 1)]
+        except OverflowError:  # complex ** raises, it never gives inf
+            raise NumericalError(f"(-z) ** {n_max + 1} overflows for z = {z}") from None
     else:
         num = _finite_moments(z, float(t), n_max)
         den = [1.0] * (n_max + 1)
@@ -201,7 +206,8 @@ class _StableShift:
         if top >= 0.0:
             raise NumericalError(f"p + f >= 0 on the grid at p={p}: drift not strictly "
                                  f"stable (p* = {-self._model.esssup})")
-        return [1.0 / (2.0 * -top) if r is None else r.at(p) for r in self._pairings]
+        with np.errstate(over="ignore"):  # a 2 |p + f| of inf gives the underflowed 0
+            return [1.0 / (2.0 * -top) if r is None else r.at(p) for r in self._pairings]
 
 
 def unit_gaussian_profile(model: MultiplicationSymbolModel) -> np.ndarray:

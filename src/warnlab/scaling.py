@@ -155,15 +155,17 @@ def make_p_grid(p_star: float, start: float, count: int, factor: float = 0.5,
     if spacing == "linear":
         if stop is None:
             raise ValueError("linear spacing requires a stop value")
+        if abs(stop - start) == math.inf:
+            raise ValueError("stop: its distance to start overflows")
         grid = np.linspace(start, stop, count)
     elif spacing == "geometric":
         d0 = p_star - start
-        if d0 <= 0:
-            raise ValueError("start: must lie strictly below p*")
+        if not 0 < d0 < math.inf:
+            raise ValueError("start: must lie strictly below p*, a finite distance away")
         if stop is not None:
             d1 = p_star - stop
-            if d1 <= 0:
-                raise ValueError("stop: must lie strictly below p*")
+            if not 0 < d1 < math.inf:
+                raise ValueError("stop: must lie strictly below p*, a finite distance away")
             dists = np.geomspace(d0, d1, count)
         else:
             if not (0.0 < factor < 1.0):

@@ -26,6 +26,12 @@ DEFAULT_HALF_WIDTH = 10.0
 DEFAULT_SPACING = 1e-3
 
 
+def _finite_real(name: str, value) -> float:
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        raise ValueError(f"{name}: expected a finite real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class EigenvalueCurve:
     """One eigenvalue branch of the drift, affine in p: ``offset + slope * p``
@@ -38,11 +44,9 @@ class EigenvalueCurve:
     def __post_init__(self):
         if int(self.id) != self.id or self.id < 0:
             raise ValueError("curve id must be a non-negative integer")
-        if not (isinstance(self.slope, numbers.Real) and math.isfinite(self.slope)):
-            raise ValueError(f"slope: expected a finite real number, got {self.slope!r}")
+        object.__setattr__(self, "slope", _finite_real("slope", self.slope))
         if not (isinstance(self.offset, numbers.Complex) and cmath.isfinite(self.offset)):
             raise ValueError(f"offset: expected a finite complex number, got {self.offset!r}")
-        object.__setattr__(self, "slope", float(self.slope))
         object.__setattr__(self, "offset", complex(self.offset))
 
 
@@ -52,16 +56,18 @@ class SpectralModel:
 
     ``noise_matrix`` holds the pairings <BQB* u_k, u_j> over the full list of
     basis vectors; for a mode carrying a Jordan block of size m the block
-    occupies m consecutive rows/columns. ``sigma`` is either a constant noise
-    amplitude or a map ``p -> sigma(p)`` for parameter-dependent noise.
-    ``modes(p)`` evaluates every curve at p once and lays the basis out.
+    occupies m consecutive rows/columns. The noise law ``sigma(p) = sigma *
+    |p - p*| ** sigma_exponent`` is anchored at ``bifurcation_parameter``;
+    exponent 0 is a constant amplitude. ``modes(p)`` evaluates every curve at
+    p once and lays the basis out.
     """
 
     curves: Sequence[EigenvalueCurve]
     noise_matrix: np.ndarray
     critical_index: int
     jordan_sizes: Mapping[int, int] = field(default_factory=dict)
-    sigma: float | Callable[[float], float] = 1.0
+    sigma: float = 1.0
+    sigma_exponent: float = 0.0
 
     def __post_init__(self):
         curves = tuple(self.curves)
@@ -99,10 +105,10 @@ class SpectralModel:
         if np.min(np.linalg.eigvalsh(b)) < -1e-10 * scale:
             raise ValueError("noise_matrix: must be positive semidefinite")
         b.flags.writeable = False
-        if not callable(self.sigma):
-            s = float(self.sigma)
-            if s < 0.0:
-                raise ValueError("sigma: constant amplitude must be >= 0")
+        for name in ("sigma", "sigma_exponent"):
+            object.__setattr__(self, name, _finite_real(name, getattr(self, name)))
+        if self.sigma < 0.0:
+            raise ValueError("sigma: noise scale must be >= 0")
         object.__setattr__(self, "curves", curves)
         object.__setattr__(self, "noise_matrix", b)
         object.__setattr__(self, "jordan_sizes", sizes)
@@ -116,7 +122,7 @@ class SpectralModel:
 
     @property
     def sigma_depends_on_p(self) -> bool:
-        return callable(self.sigma)
+        return self.sigma_exponent != 0.0
 
     def curve(self, k: int) -> EigenvalueCurve:
         if k not in self._by_id:
@@ -143,9 +149,16 @@ class SpectralModel:
         return [(k, self.lambda_at(k, p), r.stop - r.start, r) for k, r in self._rows.items()]
 
     def sigma_at(self, p: float) -> float:
-        s = float(self.sigma(p)) if callable(self.sigma) else float(self.sigma)
-        if not np.isfinite(s) or s < 0.0:
-            raise NumericalError(f"sigma(p) must be finite and >= 0, got {s} at p={p!r}")
+        """The noise law at p, the scale itself for exponent 0; NumericalError
+        if p* does not exist or sigma(p) is not finite."""
+        if not self.sigma_depends_on_p:
+            return self.sigma
+        try:
+            s = self.sigma * abs(p - bifurcation_parameter(self)) ** self.sigma_exponent
+        except (OverflowError, ZeroDivisionError):  # float ** raises, it never gives inf
+            s = math.inf
+        if not math.isfinite(s):
+            raise NumericalError(f"sigma(p) is not finite at p={p!r}")
         return s
 
 

@@ -50,12 +50,13 @@ def criterion(number: int, description: str):
     print(f"[PASS] criterion {number}: {description}")
 
 
-def single_mode(sigma=1.0, noise=1.0, omega=0.0):
+def single_mode(sigma=1.0, noise=1.0, omega=0.0, sigma_exponent=0.0):
     return SpectralModel(
         curves=[EigenvalueCurve(0, 1.0, 1j * omega)],
         noise_matrix=np.array([[noise]]),
         critical_index=0,
         sigma=sigma,
+        sigma_exponent=sigma_exponent,
     )
 
 
@@ -127,7 +128,7 @@ def test_criterion_4_degenerate_noise_classifications():
                       "Xi = -0.5 (1e-10); sigma^2 = p^2 gives vanishing"):
         grid = make_p_grid(0.0, -0.5, 12)
         for b in (1.0, 2.0):
-            balanced = single_mode(sigma=lambda p: abs(p) ** 0.5, noise=b)
+            balanced = single_mode(sigma_exponent=0.5, noise=b)
             sweep = run_parameter_sweep(balanced, grid, ["critical_diagonal"])
             xi = noise_limit_xi(balanced, grid)
             verdict = classify_warning_sign(fit_quantity(sweep, "critical_diagonal"), xi=xi)
@@ -135,7 +136,7 @@ def test_criterion_4_degenerate_noise_classifications():
             assert abs(sweep.quantities["critical_diagonal"][-1] - b / 2.0) <= 1e-8
             assert abs(xi.value - (-0.5)) <= 1e-10
 
-        fast = single_mode(sigma=lambda p: abs(p))
+        fast = single_mode(sigma_exponent=1.0)
         sweep = run_parameter_sweep(fast, grid, ["critical_diagonal"])
         verdict = classify_warning_sign(fit_quantity(sweep, "critical_diagonal"))
         assert verdict.classification == "vanishing", verdict.rationale

@@ -171,33 +171,46 @@ class TestValidate:
         assert "curve 1" in capsys.readouterr().err
 
 
-    def test_noise_threshold_off_p_star_is_config_error(self, tmp_path, capsys):
-        # lambda(p) = p - 0.5 puts p* at 0.5; the default p_star 0.0 would leave
-        # sigma(p*) > 0 and turn the finite limit into a divergence
+    @staticmethod
+    def off_zero_power_law():
+        # lambda(p) = p - 0.5 puts p* at 0.5, where sigma(p) = |p - p*|^0.5 vanishes
         cfg = minimal_spectral(sweep={"start": 0.0, "count": 10})
         cfg["model"]["curves"][0]["offset"] = -0.5
         cfg["model"]["sigma"] = {"kind": "power_of_p", "scale": 1.0, "exponent": 0.5}
-        assert run("validate", "--config", write_json(tmp_path, cfg)) == 2
-        assert "model.sigma.p_star" in capsys.readouterr().err
-        cfg["model"]["sigma"]["p_star"] = 0.5
+        return cfg
+
+    def test_power_of_p_law_is_anchored_at_p_star(self, tmp_path):
+        cfg = self.off_zero_power_law()
         assert run("validate", "--config", write_json(tmp_path, cfg)) == 0
         out = tmp_path / "out"
         assert run("analytic", "--config", write_json(tmp_path, cfg), "--out", out) == 0
-        res = json.loads((out / "report.json").read_text())["results"]["critical_diagonal"]
+        report = json.loads((out / "report.json").read_text())
+        res = report["results"]["critical_diagonal"]
         assert res["verdict"]["classification"] == "finite_limit"
+        assert abs(res["fit"]["exponent"]) < 1e-10
         assert 0.0 <= res["fit"]["r_squared"] <= 1.0
+        xi = report["noise_limit_xi"]
+        assert xi["converged"] and abs(xi["value"][0] + 0.5) < 1e-12
+
+    def test_p_star_key_of_old_configs_is_ignored(self, tmp_path):
+        cfg = self.off_zero_power_law()
+        assert run("analytic", "--config", write_json(tmp_path, cfg),
+                   "--out", tmp_path / "plain", "--format", "csv") == 0
+        cfg["model"]["sigma"]["p_star"] = 0.3
+        assert run("analytic", "--config", write_json(tmp_path, cfg),
+                   "--out", tmp_path / "declared", "--format", "csv") == 0
+        name = "sweep_critical_diagonal.csv"
+        assert (tmp_path / "declared" / name).read_bytes() == \
+            (tmp_path / "plain" / name).read_bytes()
 
     @pytest.mark.parametrize("command", ["analytic", "simulate"])
-    def test_sweeps_reject_noise_threshold_off_p_star(self, command, tmp_path, capsys):
-        cfg = minimal_spectral(sweep={"start": 0.0, "count": 10})
-        cfg["model"]["curves"][0]["offset"] = -0.5
-        cfg["model"]["sigma"] = {"kind": "power_of_p", "exponent": 0.5}
+    def test_sweeps_accept_power_of_p_law_off_zero(self, command, tmp_path):
+        cfg = self.off_zero_power_law()
         cfg["engine"] = {"kind": "empirical", "dt": 0.1, "horizon": 5.0,
                          "n_trajectories": 4, "master_seed": 1}
         out = tmp_path / "out"
-        assert run(command, "--config", write_json(tmp_path, cfg), "--out", out) == 2
-        assert "model.sigma.p_star" in capsys.readouterr().err
-        assert not out.exists()
+        assert run(command, "--config", write_json(tmp_path, cfg), "--out", out) == 0
+        assert "noise_limit_xi" in json.loads((out / "report.json").read_text())
 
 
 class TestConfigNumbers:
@@ -392,6 +405,87 @@ class TestPreflight:
         rc, err = outcomes["validate"]
         assert rc == 2 and "config error: sweep.count" in err
         assert outcomes["analytic"] == outcomes["simulate"] == (rc, err)
+
+
+# extreme configs: each edit is (keys into the config, value); spectral ones
+# also get an empirical engine of 4 trajectories and 20 steps
+EXTREME_CONFIGS = {
+    # lambda + conj(lambda) overflows at the first grid point
+    "huge_start": ("single_mode.json", [(("sweep", "start"), -1.7e308)]),
+    # p* - start overflows
+    "huge_offset": ("single_mode.json", [(("sweep", "start"), -1e308),
+                                         (("model", "curves", 0, "offset"), -1e308)]),
+    "huge_slope": ("single_mode.json", [(("model", "curves", 0, "slope"), 1e308)]),
+    # (-z)^3 overflows in the stationary form of a size-2 Jordan block
+    "huge_slope_jordan": ("jordan_block.json", [(("model", "curves", 0, "slope"), 1e308)]),
+    # |p - p*|^1000 overflows at |p - p*| = 10
+    "huge_noise_exponent": ("single_mode.json", [
+        (("model", "sigma"), {"kind": "power_of_p", "exponent": 1000.0}),
+        (("sweep", "start"), -10.0)]),
+    "power_law_on_one_point": ("single_mode.json", [
+        (("model", "sigma"), {"kind": "power_of_p", "exponent": 0.5}),
+        (("sweep", "count"), 1)]),
+    "reversed_fit_window": ("single_mode.json", [
+        (("fit_windows",), {"critical_diagonal": [-0.1, -0.4]})]),
+    # 2 |p + f| overflows on the grid
+    "huge_start_multiplication": ("quadratic_symbol.json", [(("sweep", "start"), -1.7e308),
+                                                            (("sweep", "count"), 4)]),
+}
+
+
+class TestExitContract:
+    """Every command that accepts a config's kind ends in exit 0, 2 or 3 on
+    it: no exception leaves main, no warning reaches stderr, and a config
+    that validate rejects fails every command alike."""
+
+    def write_extreme(self, name, tmp_path):
+        base, edits = EXTREME_CONFIGS[name]
+        cfg = json.loads((CONFIG_DIR / base).read_text())
+        if cfg["model"]["kind"] == "spectral":
+            cfg["engine"] = {"kind": "empirical", "dt": 0.1, "horizon": 2.0,
+                             "n_trajectories": 4, "master_seed": 1}
+        for keys, value in edits:
+            node = cfg
+            for key in keys[:-1]:
+                node = node[key]
+            node[keys[-1]] = value
+        return write_json(tmp_path, cfg), cfg["model"]["kind"]
+
+    def run_quietly(self, command, path, out, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run(command, "--config", path, "--out", out)
+        err = capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        assert "Warning" not in err and "Traceback" not in err
+        if rc != 0:
+            assert not out.exists()
+        return rc, err
+
+    @pytest.mark.parametrize("name", list(EXTREME_CONFIGS))
+    def test_every_command_keeps_the_exit_contract(self, name, tmp_path, capsys):
+        path, kind = self.write_extreme(name, tmp_path)
+        outcomes = {}
+        for command in ("validate", "analytic", "simulate" if kind == "spectral" else "weyl"):
+            rc, err = self.run_quietly(command, path, tmp_path / command, capsys)
+            assert rc in (0, 2, 3), (command, err)
+            outcomes[command] = rc, err.partition("\n")[0]
+        if outcomes["validate"][0] != 0:
+            assert set(outcomes.values()) == {outcomes["validate"]}
+
+    def test_overflowing_kernel_is_numerical_failure(self, tmp_path, capsys):
+        path, _ = self.write_extreme("huge_start", tmp_path)
+        assert self.run_quietly("validate", path, tmp_path / "v", capsys)[0] == 0
+        rc, err = self.run_quietly("analytic", path, tmp_path / "out", capsys)
+        assert rc == 3 and len(err.splitlines()) == 1
+        assert err.startswith("numerical failure: sweep failed at p=-1.7e+308: ")
+
+    def test_overflowing_grid_is_config_error(self, tmp_path, capsys):
+        path, _ = self.write_extreme("huge_offset", tmp_path)
+        for command in ("validate", "analytic"):
+            rc, err = self.run_quietly(command, path, tmp_path / "out", capsys)
+            assert rc == 2 and len(err.splitlines()) == 1
+            assert err.startswith("config error: sweep: start: ")
 
 
 class TestArguments:

@@ -140,23 +140,24 @@ class TestFiniteSolve:
 
 
 class TestNoiseLimitXi:
-    def make(self, sigma):
+    def make(self, sigma=1.0, sigma_exponent=0.0):
         return SpectralModel(
             curves=[EigenvalueCurve(0, 1.0)],
             noise_matrix=np.array([[1.0]]),
             critical_index=0,
             sigma=sigma,
+            sigma_exponent=sigma_exponent,
         )
 
     def test_balanced_noise_gives_minus_half(self):
-        model = self.make(lambda p: abs(p) ** 0.5)  # sigma^2 = |p|
+        model = self.make(sigma_exponent=0.5)  # sigma^2 = |p|
         grid = -0.5 * 0.5 ** np.arange(10)[::-1] * 2  # increasing toward 0
         xi = noise_limit_xi(model, np.sort(grid))
         assert xi.converged
         assert abs(xi.value - (-0.5)) < 1e-12
 
     def test_fast_noise_vanishes(self):
-        model = self.make(lambda p: abs(p))  # sigma^2 = p^2
+        model = self.make(sigma_exponent=1.0)  # sigma^2 = p^2
         grid = np.sort(-(0.5 ** np.arange(1, 30)))
         xi = noise_limit_xi(model, grid)
         assert xi.converged

@@ -29,12 +29,13 @@ from oracles import assemble_drift_matrix, finite_lyapunov_solve
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-def single_mode(sigma=1.0, noise=1.0, omega=0.0):
+def single_mode(sigma=1.0, noise=1.0, omega=0.0, sigma_exponent=0.0):
     return SpectralModel(
         curves=[EigenvalueCurve(0, 1.0, 1j * omega)],
         noise_matrix=np.array([[noise]]),
         critical_index=0,
         sigma=sigma,
+        sigma_exponent=sigma_exponent,
     )
 
 
@@ -286,7 +287,7 @@ class TestAnalyticSweep:
             noise_matrix=g @ g.conj().T,
             critical_index=1,
             jordan_sizes={1: 2},
-            sigma=lambda p: abs(p) ** 0.25,
+            sigma_exponent=0.25,
         )
         grid = make_p_grid(0.0, -0.5, 6)
         names = ["critical_diagonal", "block_entry:1,2", "block_entry:2,2",
@@ -319,7 +320,7 @@ class TestClassification:
         assert abs(verdict.fitted_exponent + 1.0) < 1e-10
 
     def test_balanced_noise_finite_limit(self):
-        model = single_mode(sigma=lambda p: abs(p) ** 0.5)  # sigma^2 = |p|
+        model = single_mode(sigma_exponent=0.5)  # sigma^2 = |p|
         grid = self.grid()
         sweep = run_parameter_sweep(model, grid, ["critical_diagonal"])
         xi = noise_limit_xi(model, grid)
@@ -331,7 +332,7 @@ class TestClassification:
         assert_allclose(sweep.quantities["critical_diagonal"], 0.5, rtol=1e-12)
 
     def test_fast_noise_vanishes(self):
-        model = single_mode(sigma=lambda p: abs(p))  # sigma^2 = p^2
+        model = single_mode(sigma_exponent=1.0)  # sigma^2 = p^2
         sweep = run_parameter_sweep(model, self.grid(), ["critical_diagonal"])
         verdict = classify_warning_sign(fit_quantity(sweep, "critical_diagonal"))
         assert verdict.classification == "vanishing"
@@ -342,8 +343,8 @@ class TestClassification:
         cfg = EnsembleConfig(dt=0.05, horizon=40.0, n_trajectories=400, master_seed=5)
         cases = [
             (single_mode(), "diverging"),
-            (single_mode(sigma=lambda p: abs(p) ** 0.5), "finite_limit"),
-            (single_mode(sigma=lambda p: abs(p)), "vanishing"),
+            (single_mode(sigma_exponent=0.5), "finite_limit"),
+            (single_mode(sigma_exponent=1.0), "vanishing"),
         ]
         for model, expected in cases:
             sweep = run_parameter_sweep(model, grid, ["critical_diagonal"], config=cfg)

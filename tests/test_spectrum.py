@@ -132,6 +132,46 @@ class TestModelValidation:
         assert m.weyl_center == -0.5
 
 
+class TestNoiseLaw:
+    """sigma(p) = sigma * |p - p*| ** sigma_exponent is data anchored at the
+    closed-form p*."""
+
+    @pytest.mark.parametrize("sigma, exponent, field", [
+        (lambda p: abs(p), 0.0, "sigma"),
+        (-0.5, 0.0, "sigma"),
+        (1.0, math.nan, "sigma_exponent"),
+    ], ids=["callable-sigma", "negative-sigma", "nan-exponent"])
+    def test_rejects_non_data_laws(self, sigma, exponent, field):
+        with pytest.raises(ValueError, match=field):
+            SpectralModel(curves=[EigenvalueCurve(0, 1.0)], noise_matrix=np.eye(1),
+                          critical_index=0, sigma=sigma, sigma_exponent=exponent)
+
+    def test_law_is_anchored_at_computed_p_star(self):
+        rng = np.random.default_rng(22)
+        for _ in range(25):
+            slope, offset = rng.uniform(0.5, 2.0), rng.uniform(-3.0, 3.0)
+            scale, exponent = rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)
+            model = SpectralModel(curves=[EigenvalueCurve(0, slope, offset)],
+                                  noise_matrix=np.eye(1), critical_index=0,
+                                  sigma=scale, sigma_exponent=exponent)
+            p_star = bifurcation_parameter(model)
+            assert p_star != 0.0
+            p = p_star - rng.uniform(1e-6, 1.0)
+            assert model.sigma_at(p) == scale * abs(p - p_star) ** exponent
+
+    def test_exponent_zero_is_the_constant_law(self):
+        model = SpectralModel(curves=[EigenvalueCurve(0, -1.0)], noise_matrix=np.eye(1),
+                              critical_index=0, sigma=0.7)
+        assert not model.sigma_depends_on_p
+        assert model.sigma_at(3.0) == 0.7  # no p* exists, none is needed
+
+    def test_overflowing_law_signals(self):
+        model = SpectralModel(curves=[EigenvalueCurve(0, 1.0)], noise_matrix=np.eye(1),
+                              critical_index=0, sigma=1.0, sigma_exponent=1000.0)
+        with pytest.raises(NumericalError, match="sigma"):
+            model.sigma_at(-10.0)
+
+
 class TestAbscissaAndBifurcation:
     def test_abscissa_takes_max_real_part(self):
         m = SpectralModel(
