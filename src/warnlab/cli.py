@@ -7,13 +7,13 @@ Subcommands:
     validate   run the pre-flight alone and summarize the config
 
 Every command runs the same pre-flight before it sweeps (``_preflight``): p*,
-where a power_of_p noise law is anchored, the grid and the spectral gap
-(spectral models) or every Weyl vector's support (multiplication models),
-then strict stability of the drift at every grid point and the mixing
-warning. Only a command's own requirements (simulate's empirical engine,
-weyl's multiplication model and k_values) are checked before it, so a config
-that ``validate`` rejects fails every command that accepts its kind with the
-same exit code and message.
+where a power_of_p noise law is anchored, the grid, the noise law at the
+grid's ends and the spectral gap (spectral models) or every Weyl vector's
+support (multiplication models), then strict stability of the drift at
+every grid point and the mixing warning. Only a command's own requirements
+(simulate's empirical engine, weyl's multiplication model and k_values) are
+checked before it, so a config that ``validate`` rejects fails every command
+that accepts its kind with the same exit code and message.
 
 The three sweep commands run ``run_parameter_sweep`` once (weyl on the
 ``weyl_pairing:k`` quantities of ``weyl.k_values``) and report through one
@@ -105,8 +105,9 @@ def _preflight(cfg: ExperimentConfig):
     spectral abscissa at each grid point, ``sde._mixing`` of an ensemble).
 
     For spectral models: a power_of_p noise law, which vanishes at p*, has
-    the two grid points its limit Xi needs, and one curve alone enters the
-    spectral gap at p*. For multiplication models: every Weyl vector, of
+    the two grid points its limit Xi needs and is finite at both ends of the
+    grid (NumericalError otherwise), and one curve alone enters the spectral
+    gap at p*. For multiplication models: every Weyl vector, of
     ``weyl.k_values`` or a quantity, has 3 grid points in its support around
     the model's ``weyl_center``. For every model the drift is strictly stable
     at each grid point (each curve evaluated once there), and an empirical
@@ -123,9 +124,14 @@ def _preflight(cfg: ExperimentConfig):
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from exc
     if spectral:
-        if model.sigma_depends_on_p and grid.size < 2:
-            raise ConfigError("sweep.count: a power_of_p noise law needs at least 2 grid "
-                              "points for its noise limit Xi")
+        if model.sigma_depends_on_p:
+            if grid.size < 2:
+                raise ConfigError("sweep.count: a power_of_p noise law needs at least 2 grid "
+                                  "points for its noise limit Xi")
+            # |p - p*| is monotone on a grid below p*, so sigma(p) takes its
+            # extremes at the ends
+            model.sigma_at(float(grid[0]))
+            model.sigma_at(float(grid[-1]))
         for k, lam, _, _ in model.modes(p_star):
             if k != model.critical_index and lam.real > -cfg.spectral_gap:
                 raise ConfigError(

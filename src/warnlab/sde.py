@@ -25,8 +25,13 @@ one per core and one per ``_MIN_CHUNK_WORK`` trajectories · modes
 takes the same path. Chunks share no state: worker w runs chunks w,
 w + workers, ... and writes only their rows of the per-trajectory time
 averages, which reduce over all N in index order after the join. Each chunk
-streams its horizon in time blocks through its worker's noise buffer of at
-most ``_BLOCK_BYTES``, so memory stays bounded whatever the horizon.
+streams its horizon in time blocks through its worker's noise buffer, so
+memory stays bounded whatever the horizon. A block holds at most
+``_ROW_DRAWS`` = 2048 normals per generator call, one row per trajectory,
+and at most ``_BLOCK_BYTES`` = 8 MiB per worker over all rows of its chunk.
+The row rule bites on chunks narrower than 512 trajectories with horizons
+longer than 1024/dim steps, where it holds the buffer to 16 KiB per
+trajectory of the chunk, at a call overhead of a few percent.
 Consecutive block draws concatenate to the same stream as one draw over the
 whole horizon, so neither the block length, the chunk width nor the thread
 count changes the bytes of the result. Second moments accumulate with the
@@ -35,13 +40,15 @@ asks for (``modes``; all of them by default), so the accumulators take
 O(width·r²) per worker and the time averages O(N·r²); each entry still sums
 the same products in the same time order, and the estimate's reductions
 over N run row by row as for the full matrix, because a one-mode block is
-widened to two.
+widened to two. Under ``WARNLAB_LOG=debug`` each ensemble logs its plan
+once, through the ``warnlab.sde`` logger.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import functools
+import logging
 import os
 from dataclasses import dataclass
 
@@ -58,6 +65,10 @@ _CHUNK = 2048  # widest chunk of trajectories
 # chunk width · dim below which a second worker thread slows an ensemble down
 _MIN_CHUNK_WORK = 1024
 _BLOCK_BYTES = 8 << 20  # bytes of one worker's noise buffer, over all trajectories of its chunk
+# normals one generator call draws into its row of the block: a call costs about
+# 1.5 us on top of about 17 ns a draw, so a 2048-draw row spends about 4% of its
+# time on the call, and a longer row only grows the buffer
+_ROW_DRAWS = 2048
 _MIXING_THRESHOLD = 5.0
 _MAX_STEPS = 2**53  # largest horizon / dt whose round() is an exact step count
 # numpy SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -65,6 +76,8 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+log = logging.getLogger(__name__)
 
 
 def splitmix64(seed: int, index: int = 0) -> int:
@@ -271,9 +284,14 @@ def simulate_ensemble(model: SpectralModel, p: float, config: EnsembleConfig,
     averages outer products of the mode coefficients. Standard errors come
     from the spread of per-trajectory time averages. Chunks of trajectories
     run on up to ``threads`` worker threads (default: all cores; see
-    ``_chunk_plan``). Fully deterministic for a fixed master seed, at any
-    thread count; a ``mixing_warning`` flags horizons shorter than five
-    relaxation times of the slowest mode.
+    ``_chunk_plan``). Each worker streams the noise of its chunk in time
+    blocks of at most 2048 normals per generator call (``_ROW_DRAWS``) and at
+    most 8 MiB over the chunk (``_BLOCK_BYTES``); the row rule sets the block
+    for chunks narrower than 512 trajectories whose horizon is longer than
+    1024/dim steps. Fully deterministic for a fixed master seed, at any
+    thread count and block length; a ``mixing_warning`` flags horizons
+    shorter than five relaxation times of the slowest mode. Logs the plan
+    (workers, chunks, width, block steps, buffer MiB) once at debug level.
 
     ``modes`` is the contiguous range of mode rows whose second moments are
     accumulated (default: all of them); the result is the principal block of
@@ -312,7 +330,10 @@ def simulate_ensemble(model: SpectralModel, p: float, config: EnsembleConfig,
     n = config.n_trajectories
     workers, chunks = _chunk_plan(n, threads, dim)
     width = -(-n // chunks)
-    block = max(1, min(n_steps, _BLOCK_BYTES // (width * dim * 16)))
+    block = max(1, min(n_steps, _ROW_DRAWS // (2 * dim), _BLOCK_BYTES // (width * dim * 16)))
+    log.debug("ensemble plan at p=%r: workers=%d chunks=%d width=%d block_steps=%d "
+              "buffer_mib=%.2f", float(p), workers, chunks, width, block,
+              width * block * dim * 16 / (1 << 20))
     stats = np.empty((n, r, r), dtype=complex)
 
     def run_chunks(w: int) -> None:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -480,6 +481,13 @@ class TestExitContract:
         assert rc == 3 and len(err.splitlines()) == 1
         assert err.startswith("numerical failure: sweep failed at p=-1.7e+308: ")
 
+    def test_overflowing_noise_law_fails_the_preflight(self, tmp_path, capsys):
+        path, _ = self.write_extreme("huge_noise_exponent", tmp_path)
+        for command in ("validate", "analytic", "simulate"):
+            rc, err = self.run_quietly(command, path, tmp_path / command, capsys)
+            assert rc == 3 and len(err.splitlines()) == 1
+            assert err == "numerical failure: sigma(p) is not finite at p=-10.0\n"
+
     def test_overflowing_grid_is_config_error(self, tmp_path, capsys):
         path, _ = self.write_extreme("huge_offset", tmp_path)
         for command in ("validate", "analytic"):
@@ -536,6 +544,28 @@ class TestLogging:
         monkeypatch.setenv("WARNLAB_LOG", "error")
         assert run("validate", "--config", single) == 0
         assert capsys.readouterr().err == ""
+
+    def test_debug_logs_each_ensemble_plan_once(self, monkeypatch, tmp_path, caplog, capsys):
+        mc = CONFIG_DIR / "single_mode_mc.json"
+        monkeypatch.delenv("WARNLAB_LOG", raising=False)
+        assert run("simulate", "--config", mc, "--threads", "1", "--out", tmp_path / "a") == 0
+        monkeypatch.setenv("WARNLAB_LOG", "debug")
+        try:
+            assert run("simulate", "--config", mc, "--threads", "1", "--out", tmp_path / "b") == 0
+        finally:  # later direct calls must not log to this test's captured stderr
+            cli.log.setLevel(logging.ERROR)
+        # 400 one-mode trajectories in one chunk: the byte budget, not the
+        # 1024-step generator row, sets the 800-step block
+        assert [r.getMessage() for r in caplog.records if r.name == "warnlab.sde"] == [
+            f"ensemble plan at p={p!r}: workers=1 chunks=1 width=400 block_steps=800 "
+            "buffer_mib=4.88" for p in (-0.5, -0.25, -0.125)]
+        assert "DEBUG warnlab.sde: ensemble plan at p=-0.5: " in capsys.readouterr().err
+        csv = "sweep_critical_diagonal.csv"
+        assert (tmp_path / "a" / csv).read_bytes() == (tmp_path / "b" / csv).read_bytes()
+        reports = [json.loads((tmp_path / d / "report.json").read_text()) for d in "ab"]
+        for report in reports:
+            del report["timing"]
+        assert reports[0] == reports[1]
 
 
 class TestShell:

@@ -328,17 +328,20 @@ class TestTimeBlocks:
         "dim8_dense": dim8_dense_model,
     }
 
-    @pytest.mark.parametrize("block", ["one_step", "seven_steps", "whole_horizon"])
+    @pytest.mark.parametrize("block", ["one_step", "seven_steps", "five_step_rows",
+                                       "whole_horizon"])
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_blocks_match_full_horizon_oracle(self, monkeypatch, name, block):
         # 8 trajectories in chunks of 3 leave a partial last chunk; 7-step
-        # blocks leave a partial last block of the 24 steps
+        # blocks of the byte budget and 5-step blocks of the generator row
+        # leave a partial last block of the 24 steps
         model = self.MODELS[name]()
         dim = model.total_dim
-        budget = {"one_step": 1, "seven_steps": 7 * 3 * dim * 16,
-                  "whole_horizon": 1 << 40}[block]
+        budget = {"one_step": 1, "seven_steps": 7 * 3 * dim * 16}.get(block, 1 << 40)
+        row_draws = 5 * 2 * dim if block == "five_step_rows" else sde._ROW_DRAWS
         monkeypatch.setattr(sde, "_CHUNK", 3)
         monkeypatch.setattr(sde, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(sde, "_ROW_DRAWS", row_draws)
         cfg = EnsembleConfig(dt=0.05, horizon=1.2, n_trajectories=8, master_seed=2024)
         est = simulate_ensemble(model, -0.4, cfg)
         mat, se = full_horizon_oracle(model, -0.4, cfg, chunk=3)
@@ -365,6 +368,19 @@ class TestTimeBlocks:
         # a full-horizon noise buffer for the long run alone is 16 * 8000 * 2 * 16 bytes
         assert peaks[400.0] <= 1.25 * peaks[50.0]
         assert peaks[400.0] < 16 * 8000 * 2 * 16
+
+    def test_noise_buffer_follows_the_generator_row(self):
+        # one worker, one chunk of 256 dim-8 trajectories over 320 steps: the
+        # byte budget alone fills 256 steps, 8 MiB; rows of 2048 normals hold
+        # 128 steps, 4 MiB, and everything else stays under 2 MiB
+        cfg = EnsembleConfig(dt=0.05, horizon=16.0, n_trajectories=256, master_seed=11)
+        tracemalloc.start()
+        try:
+            simulate_ensemble(dim8_dense_model(), -0.4, cfg, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20
 
 
 class TestChunkPool:
