@@ -44,7 +44,7 @@ from .scaling import (
     run_parameter_sweep,
     select_window,
 )
-from .config import ExperimentConfig, SweepSettings, load_config
+from .config import ExperimentConfig, load_config
 
 __version__ = "0.1.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "ScalingFit",
     "SpectralModel",
     "SweepResult",
-    "SweepSettings",
     "WarnlabError",
     "WarningSignVerdict",
     "WeylVector",

@@ -6,16 +6,16 @@ Subcommands:
     weyl       Weyl-vector pairing probe for multiplication models
     validate   run the pre-flight alone and summarize the config
 
-Every command runs the same pre-flight before it sweeps (``_preflight``): p*,
-where a power_of_p noise law is anchored, the grid, the noise law at the
-grid's ends and the spectral gap (spectral models) or every Weyl vector's
-support (multiplication models), then strict stability of the drift at
-every grid point and the mixing warning. Only a command's own requirements
-(simulate's empirical engine, weyl's multiplication model and k_values) are
-checked before it, so a config that ``validate`` rejects fails every command
-that accepts its kind with the same exit code and message.
+Every command loads its config, which resolves p* and the grid (NumericalError
+for a model without a p*), checks its own requirements (simulate's empirical
+engine, weyl's multiplication model and k_values) and runs the one pre-flight
+(``_preflight``): the noise law at the grid's ends and the spectral gap
+(spectral models) or every Weyl vector's support (multiplication models),
+strict stability of the drift at every grid point, the closed form at the
+grid's ends (spectral models) and the mixing warning. So a config that
+``validate`` rejects fails every command that accepts its kind alike.
 
-The three sweep commands run ``run_parameter_sweep`` once (weyl on the
+The three sweep commands sweep the grid once (weyl on the
 ``weyl_pairing:k`` quantities of ``weyl.k_values``) and report through one
 builder (``_sweep_report``): each quantity's series, its power-law fit
 (fitted once) and the verdict classified from that fit, with the command's
@@ -52,7 +52,6 @@ from .lyapunov import noise_limit_xi
 from .scaling import (
     classify_warning_sign,
     fit_quantity,
-    make_p_grid,
     parse_quantity,
     run_parameter_sweep,
 )
@@ -61,7 +60,6 @@ from .spectrum import (
     MultiplicationSymbolModel,
     SpectralModel,
     _weyl_support,
-    bifurcation_parameter,
     spectral_abscissa,
     weyl_defect,
 )
@@ -70,22 +68,24 @@ _SCHEMA_VERSION = 1
 
 log = logging.getLogger("warnlab")
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-_log_handler = logging.StreamHandler()
+
+
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to sys.stderr as it is then, never to a stream a
+    caller has replaced or closed since; the stream assigned is ignored."""
+    stream = property(lambda self: sys.stderr, lambda self, stream: None)
+
+
+_log_handler = _StderrHandler()
 _log_handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
 
 
 def _setup_logging() -> None:
-    """Send the warnlab logger to the current sys.stderr at the level
-    WARNLAB_LOG names (error when unset or unknown). Every main() call
-    applies both anew, so an in-process caller may change either between
-    calls."""
+    """Set the warnlab logger's level from WARNLAB_LOG (error when unset or
+    unknown), anew at every main() call, and log its records to sys.stderr."""
     level_name = os.environ.get("WARNLAB_LOG", "error").lower()
     log.setLevel(_LOG_LEVELS.get(level_name, logging.ERROR))
-    # assigned, not setStream(): that flushes the previous stream, which an
-    # earlier caller may have closed since
-    _log_handler.stream = sys.stderr
-    if _log_handler not in log.handlers:
-        log.addHandler(_log_handler)
+    log.addHandler(_log_handler)  # a no-op once added
 
 
 def _sanitize(name: str) -> str:
@@ -101,8 +101,9 @@ def _resolve_formats(args, cfg: ExperimentConfig) -> tuple:
 
 
 def _preflight(cfg: ExperimentConfig):
-    """The checks every command runs before it sweeps; returns (p*, grid,
-    spectral abscissa at each grid point, ``sde._mixing`` of an ensemble).
+    """The checks every command runs on a loaded config before it sweeps;
+    returns the spectral abscissa at each grid point and ``sde._mixing`` of
+    an ensemble.
 
     For spectral models: a power_of_p noise law, which vanishes at p*, has
     the two grid points its limit Xi needs and is finite at both ends of the
@@ -110,28 +111,21 @@ def _preflight(cfg: ExperimentConfig):
     gap at p*. For multiplication models: every Weyl vector, of
     ``weyl.k_values`` or a quantity, has 3 grid points in its support around
     the model's ``weyl_center``. For every model the drift is strictly stable
-    at each grid point (each curve evaluated once there), and an empirical
-    horizon too short to mix at some grid point is warned of.
+    at each grid point (each curve evaluated once there), then, for spectral
+    models, the closed form is finite at both ends of the grid, where
+    Re(lambda_k + conj lambda_j), affine in p, and sigma(p) take their
+    extremes. Last, an empirical horizon too short to mix is warned of.
     """
-    model = cfg.model
-    p_star = bifurcation_parameter(model)
+    model, p_star, grid = cfg.model, cfg.p_star, cfg.grid
     log.info("bifurcation parameter p* = %r", p_star)
     spectral = isinstance(model, SpectralModel)
-    s = cfg.sweep
-    try:
-        grid = make_p_grid(p_star, s.start, s.count, factor=s.factor, stop=s.stop,
-                           spacing=s.spacing)
-    except ValueError as exc:
-        raise ConfigError(f"sweep: {exc}") from exc
     if spectral:
         if model.sigma_depends_on_p:
             if grid.size < 2:
                 raise ConfigError("sweep.count: a power_of_p noise law needs at least 2 grid "
                                   "points for its noise limit Xi")
-            # |p - p*| is monotone on a grid below p*, so sigma(p) takes its
-            # extremes at the ends
-            model.sigma_at(float(grid[0]))
-            model.sigma_at(float(grid[-1]))
+            for p in (grid[0], grid[-1]):  # |p - p*| is monotone on the grid
+                model.sigma_at(float(p))
         for k, lam, _, _ in model.modes(p_star):
             if k != model.critical_index and lam.real > -cfg.spectral_gap:
                 raise ConfigError(
@@ -154,11 +148,13 @@ def _preflight(cfg: ExperimentConfig):
             raise NumericalError(
                 f"drift not strictly stable at p={float(p)!r}: spectral abscissa {a:.6g}"
             )
+    if spectral:  # the sweep's own closed-form path, at grid[0] and grid[-1]
+        run_parameter_sweep(model, grid[::max(grid.size - 1, 1)], cfg.quantities, p_star=p_star)
     mixing = None if cfg.ensemble is None else _mixing(cfg.ensemble.horizon, abscissae)
     if mixing is not None and mixing[1] is not None:
         print("warning: horizon is short against the slowest relaxation time "
               f"({mixing[1]} on the grid)", file=sys.stderr)
-    return p_star, grid, abscissae, mixing
+    return abscissae, mixing
 
 
 def _planned_outputs(cfg, args, names) -> tuple[Path, dict, Path | None]:
@@ -295,12 +291,12 @@ def _sweep_report(command, cfg, sweep, elapsed) -> dict:
     return report
 
 
-def _mc_diagnostics(cfg, sweep, p_star: float, ratios) -> dict:
+def _mc_diagnostics(cfg, sweep, ratios) -> dict:
     """Audit of a Monte Carlo sweep against the closed forms: for each point
     the mixing ratio horizon * |spectral abscissa| and, for each quantity,
     the closed-form |V| and the z-score (value - closed_form) / stderr (None
     at zero stderr), plus the share of estimates within 3 standard errors."""
-    exact = run_parameter_sweep(cfg.model, sweep.p_values, cfg.quantities, p_star=p_star)
+    exact = run_parameter_sweep(cfg.model, sweep.p_values, cfg.quantities, p_star=cfg.p_star)
     points = []
     hits = total = 0
     for i, p in enumerate(sweep.p_values):
@@ -319,9 +315,9 @@ def _mc_diagnostics(cfg, sweep, p_star: float, ratios) -> dict:
 def cmd_analytic(args) -> int:
     start = time.perf_counter()
     cfg = load_config(args.config)
-    p_star, grid, _, _ = _preflight(cfg)
+    _preflight(cfg)
     outputs = _planned_outputs(cfg, args, cfg.quantities)
-    sweep = run_parameter_sweep(cfg.model, grid, cfg.quantities, p_star=p_star)
+    sweep = run_parameter_sweep(cfg.model, cfg.grid, cfg.quantities, p_star=cfg.p_star)
     elapsed = time.perf_counter() - start
     report = _sweep_report("analytic", cfg, sweep, elapsed)
     _write_outputs(outputs, sweep, report)
@@ -336,19 +332,19 @@ def cmd_simulate(args) -> int:
     ensemble = cfg.ensemble
     if args.seed is not None:
         ensemble = replace(ensemble, master_seed=args.seed & 0xFFFFFFFFFFFFFFFF)
-    p_star, grid, _, (ratios, short) = _preflight(cfg)
+    _, (ratios, short) = _preflight(cfg)
     outputs = _planned_outputs(cfg, args, cfg.quantities)
     log.info("simulating %d grid points, %d trajectories each",
-             grid.size, ensemble.n_trajectories)
-    sweep = run_parameter_sweep(cfg.model, grid, cfg.quantities, config=ensemble,
-                                p_star=p_star, threads=args.threads)
+             cfg.grid.size, ensemble.n_trajectories)
+    sweep = run_parameter_sweep(cfg.model, cfg.grid, cfg.quantities, config=ensemble,
+                                p_star=cfg.p_star, threads=args.threads)
     elapsed = time.perf_counter() - start
     report = _sweep_report("simulate", cfg, sweep, elapsed)
     report["seed_record"] = {
         "master_seed": ensemble.master_seed,
         "point_seeds": list(sweep.point_seeds),
     }
-    report["diagnostics"] = diagnostics = _mc_diagnostics(cfg, sweep, p_star, ratios)
+    report["diagnostics"] = diagnostics = _mc_diagnostics(cfg, sweep, ratios)
     report["mixing_warning"] = short is not None
     if diagnostics["within_3se_frac"] < 0.95:
         print(f"warning: only {diagnostics['within_3se_frac']:.1%} of the estimates lie "
@@ -365,10 +361,10 @@ def cmd_weyl(args) -> int:
         raise ConfigError("model.kind: command 'weyl' requires a multiplication model")
     if not cfg.weyl_k_values:
         raise ConfigError("weyl.k_values: required for the weyl command")
-    p_star, grid, _, _ = _preflight(cfg)
+    _preflight(cfg)
     names = [f"weyl_pairing:{k}" for k in cfg.weyl_k_values]
     outputs = _planned_outputs(cfg, args, names)
-    sweep = run_parameter_sweep(model, grid, names, p_star=p_star)
+    sweep = run_parameter_sweep(model, cfg.grid, names, p_star=cfg.p_star)
     defects = {k: weyl_defect(model, sweep.weyl_vectors[k], model.esssup)
                for k in cfg.weyl_k_values}
     elapsed = time.perf_counter() - start
@@ -388,14 +384,14 @@ def cmd_weyl(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    model = cfg.model
-    p_star, grid, abscissae, _ = _preflight(cfg)
+    model, grid = cfg.model, cfg.grid
+    abscissae, _ = _preflight(cfg)
     if isinstance(model, SpectralModel):
         kind, modes = "spectral", model.total_dim
     else:
         kind, modes = "multiplication", model.grid.size
     print(f"config OK: {kind} model with {modes} modes, {len(cfg.quantities)} "
-          f"quantities, p* = {p_star!r}, grid of {grid.size} points in "
+          f"quantities, p* = {cfg.p_star!r}, grid of {grid.size} points in "
           f"[{float(grid[0])!r}, {float(grid[-1])!r}], spectral abscissa "
           f"{abscissae[0]:.6g} -> {abscissae[-1]:.6g} across the sweep")
     ens = cfg.ensemble

@@ -2,6 +2,9 @@
 
 Validation errors name the offending field by dotted path (for example
 ``model.curves[1].slope``) so a config can be fixed without reading code.
+Once every other field checks out, p* and the sweep grid (``make_p_grid``
+states its rules) are resolved, so load_config raises NumericalError for a
+model without a p*.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigError
-from .scaling import _entry_index, parse_quantity
+from .scaling import _entry_index, make_p_grid, parse_quantity
 from .sde import EnsembleConfig
 from .spectrum import (
     DEFAULT_HALF_WIDTH,
@@ -22,27 +25,18 @@ from .spectrum import (
     EigenvalueCurve,
     MultiplicationSymbolModel,
     SpectralModel,
+    bifurcation_parameter,
 )
 
 _FORMATS = ("csv", "json")
 
 
-@dataclass(frozen=True)
-class SweepSettings:
-    """Grid shape; the grid itself is materialized once p* is known."""
-
-    start: float
-    count: int
-    factor: float = 0.5
-    stop: float | None = None
-    spacing: str = "geometric"
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     name: str
     model: Any
-    sweep: SweepSettings
+    p_star: float
+    grid: np.ndarray  # read-only, increasing toward p*
     quantities: tuple
     ensemble: EnsembleConfig | None  # None: the closed forms (engine kind "analytic")
     weyl_k_values: tuple
@@ -213,24 +207,18 @@ def _build_multiplication_model(raw: dict, path: str) -> MultiplicationSymbolMod
         raise ConfigError(f"{path}.grid: {exc}") from exc
 
 
-def _build_sweep(raw, path: str) -> SweepSettings:
+def _build_sweep(raw, path: str) -> dict:
+    """The sweep block's values, JSON-typed, as ``make_p_grid`` keywords."""
     raw = _as_mapping(raw, path)
-    start = _as_number(_require(raw, "start", path), f"{path}.start")
-    count = _as_int(_require(raw, "count", path), f"{path}.count")
-    if count < 1:
-        raise ConfigError(f"{path}.count: must be >= 1")
-    factor = _as_number(raw.get("factor", 0.5), f"{path}.factor")
-    stop = raw.get("stop")
-    if stop is not None:
-        stop = _as_number(stop, f"{path}.stop")
-    spacing = raw.get("spacing", "geometric")
-    if spacing not in ("geometric", "linear"):
-        raise ConfigError(f"{path}.spacing: expected 'geometric' or 'linear'")
-    if spacing == "linear" and stop is None:
-        raise ConfigError(f"{path}.stop: required for linear spacing")
-    if spacing == "geometric" and not (0.0 < factor < 1.0):
-        raise ConfigError(f"{path}.factor: must lie in (0, 1)")
-    return SweepSettings(start=start, count=count, factor=factor, stop=stop, spacing=spacing)
+    sweep = {
+        "start": _as_number(_require(raw, "start", path), f"{path}.start"),
+        "count": _as_int(_require(raw, "count", path), f"{path}.count"),
+        "factor": _as_number(raw.get("factor", 0.5), f"{path}.factor"),
+        "spacing": raw.get("spacing", "geometric"),
+    }
+    if raw.get("stop") is not None:
+        sweep["stop"] = _as_number(raw["stop"], f"{path}.stop")
+    return sweep
 
 
 def _build_engine(raw, path: str) -> EnsembleConfig | None:
@@ -257,7 +245,7 @@ def _build_engine(raw, path: str) -> EnsembleConfig | None:
 
 
 def resolve_config(raw: dict) -> ExperimentConfig:
-    """Validate a parsed JSON document and build the model it describes."""
+    """Validate a parsed JSON document; build its model, p* and sweep grid."""
     raw = _as_mapping(raw, "config")
     name = raw.get("name", "experiment")
     if not isinstance(name, str):
@@ -346,10 +334,17 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     if gap <= 0:
         raise ConfigError("validation.spectral_gap: must be > 0")
 
+    p_star = bifurcation_parameter(model)
+    try:
+        grid = make_p_grid(p_star, **sweep)
+    except ValueError as exc:
+        raise ConfigError(f"sweep.{exc}") from exc  # each message starts with its field
+    grid.flags.writeable = False
     return ExperimentConfig(
         name=name,
         model=model,
-        sweep=sweep,
+        p_star=p_star,
+        grid=grid,
         quantities=tuple(quantities),
         ensemble=ensemble,
         weyl_k_values=tuple(k_values),
@@ -366,6 +361,7 @@ def load_config(path) -> ExperimentConfig:
 
     Raises:
         ConfigError: unreadable file, invalid JSON, or schema violations.
+        NumericalError: the model has no p*.
     """
     try:
         with open(path) as fh:

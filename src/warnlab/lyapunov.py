@@ -206,7 +206,7 @@ class _StableShift:
         if top >= 0.0:
             raise NumericalError(f"p + f >= 0 on the grid at p={p}: drift not strictly "
                                  f"stable (p* = {-self._model.esssup})")
-        with np.errstate(over="ignore"):  # a 2 |p + f| of inf gives the underflowed 0
+        with np.errstate(all="ignore"):  # an inf or nan quotient: the sweep reports it
             return [1.0 / (2.0 * -top) if r is None else r.at(p) for r in self._pairings]
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -148,32 +149,33 @@ def make_p_grid(p_star: float, start: float, count: int, factor: float = 0.5,
 
     Geometric spacing (the default) contracts the distance to p* by ``factor``
     per step, or interpolates geometrically between start and stop when a stop
-    value is given; linear spacing requires a stop value.
+    value is given; linear spacing requires a stop value. The one statement
+    of the sweep rules: each ValueError message starts with its argument.
     """
     if count < 1:
         raise ValueError("count: must be >= 1")
     if spacing == "linear":
         if stop is None:
-            raise ValueError("linear spacing requires a stop value")
+            raise ValueError("stop: required for linear spacing")
         if abs(stop - start) == math.inf:
             raise ValueError("stop: its distance to start overflows")
         grid = np.linspace(start, stop, count)
     elif spacing == "geometric":
+        if stop is None and not 0.0 < factor < 1.0:
+            raise ValueError("factor: must lie in (0, 1)")
         d0 = p_star - start
         if not 0 < d0 < math.inf:
             raise ValueError("start: must lie strictly below p*, a finite distance away")
-        if stop is not None:
+        if stop is None:
+            dists = d0 * factor ** np.arange(count)
+        else:
             d1 = p_star - stop
             if not 0 < d1 < math.inf:
                 raise ValueError("stop: must lie strictly below p*, a finite distance away")
             dists = np.geomspace(d0, d1, count)
-        else:
-            if not (0.0 < factor < 1.0):
-                raise ValueError("factor: must lie in (0, 1)")
-            dists = d0 * factor ** np.arange(count)
         grid = p_star - dists
     else:
-        raise ValueError(f"spacing: unknown value {spacing!r}")
+        raise ValueError("spacing: expected 'geometric' or 'linear'")
     if np.any(np.diff(grid) <= 0) or np.any(grid >= p_star):
         raise ValueError("grid: must be strictly increasing and stay below p*")
     return grid
@@ -297,7 +299,8 @@ def fit_power_law(distances, values) -> ScalingFit:
     """Least-squares fit of log(value) against log(distance).
 
     Raises:
-        NumericalError: on fewer than 3 points or nonpositive inputs.
+        NumericalError: on fewer than 3 points, nonpositive inputs or
+            distances that agree to rounding.
     """
     d = np.asarray(distances, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -309,7 +312,12 @@ def fit_power_law(distances, values) -> ScalingFit:
         raise NumericalError("fit_power_law: distances and values must be positive and finite")
     x = np.log(d)
     y = np.log(v)
-    slope, intercept = np.polyfit(x, y, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.RankWarning)
+        try:
+            slope, intercept = np.polyfit(x, y, 1)
+        except np.exceptions.RankWarning:
+            raise NumericalError("fit_power_law: distances agree to rounding") from None
     resid = y - (slope * x + intercept)
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))

@@ -1,21 +1,25 @@
 import contextlib
 import io
 import json
-import logging
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import warnlab.cli as cli
 import warnlab.lyapunov as lyapunov
 import warnlab.scaling as scaling
+import warnlab.sde as sde
 import warnlab.spectrum as spectrum
 from warnlab.cli import _build_parser, main
 from warnlab.config import load_config
+from warnlab.scaling import make_p_grid
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -431,6 +435,12 @@ EXTREME_CONFIGS = {
     # 2 |p + f| overflows on the grid
     "huge_start_multiplication": ("quadratic_symbol.json", [(("sweep", "start"), -1.7e308),
                                                             (("sweep", "count"), 4)]),
+    # the grid's distances to p* agree to rounding, so no slope can be fitted
+    "flat_grid": ("single_mode.json", [(("sweep", "factor"), 1.0 - 2**-52),
+                                       (("sweep", "count"), 3)]),
+    # 4 (p + f)^2 of the Gaussian pairing underflows to 0 at x = 0
+    "tiny_distance_gaussian_pairing": ("quadratic_symbol_coarse.json", [
+        (("sweep",), {"start": -1e-300, "count": 1})]),
 }
 
 
@@ -475,11 +485,12 @@ class TestExitContract:
             assert set(outcomes.values()) == {outcomes["validate"]}
 
     def test_overflowing_kernel_is_numerical_failure(self, tmp_path, capsys):
+        # the pre-flight evaluates the closed form at the grid's ends
         path, _ = self.write_extreme("huge_start", tmp_path)
-        assert self.run_quietly("validate", path, tmp_path / "v", capsys)[0] == 0
-        rc, err = self.run_quietly("analytic", path, tmp_path / "out", capsys)
-        assert rc == 3 and len(err.splitlines()) == 1
-        assert err.startswith("numerical failure: sweep failed at p=-1.7e+308: ")
+        for command in ("validate", "analytic", "simulate"):
+            rc, err = self.run_quietly(command, path, tmp_path / command, capsys)
+            assert rc == 3 and len(err.splitlines()) == 1
+            assert err.startswith("numerical failure: sweep failed at p=-1.7e+308: ")
 
     def test_overflowing_noise_law_fails_the_preflight(self, tmp_path, capsys):
         path, _ = self.write_extreme("huge_noise_exponent", tmp_path)
@@ -493,7 +504,73 @@ class TestExitContract:
         for command in ("validate", "analytic"):
             rc, err = self.run_quietly(command, path, tmp_path / "out", capsys)
             assert rc == 2 and len(err.splitlines()) == 1
-            assert err.startswith("config error: sweep: start: ")
+            assert err.startswith("config error: sweep.start: ")
+
+
+@st.composite
+def sweep_blocks(draw):
+    """A sweep block: start, stop and factor from +-[1e-300, 1.7e308] or a
+    non-number, count from -1 to 30, each optional key present or absent;
+    the draws lean toward blocks that validate accepts."""
+    def number():
+        kind = draw(st.sampled_from(["below"] * 6 + ["above", "junk"]))
+        if kind == "junk":
+            return draw(st.sampled_from(["-0.5", True, None, [0.5]]))
+        magnitude = draw(st.floats(min_value=1e-300, max_value=1.7e308))
+        return -magnitude if kind == "below" else magnitude
+
+    sweep = {"start": number(), "count": draw(st.integers(min_value=-1, max_value=30))}
+    factor = draw(st.sampled_from(["absent", "unit", "unit", "number"]))
+    if factor == "unit":
+        sweep["factor"] = draw(st.floats(min_value=1e-300, max_value=1.0, exclude_max=True))
+    elif factor == "number":
+        sweep["factor"] = number()
+    if draw(st.sampled_from([False, False, True])):
+        sweep["stop"] = number()
+    spacing = draw(st.sampled_from(["geometric"] * 3 + ["linear"] * 2 + ["bogus", None]))
+    if spacing is not None:
+        sweep["spacing"] = spacing
+    return sweep
+
+
+def run_captured(*argv):
+    """Exit code, stderr and warnings of one in-process main() call."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = run(*argv)
+    return rc, err.getvalue(), [str(w.message) for w in caught]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(base=st.sampled_from(["single_mode.json", "quadratic_symbol.json"]),
+       sweep=sweep_blocks())
+def test_generated_sweeps_keep_the_exit_contract(base, sweep):
+    """TestExitContract's rules on generated sweep blocks; a grid that
+    validate accepts is the one make_p_grid states, point for point."""
+    cfg = json.loads((CONFIG_DIR / base).read_text())
+    cfg["sweep"] = sweep
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = write_json(tmp, cfg)
+        outcomes = {}
+        for command in ("validate", "analytic"):
+            out = tmp / command
+            rc, err, caught = run_captured(command, "--config", config, "--out", out,
+                                           "--format", "json")
+            assert caught == [] and "Warning" not in err and "Traceback" not in err
+            assert rc in (0, 2, 3), (command, err)
+            if rc != 0:
+                assert not out.exists()
+            outcomes[command] = rc, err.partition("\n")[0]
+        if outcomes["validate"][0] != 0:
+            assert outcomes["analytic"] == outcomes["validate"]
+        elif outcomes["analytic"][0] == 0:
+            report = json.loads((tmp / "analytic" / "report.json").read_text())
+            grid = make_p_grid(report["p_star"], **sweep)
+            for result in report["results"].values():
+                assert result["p_values"] == grid.tolist()
 
 
 class TestArguments:
@@ -550,10 +627,7 @@ class TestLogging:
         monkeypatch.delenv("WARNLAB_LOG", raising=False)
         assert run("simulate", "--config", mc, "--threads", "1", "--out", tmp_path / "a") == 0
         monkeypatch.setenv("WARNLAB_LOG", "debug")
-        try:
-            assert run("simulate", "--config", mc, "--threads", "1", "--out", tmp_path / "b") == 0
-        finally:  # later direct calls must not log to this test's captured stderr
-            cli.log.setLevel(logging.ERROR)
+        assert run("simulate", "--config", mc, "--threads", "1", "--out", tmp_path / "b") == 0
         # 400 one-mode trajectories in one chunk: the byte budget, not the
         # 1024-step generator row, sets the 800-step block
         assert [r.getMessage() for r in caplog.records if r.name == "warnlab.sde"] == [
@@ -566,6 +640,20 @@ class TestLogging:
         for report in reports:
             del report["timing"]
         assert reports[0] == reports[1]
+
+    def test_library_logs_after_main_reach_the_current_stderr(self, monkeypatch, capsys):
+        monkeypatch.setenv("WARNLAB_LOG", "debug")
+        closed = io.StringIO()
+        with contextlib.redirect_stderr(closed):
+            assert run("validate", "--config", CONFIG_DIR / "single_mode.json") == 0
+        closed.close()
+        capsys.readouterr()
+        config = sde.EnsembleConfig(dt=0.1, horizon=1.0, n_trajectories=4, master_seed=1)
+        sde.simulate_ensemble(load_config(CONFIG_DIR / "single_mode.json").model, -0.5,
+                              config, threads=1)
+        err = capsys.readouterr().err
+        assert err.startswith("DEBUG warnlab.sde: ensemble plan at p=-0.5: ")
+        assert "Logging error" not in err
 
 
 class TestShell:
@@ -628,19 +716,23 @@ class TestAnalyticCommand:
         assert (out / "sweep_block_entry_1_1.csv").exists()
 
     def test_overflowing_closed_form_is_numerical_failure(self, tmp_path, capsys):
-        # |p - p*|^{-3} overflows a double once the grid comes within 2^-342 of p*
+        # |p - p*|^{-3} overflows a double once the grid comes within 2^-342
+        # of p*; the pre-flight finds it at the grid's last point, 2^-399 from
+        # p*, where (-z) ** 3 underflows to 0j and numpy's complex division
+        # by it gives nan
         cfg = json.loads((CONFIG_DIR / "jordan_block.json").read_text())
         cfg["sweep"]["count"] = 400
-        out = tmp_path / "out"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert run("analytic", "--config", write_json(tmp_path, cfg), "--out", out) == 3
-        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1
-        assert err.startswith("numerical failure: sweep failed at p=")
-        assert "block_entry:1,1 evaluates to inf" in err
-        assert not out.exists()
+        config = write_json(tmp_path, cfg)
+        for command in ("validate", "analytic"):
+            out = tmp_path / command
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run(command, "--config", config, "--out", out) == 3
+            assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+            assert capsys.readouterr().err == (
+                f"numerical failure: sweep failed at p={-2.0 ** -399}: "
+                "block_entry:1,1 evaluates to nan\n")
+            assert not out.exists()
 
     # jordan_dense_noise sweeps non-dyadic p under complex dense noise, so
     # its values are inexact and pin the kernel's last-bit rounding; the

@@ -97,6 +97,11 @@ class TestFitPowerLaw:
         with pytest.raises(NumericalError):
             fit_power_law([1.0, 0.5, 0.25], [1.0, -2.0, 4.0])
 
+    def test_distances_equal_to_rounding_signal(self):
+        d = 2.0 * np.array([1.0 - 2**-52, 1.0 - 2**-53, 1.0])
+        with pytest.raises(NumericalError, match="agree to rounding"):
+            fit_power_law(d, 1.0 / d)
+
     def test_constant_series_has_zero_slope(self):
         fit = fit_power_law(np.geomspace(1e-3, 1, 8), np.full(8, 2.5))
         assert abs(fit.exponent) < 1e-12
