@@ -71,8 +71,7 @@ _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DE
 
 
 class _StderrHandler(logging.StreamHandler):
-    """Writes each record to sys.stderr as it is then, never to a stream a
-    caller has replaced or closed since; the stream assigned is ignored."""
+    """Writes each record to sys.stderr as it is then; an assigned stream is ignored."""
     stream = property(lambda self: sys.stderr, lambda self, stream: None)
 
 
@@ -102,8 +101,7 @@ def _resolve_formats(args, cfg: ExperimentConfig) -> tuple:
 
 def _preflight(cfg: ExperimentConfig):
     """The checks every command runs on a loaded config before it sweeps;
-    returns the spectral abscissa at each grid point and ``sde._mixing`` of
-    an ensemble.
+    returns the spectral abscissa at each grid point and ``sde._mixing``.
 
     For spectral models: a power_of_p noise law, which vanishes at p*, has
     the two grid points its limit Xi needs and is finite at both ends of the
@@ -111,10 +109,9 @@ def _preflight(cfg: ExperimentConfig):
     gap at p*. For multiplication models: every Weyl vector, of
     ``weyl.k_values`` or a quantity, has 3 grid points in its support around
     the model's ``weyl_center``. For every model the drift is strictly stable
-    at each grid point (each curve evaluated once there), then, for spectral
-    models, the closed form is finite at both ends of the grid, where
-    Re(lambda_k + conj lambda_j), affine in p, and sigma(p) take their
-    extremes. Last, an empirical horizon too short to mix is warned of.
+    at each grid point (each curve evaluated once there), a spectral model's
+    closed form is finite at both grid ends (where the affine Re(lambda_k +
+    conj lambda_j) and sigma(p) peak), and a horizon too short to mix warns.
     """
     model, p_star, grid = cfg.model, cfg.p_star, cfg.grid
     log.info("bifurcation parameter p* = %r", p_star)

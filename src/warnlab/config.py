@@ -208,16 +208,18 @@ def _build_multiplication_model(raw: dict, path: str) -> MultiplicationSymbolMod
 
 
 def _build_sweep(raw, path: str) -> dict:
-    """The sweep block's values, JSON-typed, as ``make_p_grid`` keywords."""
+    """The sweep block's given values, JSON-typed, as ``make_p_grid`` keywords."""
     raw = _as_mapping(raw, path)
     sweep = {
         "start": _as_number(_require(raw, "start", path), f"{path}.start"),
         "count": _as_int(_require(raw, "count", path), f"{path}.count"),
-        "factor": _as_number(raw.get("factor", 0.5), f"{path}.factor"),
-        "spacing": raw.get("spacing", "geometric"),
     }
+    if "factor" in raw:
+        sweep["factor"] = _as_number(raw["factor"], f"{path}.factor")
     if raw.get("stop") is not None:
         sweep["stop"] = _as_number(raw["stop"], f"{path}.stop")
+    if "spacing" in raw:
+        sweep["spacing"] = raw["spacing"]
     return sweep
 
 

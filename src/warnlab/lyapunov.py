@@ -101,6 +101,8 @@ def block_pair_covariance(lam_k: complex, m_k: int, lam_j: complex, m_j: int, c_
             den = [(-z) ** (n + 1) for n in range(n_max + 1)]
         except OverflowError:  # complex ** raises, it never gives inf
             raise NumericalError(f"(-z) ** {n_max + 1} overflows for z = {z}") from None
+        if max(abs(den[-1].real), abs(den[-1].imag)) <= 2.0 ** -1024:  # numpy's quotients go nan
+            raise NumericalError(f"1 / (-z) ** {n_max + 1} overflows for z = {z}")
     else:
         num = _finite_moments(z, float(t), n_max)
         den = [1.0] * (n_max + 1)

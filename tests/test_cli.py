@@ -717,22 +717,26 @@ class TestAnalyticCommand:
 
     def test_overflowing_closed_form_is_numerical_failure(self, tmp_path, capsys):
         # |p - p*|^{-3} overflows a double once the grid comes within 2^-342
-        # of p*; the pre-flight finds it at the grid's last point, 2^-399 from
-        # p*, where (-z) ** 3 underflows to 0j and numpy's complex division
-        # by it gives nan
+        # of p*; within 2^-343 1 / (-z)^3 overflows too, and within 2^-359
+        # (-z)^3 underflows to 0. The pre-flight finds each at the grid's
+        # last point, 2^-(count - 1) from p*, and reports an overflow, not nan
         cfg = json.loads((CONFIG_DIR / "jordan_block.json").read_text())
-        cfg["sweep"]["count"] = 400
-        config = write_json(tmp_path, cfg)
-        for command in ("validate", "analytic"):
-            out = tmp_path / command
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                assert run(command, "--config", config, "--out", out) == 3
-            assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
-            assert capsys.readouterr().err == (
-                f"numerical failure: sweep failed at p={-2.0 ** -399}: "
-                "block_entry:1,1 evaluates to nan\n")
-            assert not out.exists()
+        for count, failure in [
+            (343, "block_entry:1,1 evaluates to inf"),
+            (350, f"1 / (-z) ** 3 overflows for z = {complex(-2.0 ** -348)}"),
+            (400, f"1 / (-z) ** 3 overflows for z = {complex(-2.0 ** -398)}"),
+        ]:
+            cfg["sweep"]["count"] = count
+            config = write_json(tmp_path, cfg)
+            for command in ("validate", "analytic"):
+                out = tmp_path / command
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    assert run(command, "--config", config, "--out", out) == 3
+                assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+                assert capsys.readouterr().err == (
+                    f"numerical failure: sweep failed at p={-2.0 ** (1 - count)}: {failure}\n")
+                assert not out.exists()
 
     # jordan_dense_noise sweeps non-dyadic p under complex dense noise, so
     # its values are inexact and pin the kernel's last-bit rounding; the

@@ -296,6 +296,17 @@ class TestAnalyticReport:
             assert np.linalg.norm(got - dense) <= 1e-10 * np.linalg.norm(dense)
             assert_allclose(got[off : off + 2, off : off + 2], dense[4:6, 4:6], rtol=1e-10)
 
+    def test_underflowing_power_signals_overflow(self):
+        # (-z)^3 underflows to 0 at z = -2^-398, so 2! / (-z)^3 overflows
+        model = SpectralModel(
+            curves=[EigenvalueCurve(0, 1.0)],
+            noise_matrix=np.eye(2),
+            critical_index=0,
+            jordan_sizes={0: 2},
+        )
+        with pytest.raises(NumericalError, match=r"1 / \(-z\) \*\* 3 overflows"):
+            model_covariance(model, -2.0 ** -399, math.inf)
+
     def test_unstable_point_signals(self):
         model = SpectralModel(
             curves=[EigenvalueCurve(0, 1.0)],
