@@ -11,8 +11,8 @@ for a model without a p*), checks its own requirements (simulate's empirical
 engine, weyl's multiplication model and k_values) and runs the one pre-flight
 (``_preflight``): the noise law at the grid's ends and the spectral gap
 (spectral models) or every Weyl vector's support (multiplication models),
-strict stability of the drift at every grid point, the closed form at the
-grid's ends (spectral models) and the mixing warning. So a config that
+strict stability of the drift at every grid point, the closed form of the
+quantities at the grid's ends and the mixing warning. So a config that
 ``validate`` rejects fails every command that accepts its kind alike.
 
 The three sweep commands sweep the grid once (weyl on the
@@ -109,14 +109,14 @@ def _preflight(cfg: ExperimentConfig):
     gap at p*. For multiplication models: every Weyl vector, of
     ``weyl.k_values`` or a quantity, has 3 grid points in its support around
     the model's ``weyl_center``. For every model the drift is strictly stable
-    at each grid point (each curve evaluated once there), a spectral model's
-    closed form is finite at both grid ends (where the affine Re(lambda_k +
-    conj lambda_j) and sigma(p) peak), and a horizon too short to mix warns.
+    at each grid point (each curve evaluated once there), the sweep's closed
+    form of the quantities is finite at both grid ends (where the affine
+    Re(lambda_k + conj lambda_j) and sigma(p) peak, and every multiplication
+    quantity, growing toward p*, peaks), and a horizon too short to mix warns.
     """
     model, p_star, grid = cfg.model, cfg.p_star, cfg.grid
     log.info("bifurcation parameter p* = %r", p_star)
-    spectral = isinstance(model, SpectralModel)
-    if spectral:
+    if isinstance(model, SpectralModel):
         if model.sigma_depends_on_p:
             if grid.size < 2:
                 raise ConfigError("sweep.count: a power_of_p noise law needs at least 2 grid "
@@ -145,8 +145,8 @@ def _preflight(cfg: ExperimentConfig):
             raise NumericalError(
                 f"drift not strictly stable at p={float(p)!r}: spectral abscissa {a:.6g}"
             )
-    if spectral:  # the sweep's own closed-form path, at grid[0] and grid[-1]
-        run_parameter_sweep(model, grid[::max(grid.size - 1, 1)], cfg.quantities, p_star=p_star)
+    # the sweep's own closed-form path, at grid[0] and grid[-1]
+    run_parameter_sweep(model, grid[::max(grid.size - 1, 1)], cfg.quantities)
     mixing = None if cfg.ensemble is None else _mixing(cfg.ensemble.horizon, abscissae)
     if mixing is not None and mixing[1] is not None:
         print("warning: horizon is short against the slowest relaxation time "
@@ -293,7 +293,7 @@ def _mc_diagnostics(cfg, sweep, ratios) -> dict:
     the mixing ratio horizon * |spectral abscissa| and, for each quantity,
     the closed-form |V| and the z-score (value - closed_form) / stderr (None
     at zero stderr), plus the share of estimates within 3 standard errors."""
-    exact = run_parameter_sweep(cfg.model, sweep.p_values, cfg.quantities, p_star=cfg.p_star)
+    exact = run_parameter_sweep(cfg.model, sweep.p_values, cfg.quantities)
     points = []
     hits = total = 0
     for i, p in enumerate(sweep.p_values):
@@ -314,7 +314,7 @@ def cmd_analytic(args) -> int:
     cfg = load_config(args.config)
     _preflight(cfg)
     outputs = _planned_outputs(cfg, args, cfg.quantities)
-    sweep = run_parameter_sweep(cfg.model, cfg.grid, cfg.quantities, p_star=cfg.p_star)
+    sweep = run_parameter_sweep(cfg.model, cfg.grid, cfg.quantities)
     elapsed = time.perf_counter() - start
     report = _sweep_report("analytic", cfg, sweep, elapsed)
     _write_outputs(outputs, sweep, report)
@@ -334,7 +334,7 @@ def cmd_simulate(args) -> int:
     log.info("simulating %d grid points, %d trajectories each",
              cfg.grid.size, ensemble.n_trajectories)
     sweep = run_parameter_sweep(cfg.model, cfg.grid, cfg.quantities, config=ensemble,
-                                p_star=cfg.p_star, threads=args.threads)
+                                threads=args.threads)
     elapsed = time.perf_counter() - start
     report = _sweep_report("simulate", cfg, sweep, elapsed)
     report["seed_record"] = {
@@ -361,7 +361,7 @@ def cmd_weyl(args) -> int:
     _preflight(cfg)
     names = [f"weyl_pairing:{k}" for k in cfg.weyl_k_values]
     outputs = _planned_outputs(cfg, args, names)
-    sweep = run_parameter_sweep(model, cfg.grid, names, p_star=cfg.p_star)
+    sweep = run_parameter_sweep(model, cfg.grid, names)
     defects = {k: weyl_defect(model, sweep.weyl_vectors[k], model.esssup)
                for k in cfg.weyl_k_values}
     elapsed = time.perf_counter() - start

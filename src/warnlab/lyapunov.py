@@ -16,11 +16,12 @@ step covariance of the Monte Carlo engine.
 The multiplication drift p + T_f with unit noise has the diagonal stationary
 covariance 1 / (2 |p + f|) on the grid, so its norm is 1 / (2 |p + esssup f|)
 and its pairings are sums over the grid. ``_StableShift``, which the analytic
-sweep builds once from its quantities, evaluates them all: the stability
-check and the norm in O(1) per point, and each pairing's terms only on the
-window where its vector is nonzero (a Weyl vector's support, the whole grid
-for the Gaussian), each pairing still summed over the whole grid so that
-numpy's pairwise sum groups its terms as it would without the window.
+sweep builds once from its quantities, evaluates them all at the points the
+sweep has checked lie below p*: the norm in O(1) per point, and each
+pairing's terms only on the window where its vector is nonzero (a Weyl
+vector's support, the whole grid for the Gaussian), each pairing still
+summed over the whole grid so that numpy's pairwise sum groups its terms as
+it would without the window.
 """
 
 from __future__ import annotations
@@ -173,11 +174,13 @@ class _Pairing:
 
 class _StableShift:
     """The multiplication drift with unit noise at the points of one sweep,
-    for its quantities (parsed specs). ``at(p)`` checks strict stability,
-    p + esssup f < 0, and returns the quantities: the norm 1 / (2 |p +
-    esssup f|) in O(1), and each pairing from its ``_Pairing``, with h the
-    unit Gaussian (over 4 (p + f)^2, on the whole grid) or the Weyl vector
-    at the model's ``weyl_center`` (over 2 |p + f|, on the vector's window).
+    for its quantities (parsed specs). ``at(p)`` takes a p the sweep has
+    checked lies below p* = -esssup f + 0.0, which holds exactly when p +
+    esssup f < 0 in IEEE arithmetic (a sum of floats is 0 only for opposite
+    terms), and returns the quantities: the norm 1 / (2 |p + esssup f|) in
+    O(1), and each pairing from its ``_Pairing``, with h the unit Gaussian
+    (over 4 (p + f)^2, on the whole grid) or the Weyl vector at the model's
+    ``weyl_center`` (over 2 |p + f|, on the vector's window).
     Rounding is monotone, so max(p + f) over the grid is exactly p + esssup
     f. Each pairing is one sum over the whole grid (a sum over the window
     alone, or a multiply by the reciprocal, would change the last bits).
@@ -203,11 +206,7 @@ class _StableShift:
                         self._quotient)
 
     def at(self, p: float) -> list[float]:
-        p = float(p)
         top = p + self._model.esssup
-        if top >= 0.0:
-            raise NumericalError(f"p + f >= 0 on the grid at p={p}: drift not strictly "
-                                 f"stable (p* = {-self._model.esssup})")
         with np.errstate(all="ignore"):  # an inf or nan quotient: the sweep reports it
             return [1.0 / (2.0 * -top) if r is None else r.at(p) for r in self._pairings]
 

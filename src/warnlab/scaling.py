@@ -220,7 +220,7 @@ def _eval_point_empirical(model, p, indices, config, point_seed, threads):
 
 
 def run_parameter_sweep(model, p_grid, quantities, config: EnsembleConfig | None = None,
-                        p_star: float | None = None, threads: int | None = None) -> SweepResult:
+                        threads: int | None = None) -> SweepResult:
     """Evaluate quantity series along ``p_grid``.
 
     Without ``config`` every point comes from the closed forms; with one it
@@ -233,8 +233,9 @@ def run_parameter_sweep(model, p_grid, quantities, config: EnsembleConfig | None
     all cores), accumulating second moments only on the rows from the first
     to the last that the quantities read; the closed forms ignore
     ``threads``. The wall time of each point's evaluation is kept in
-    ``point_seconds``. Without ``p_star`` the threshold is
-    ``bifurcation_parameter``'s. A quantity named twice is a ValueError.
+    ``point_seconds``. A grid that reaches the model's own p*
+    (``bifurcation_parameter``) is a NumericalError before the first point,
+    and a quantity named twice is a ValueError.
     """
     p = np.asarray(p_grid, dtype=float)
     if p.ndim != 1 or p.size < 1:
@@ -249,8 +250,7 @@ def run_parameter_sweep(model, p_grid, quantities, config: EnsembleConfig | None
         raise ValueError(f"quantities: a quantity is named twice in {names}")
     indices = [_entry_index(model, s) for s in specs]
     shift = None if isinstance(model, SpectralModel) else _StableShift(model, specs)
-    if p_star is None:
-        p_star = bifurcation_parameter(model)
+    p_star = bifurcation_parameter(model)
     if np.any(p >= p_star):
         raise NumericalError(
             f"sweep grid reaches p* = {p_star}: all points must lie strictly below"
@@ -265,7 +265,7 @@ def run_parameter_sweep(model, p_grid, quantities, config: EnsembleConfig | None
     for i, pi in enumerate(p.tolist()):
         start = time.perf_counter()
         try:
-            if shift is not None:  # one stability check, one set of denominators
+            if shift is not None:  # one set of denominators
                 vals, errs = shift.at(pi), None
             elif config is None:
                 v = model_covariance(model, pi, math.inf)
@@ -286,7 +286,7 @@ def run_parameter_sweep(model, p_grid, quantities, config: EnsembleConfig | None
     return SweepResult(
         p_values=p,
         quantities=values,
-        p_star=float(p_star),
+        p_star=p_star,
         engine="analytic" if config is None else "empirical",
         stderrs=errors,
         point_seconds=tuple(seconds),

@@ -229,9 +229,9 @@ def _jordan_expm(lam: complex, m: int, t: float) -> np.ndarray:
 
 
 def _psd_factor(s: np.ndarray) -> np.ndarray:
-    """Factor a Hermitian PSD matrix as L L^H via eigendecomposition, clipping
-    eigenvalues in [-1e-12, 0) to zero and rejecting anything lower."""
-    s = 0.5 * (s + s.conj().T)
+    """Factor a Hermitian PSD matrix (``model_covariance``'s is exactly so) as
+    L L^H via eigendecomposition, clipping eigenvalues in [-1e-12, 0) to zero
+    and rejecting anything lower."""
     w, u = np.linalg.eigh(s)
     scale = max(1.0, float(w[-1]) if w.size else 1.0)
     if float(w[0]) < -1e-12 * scale:

@@ -1,13 +1,13 @@
 """Spectral models for linear drift operators.
 
-Two model families are supported. ``SpectralModel`` describes a drift with a
-discrete set of affine eigenvalue curves ``lambda_k(p) = offset + slope * p``
-(optionally with Jordan blocks) together with the noise quadratic form
-expressed in the chosen (generalized) eigenbasis. ``MultiplicationSymbolModel``
-describes a real multiplication operator ``(T_f h)(x) = f(x) h(x)``
-discretized on a finite grid with quadrature weights, which is the standing
-example of purely continuous spectrum. ``SpectralModel.modes(p)`` is the one
-walk over the curves, which every reader of the basis layout at p uses.
+``SpectralModel`` describes a drift with affine eigenvalue curves
+``lambda_k(p) = offset + slope * p`` (optionally with Jordan blocks) and the
+noise quadratic form in that (generalized) eigenbasis, the identity if none
+is given; ``modes(p)`` is the one walk over its basis layout at p.
+``MultiplicationSymbolModel`` is the real multiplication operator
+``(T_f h)(x) = f(x) h(x)`` sampled on a grid with quadrature weights, the
+standing example of purely continuous spectrum; it derives its esssup and
+argmax set. Constructors state their rules; a message starts with its field.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class EigenvalueCurve:
 
     def __post_init__(self):
         if int(self.id) != self.id or self.id < 0:
-            raise ValueError("curve id must be a non-negative integer")
+            raise ValueError("id: must be a non-negative integer")
         object.__setattr__(self, "slope", _finite_real("slope", self.slope))
         if not (isinstance(self.offset, numbers.Complex) and cmath.isfinite(self.offset)):
             raise ValueError(f"offset: expected a finite complex number, got {self.offset!r}")
@@ -55,16 +55,16 @@ class SpectralModel:
     """Discrete-spectrum drift plus noise data in the eigenbasis.
 
     ``noise_matrix`` holds the pairings <BQB* u_k, u_j> over the full list of
-    basis vectors; for a mode carrying a Jordan block of size m the block
-    occupies m consecutive rows/columns. The noise law ``sigma(p) = sigma *
-    |p - p*| ** sigma_exponent`` is anchored at ``bifurcation_parameter``;
-    exponent 0 is a constant amplitude. ``modes(p)`` evaluates every curve at
-    p once and lays the basis out.
+    basis vectors, the identity when it is None; for a mode carrying a Jordan
+    block of size m the block occupies m consecutive rows/columns. The noise
+    law ``sigma(p) = sigma * |p - p*| ** sigma_exponent`` is anchored at
+    ``bifurcation_parameter``; exponent 0 is a constant amplitude. ``modes(p)``
+    evaluates every curve at p once and lays the basis out.
     """
 
     curves: Sequence[EigenvalueCurve]
-    noise_matrix: np.ndarray
     critical_index: int
+    noise_matrix: np.ndarray | None = None
     jordan_sizes: Mapping[int, int] = field(default_factory=dict)
     sigma: float = 1.0
     sigma_exponent: float = 0.0
@@ -90,7 +90,8 @@ class SpectralModel:
         for c in curves:
             rows[c.id] = slice(pos, pos + sizes.get(c.id, 1))
             pos = rows[c.id].stop
-        b = np.array(self.noise_matrix, dtype=complex)
+        b = np.eye(pos, dtype=complex) if self.noise_matrix is None \
+            else np.array(self.noise_matrix, dtype=complex)
         if b.ndim != 2 or b.shape[0] != b.shape[1]:
             raise ValueError("noise_matrix: must be a square matrix")
         if b.shape[0] != pos:
@@ -149,9 +150,9 @@ class SpectralModel:
         return [(k, self.lambda_at(k, p), r.stop - r.start, r) for k, r in self._rows.items()]
 
     def sigma_at(self, p: float) -> float:
-        """The noise law at p, the scale itself for exponent 0; NumericalError
-        if p* does not exist or sigma(p) is not finite."""
-        if not self.sigma_depends_on_p:
+        """The noise law at p, the scale itself for exponent 0 or scale 0;
+        NumericalError if p* does not exist or sigma(p) is not finite."""
+        if not self.sigma_depends_on_p or self.sigma == 0.0:
             return self.sigma
         try:
             s = self.sigma * abs(p - bifurcation_parameter(self)) ** self.sigma_exponent
@@ -167,15 +168,16 @@ class MultiplicationSymbolModel:
     """Real multiplication operator sampled on a quadrature grid.
 
     The spectrum of T_f is the essential range of f; on the truncated grid the
-    essential supremum is the grid maximum by construction and the instability
-    threshold of A = p + T_f sits at ``p* = -esssup(f)``.
+    essential supremum is the grid maximum, and the instability threshold of
+    A = p + T_f sits at ``p* = -esssup(f)``. ``esssup`` and ``argmax_points``
+    (every node where f attains it, read-only) are derived, never given.
     """
 
     grid: np.ndarray
     weights: np.ndarray
     values: np.ndarray
-    esssup: float
-    argmax_points: np.ndarray
+    esssup: float = field(init=False)
+    argmax_points: np.ndarray = field(init=False)
 
     def __post_init__(self):
         x = np.asarray(self.grid, dtype=float)
@@ -191,16 +193,15 @@ class MultiplicationSymbolModel:
             raise ValueError("weights: must be finite and nonnegative")
         if not np.all(np.isfinite(v)):
             raise ValueError("values: symbol must be finite on the grid")
-        if float(np.max(v)) != self.esssup:
-            raise ValueError("esssup: must equal the grid maximum of the symbol")
-        for arr in (x, w, v):
+        esssup = float(np.max(v))
+        argmax = x[v == esssup]
+        for arr in (x, w, v, argmax):
             arr.flags.writeable = False
         object.__setattr__(self, "grid", x)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "values", v)
-        am = np.asarray(self.argmax_points, dtype=float)
-        am.flags.writeable = False
-        object.__setattr__(self, "argmax_points", am)
+        object.__setattr__(self, "esssup", esssup)
+        object.__setattr__(self, "argmax_points", argmax)
 
     @property
     def weyl_center(self) -> float:
@@ -236,7 +237,7 @@ class MultiplicationSymbolModel:
             v = np.array([float(symbol(xi)) for xi in x])
         w = np.full(x.shape, spacing)
         w[0] = w[-1] = 0.5 * spacing
-        return cls.from_samples(x, v, w)
+        return cls(x, w, v)
 
     @classmethod
     def from_table(cls, x, fx) -> "MultiplicationSymbolModel":
@@ -250,14 +251,7 @@ class MultiplicationSymbolModel:
         w[1:-1] = 0.5 * (x[2:] - x[:-2])
         w[0] = 0.5 * (x[1] - x[0])
         w[-1] = 0.5 * (x[-1] - x[-2])
-        return cls.from_samples(x, fx, w)
-
-    @classmethod
-    def from_samples(cls, x, values, weights) -> "MultiplicationSymbolModel":
-        values = np.asarray(values, dtype=float)
-        m = float(np.max(values))
-        argmax = np.asarray(x, dtype=float)[values == m]
-        return cls(grid=x, weights=weights, values=values, esssup=m, argmax_points=argmax)
+        return cls(x, w, fx)
 
 
 @dataclass(frozen=True, eq=False)

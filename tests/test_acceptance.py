@@ -77,7 +77,7 @@ def test_criterion_1_single_mode_scaling():
             p_star = bifurcation_parameter(model)
             assert abs(p_star) <= 1e-10
             grid = make_p_grid(p_star, p_star - 0.5, 10)
-            sweep = run_parameter_sweep(model, grid, ["critical_diagonal"], p_star=p_star)
+            sweep = run_parameter_sweep(model, grid, ["critical_diagonal"])
             fit = fit_quantity(sweep, "critical_diagonal", window="all")
             assert abs(fit.exponent - (-1.0)) <= 1e-10
             assert abs(np.exp(fit.log_prefactor) - sigma**2 * b / 2.0) <= 1e-10

@@ -145,6 +145,28 @@ class TestValidate:
         assert run("validate", "--config", write_json(tmp_path, cfg)) == 2
         assert "sweep" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("keys,value,message", [
+        (("jordan_sizes",), {"0": 0}, "model.jordan_sizes[0]: size must be a positive integer"),
+        (("sigma",), {"kind": "constant", "value": -1.0},
+         "model.sigma: noise scale must be >= 0"),
+        (("sigma",), {"kind": "power_of_p", "scale": -1.0, "exponent": 0.5},
+         "model.sigma: noise scale must be >= 0"),
+        (("noise_matrix",), [[1.0, 1.0], [0.0, 1.0]], "model.noise_matrix: must be Hermitian"),
+        (("critical_index",), 5, "model.critical_index: no curve with this id"),
+        (("curves", 0, "id"), -1, "model.curves[0].id: must be a non-negative integer"),
+    ])
+    def test_model_error_names_its_dotted_path(self, keys, value, message, tmp_path, capsys):
+        # the model states each rule; the config prefixes the path
+        cfg = minimal_spectral()
+        cfg["model"]["curves"].append({"id": 1, "kind": "affine", "slope": 0.0, "offset": -1.0})
+        cfg["model"]["noise_matrix"] = [[1.0, 0.0], [0.0, 1.0]]
+        node = cfg["model"]
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        assert run("validate", "--config", write_json(tmp_path, cfg)) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_non_hermitian_noise_is_config_error(self, tmp_path, capsys):
         cfg = minimal_spectral()
         cfg["model"]["curves"].append(
@@ -438,9 +460,13 @@ EXTREME_CONFIGS = {
     # the grid's distances to p* agree to rounding, so no slope can be fitted
     "flat_grid": ("single_mode.json", [(("sweep", "factor"), 1.0 - 2**-52),
                                        (("sweep", "count"), 3)]),
-    # 4 (p + f)^2 of the Gaussian pairing underflows to 0 at x = 0
+    # 4 (p + f)^2 of the Gaussian pairing underflows to 0 at x = 0; the k
+    # values let weyl reach the pre-flight
     "tiny_distance_gaussian_pairing": ("quadratic_symbol_coarse.json", [
-        (("sweep",), {"start": -1e-300, "count": 1})]),
+        (("sweep",), {"start": -1e-300, "count": 1}), (("weyl",), {"k_values": [2]})]),
+    # 1 / (2 |p + esssup f|) overflows at the smallest subnormal distance
+    "tiny_distance_norm": ("quadratic_symbol.json", [
+        (("sweep",), {"start": -5e-324, "count": 1})]),
 }
 
 
@@ -491,6 +517,17 @@ class TestExitContract:
             rc, err = self.run_quietly(command, path, tmp_path / command, capsys)
             assert rc == 3 and len(err.splitlines()) == 1
             assert err.startswith("numerical failure: sweep failed at p=-1.7e+308: ")
+
+    @pytest.mark.parametrize("name,p,quantity", [
+        ("tiny_distance_norm", "-5e-324", "norm"),
+        ("tiny_distance_gaussian_pairing", "-1e-300", "gaussian_pairing")])
+    def test_overflowing_multiplication_closed_form_fails_the_preflight(
+            self, name, p, quantity, tmp_path, capsys):
+        path, _ = self.write_extreme(name, tmp_path)
+        for command in ("validate", "analytic", "weyl"):
+            rc, err = self.run_quietly(command, path, tmp_path / command, capsys)
+            assert rc == 3, command
+            assert err == f"numerical failure: sweep failed at p={p}: {quantity} evaluates to inf\n"
 
     def test_overflowing_noise_law_fails_the_preflight(self, tmp_path, capsys):
         path, _ = self.write_extreme("huge_noise_exponent", tmp_path)
@@ -681,6 +718,22 @@ class TestShell:
 
 
 class TestAnalyticCommand:
+    @pytest.mark.parametrize("sigma, start", [
+        ({"kind": "constant", "value": 0.0}, -0.5),
+        ({"kind": "power_of_p", "scale": 0.0, "exponent": 0.5}, -0.5),
+        # |p - p*| ** -2 overflows at the grid's first point; zero noise does not
+        ({"kind": "power_of_p", "scale": 0.0, "exponent": -2.0}, -1e-300)])
+    def test_zero_noise_scale_validates_and_reports_no_fit(self, sigma, start, tmp_path, capsys):
+        cfg = json.loads((CONFIG_DIR / "single_mode.json").read_text())
+        cfg["model"]["sigma"] = sigma
+        cfg["sweep"]["start"] = start
+        path, out = write_json(tmp_path, cfg), tmp_path / "out"
+        assert run("validate", "--config", path) == 0
+        assert run("analytic", "--config", path, "--out", out) == 0
+        res = json.loads((out / "report.json").read_text())["results"]["critical_diagonal"]
+        assert all(v == 0.0 for v in res["values"])
+        assert res["fit"] is None and "must be positive" in res["fit_error"]
+
     def test_single_mode_run(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run("analytic", "--config", CONFIG_DIR / "single_mode.json", "--out", out) == 0
@@ -851,7 +904,15 @@ class TestOutputFiles:
     def test_weyl_checks_its_outputs_before_the_probe(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "out"
         (out / "report.json").mkdir(parents=True)
-        monkeypatch.setattr(cli, "run_parameter_sweep", None)  # must not be reached
+        sweep = cli.run_parameter_sweep
+
+        def preflight_only(model, grid, quantities, **kwargs):
+            # the pre-flight sweeps the configured quantities; the probe,
+            # on the weyl_pairing names, must not be reached
+            assert not any(q.startswith("weyl_pairing:") for q in quantities)
+            return sweep(model, grid, quantities, **kwargs)
+
+        monkeypatch.setattr(cli, "run_parameter_sweep", preflight_only)
         assert run("weyl", "--config", CONFIG_DIR / "quadratic_symbol.json", "--out", out) == 2
         err = capsys.readouterr().err
         assert err == f"config error: output {out / 'report.json'}: cannot write " \
@@ -1064,8 +1125,13 @@ class TestWeylCommand:
         monkeypatch.setattr(cli, "run_parameter_sweep", counted)
         assert run("weyl", "--config", CONFIG_DIR / "quadratic_symbol.json",
                    "--out", tmp_path / "out") == 0
-        assert len(calls) == 1
-        assert calls[0][2] == ["weyl_pairing:2", "weyl_pairing:5", "weyl_pairing:10"]
+        grid = load_config(CONFIG_DIR / "quadratic_symbol.json").grid
+        # the pre-flight's closed form at the grid's two ends, then the probe
+        # once over the whole grid
+        assert [(list(p), list(q)) for _, p, q in calls] == [
+            ([grid[0], grid[-1]], ["norm"]),
+            (list(grid), ["weyl_pairing:2", "weyl_pairing:5", "weyl_pairing:10"]),
+        ]
 
     def test_builds_each_weyl_vector_once(self, tmp_path, monkeypatch, capsys):
         # the defects are taken of the vectors the sweep paired, bit for bit

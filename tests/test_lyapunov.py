@@ -203,11 +203,11 @@ class TestMultiplicationForms:
         assert ratio == pytest.approx(10.0, rel=1e-12)
 
     def test_norm_unstable_signals(self):
-        # p = -0.5 lies above p* = -1; a caller-supplied p* of 0 lets the grid
-        # through, so the stability check at the point itself must refuse it
+        # p = -0.5 lies above p* = -1: the sweep, which reads p* from the
+        # model, refuses the grid before its first point
         bumped = MultiplicationSymbolModel.from_function(lambda x: 1.0 - np.square(x))
-        with pytest.raises(NumericalError, match="not strictly stable"):
-            self.at(bumped, -0.5, "norm", p_star=0.0)
+        with pytest.raises(NumericalError, match="reaches p\\* = -1.0"):
+            self.at(bumped, -0.5, "norm")
 
     def test_gaussian_pairing_quadrature_oracle(self):
         p = -0.1

@@ -239,7 +239,7 @@ class TestAnalyticSweep:
             return real(model, spec)
 
         monkeypatch.setattr(scaling, "_entry_index", counted)
-        sweep = run_parameter_sweep(cfg.model, grid, cfg.quantities, p_star=0.0)
+        sweep = run_parameter_sweep(cfg.model, grid, cfg.quantities)
         assert sorted(calls) == sorted(cfg.quantities)
         assert list(sweep.quantities) == list(cfg.quantities)
 

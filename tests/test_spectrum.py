@@ -85,6 +85,16 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             m.noise_matrix[0, 0] = 5.0
 
+    def test_missing_noise_matrix_is_the_identity_of_the_basis(self):
+        curves = [EigenvalueCurve(0, 1.0), EigenvalueCurve(1, 1.0, -1.0)]
+        for m in (SpectralModel(curves=curves, critical_index=0, jordan_sizes={0: 2}),
+                  SpectralModel(curves=curves, critical_index=0, jordan_sizes={0: 2},
+                                noise_matrix=None)):
+            assert m.total_dim == 3
+            assert m.noise_matrix.dtype == complex
+            assert np.array_equal(m.noise_matrix, np.eye(3))
+            assert not m.noise_matrix.flags.writeable
+
     def test_multiplication_grid_must_increase(self):
         with pytest.raises(ValueError):
             MultiplicationSymbolModel.from_table([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
@@ -117,6 +127,19 @@ class TestModelValidation:
         with pytest.raises(RuntimeError, match="bug in vectorized symbol"):
             MultiplicationSymbolModel.from_function(symbol, lo=-1.0, hi=1.0, spacing=0.25)
         assert len(calls) == 1
+
+    def test_symbol_model_derives_esssup_and_every_argmax(self):
+        # a plateau on [-0.25, 0.25] of a grid given node by node
+        x = np.linspace(-1.0, 1.0, 9)
+        w = np.full(9, 0.25)
+        v = -np.square(np.maximum(np.abs(x) - 0.25, 0.0))
+        m = MultiplicationSymbolModel(x, w, v)
+        assert m.esssup == 0.0
+        assert m.argmax_points.tolist() == [-0.25, 0.0, 0.25]
+        assert not m.argmax_points.flags.writeable
+        for derived in ({"esssup": 0.0}, {"argmax_points": x[3:6]}):
+            with pytest.raises(TypeError):
+                MultiplicationSymbolModel(x, w, v, **derived)
 
     def test_esssup_is_grid_max(self):
         m = MultiplicationSymbolModel.from_function(np.sin, lo=-3.0, hi=3.0, spacing=1e-3)
