@@ -430,8 +430,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON experiment config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--threads", type=_thread_count, default=None,
-                       help="worker threads for Monte Carlo trajectory chunks, clamped to "
-                            "the core count (default: all cores); other commands ignore it")
+                       help="worker processes for Monte Carlo trajectory chunks, clamped to "
+                            "the core count, and to one off Linux (default: all cores); "
+                            "other commands ignore it")
         p.add_argument("--seed", type=int, default=None,
                        help="override the ensemble master seed")
         p.add_argument("--format", choices=["csv", "json", "both"], default=None,

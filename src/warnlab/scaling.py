@@ -229,7 +229,7 @@ def run_parameter_sweep(model, p_grid, quantities, config: EnsembleConfig | None
     order. The empirical engine derives one seed per grid point from the
     ensemble master seed, making the whole sweep reproducible (the result
     keeps them in ``point_seeds``), and runs each point's trajectory chunks
-    on up to ``threads`` worker threads (``simulate_ensemble``; None means
+    on up to ``threads`` worker processes (``simulate_ensemble``; None means
     all cores), accumulating second moments only on the rows from the first
     to the last that the quantities read; the closed forms ignore
     ``threads``. The wall time of each point's evaluation is kept in

@@ -19,21 +19,26 @@ numpy's SeedSequence hash in one vectorized pass (``_seed_states``), and each
 PCG64 is seeded from its precomputed row, which skips the per-generator
 hashing but not a bit of the stream.
 
-Trajectories run in near-equal chunks on a pool of worker threads, at most
-one per core and one per ``_MIN_CHUNK_WORK`` trajectories · modes
-(``_chunk_plan``); a lone worker runs on the pool too, so every ensemble
-takes the same path. Chunks share no state: worker w runs chunks w,
-w + workers, ... and writes only their rows of the per-trajectory time
-averages, which reduce over all N in index order after the join. Each chunk
-streams its horizon in time blocks through its worker's noise buffer, so
-memory stays bounded whatever the horizon. A block holds at most
-``_ROW_DRAWS`` = 2048 normals per generator call, one row per trajectory,
-and at most ``_BLOCK_BYTES`` = 8 MiB per worker over all rows of its chunk.
+Trajectories run in near-equal chunks on worker processes, at most one per
+core and one per ``_MIN_CHUNK_WORK`` trajectories · modes (``_chunk_plan``).
+The caller is worker 0, and each other worker is a child forked for the call
+(``_run_workers``), so no interpreter lock serializes the step loop; forking
+needs Linux, and elsewhere the plan keeps one worker, the caller. Chunks share
+no state: worker w runs chunks w, w + workers, ... and writes only their rows
+of the per-trajectory time averages, which live in one anonymous shared
+mapping and reduce over all N in index order once every child is reaped. A
+child's exception comes back through a pipe and is raised in the caller; a
+failure anywhere kills and reaps the remaining children, so none outlives the
+call. Each chunk streams its horizon in time blocks through its worker's noise
+buffer, held in that worker's own process, so memory stays bounded whatever
+the horizon. A block holds at most ``_ROW_DRAWS`` = 2048 normals per
+generator call, one row per trajectory, and at most ``_BLOCK_BYTES`` = 8 MiB
+per worker over all rows of its chunk.
 The row rule bites on chunks narrower than 512 trajectories with horizons
 longer than 1024/dim steps, where it holds the buffer to 16 KiB per
 trajectory of the chunk, at a call overhead of a few percent.
 Consecutive block draws concatenate to the same stream as one draw over the
-whole horizon, so neither the block length, the chunk width nor the thread
+whole horizon, so neither the block length, the chunk width nor the worker
 count changes the bytes of the result. Second moments accumulate with the
 trajectory axis last, and only on the contiguous block of r modes a caller
 asks for (``modes``; all of them by default), so the accumulators take
@@ -46,10 +51,14 @@ once, through the ``warnlab.sde`` logger.
 
 from __future__ import annotations
 
-import concurrent.futures
 import functools
 import logging
+import mmap
 import os
+import pickle
+import signal
+import sys
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +71,10 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _CHUNK = 2048  # widest chunk of trajectories
-# chunk width · dim below which a second worker thread slows an ensemble down
+# trajectories · modes per worker below which a second worker slows an ensemble
+# down: forking and reaping a child took about 2.5 ms on a 2-core x86 host, and
+# at N = 400, dim 1, 800 steps (single_mode_mc.json) a point took 21.7 ms on two
+# workers against 19.5 ms on one (at N = 800 two workers won, 32.9 against 42.8)
 _MIN_CHUNK_WORK = 1024
 _BLOCK_BYTES = 8 << 20  # bytes of one worker's noise buffer, over all trajectories of its chunk
 # normals one generator call draws into its row of the block: a call costs about
@@ -261,17 +273,91 @@ def _chunk_plan(n: int, threads: int, dim: int) -> tuple[int, int]:
 
     Workers are capped by the core count and by the work of a chunk: more
     than one worker runs only while each worker's share keeps width · dim at
-    ``_MIN_CHUNK_WORK`` or more, because below that each step's numpy calls
-    are bound by the interpreter lock and a second thread only slows the
-    first. Chunks are the smallest multiple of the workers that keeps them at
-    most ``_CHUNK`` wide, so the workers get equal shares. Chunk k holds
+    ``_MIN_CHUNK_WORK`` or more, because below that forking and reaping the
+    child cost more than the second core saves (measured on
+    ``single_mode_mc.json``: 400 trajectories of one mode ran 11% slower on
+    two workers than on one). Chunks are the smallest multiple of the
+    workers that keeps them at most ``_CHUNK`` wide, so the workers get
+    equal shares. Chunk k holds
     trajectories k·n // chunks to (k+1)·n // chunks. Both counts are capped at
     n // 2 to keep two or more in each: matmul rounds a one-row product with
     another kernel, so at dim >= 2 a lone trajectory's bits would depend on
-    the layout."""
-    workers = min(threads, os.cpu_count() or 1, n // 2, max(1, n * dim // _MIN_CHUNK_WORK))
+    the layout. Off Linux the plan keeps one worker, because only there does
+    ``_run_workers`` fork."""
+    cores = (os.cpu_count() or 1) if sys.platform == "linux" else 1
+    workers = min(threads, cores, n // 2, max(1, n * dim // _MIN_CHUNK_WORK))
     chunks = min(n // 2, -(-n // (_CHUNK * workers)) * workers)
     return workers, chunks
+
+
+def _run_workers(run_chunks, workers: int) -> None:
+    """Run ``run_chunks(w)`` for every w in range(workers): worker 0 in the
+    caller, every other one in a child forked for it, and return once every
+    child has exited cleanly. A child's exception is raised here with its
+    type and message (its traceback text as the cause), and a child killed by
+    a signal or exiting nonzero without one is a RuntimeError naming the
+    worker. On any failure, the caller's own chunks or an interrupt included,
+    the remaining children are killed, and every child is reaped and every
+    pipe closed before the exception leaves."""
+    children = []  # (worker, pid, read end of its error pipe), none reaped yet
+    try:
+        for w in range(1, workers):
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(rfd)
+                os.close(wfd)
+                raise
+            if pid == 0:
+                os.close(rfd)
+                _child(run_chunks, w, wfd)
+            os.close(wfd)
+            children.append((w, pid, os.fdopen(rfd, "rb")))
+        run_chunks(0)
+        while children:
+            w, pid, reader = children[0]
+            with reader:
+                payload = reader.read()  # empty unless the child failed
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if payload:
+                error, text = pickle.loads(payload)
+                raise error from RuntimeError(f"chunk worker {w} failed:\n{text}")
+            if code < 0:
+                raise RuntimeError(f"chunk worker {w} (pid {pid}) was killed by signal "
+                                   f"{-code} ({signal.strsignal(-code)})")
+            if code != 0:
+                raise RuntimeError(f"chunk worker {w} (pid {pid}) exited with status {code}")
+    finally:
+        for _, pid, reader in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            reader.close()
+
+
+def _child(run_chunks, w: int, wfd: int) -> None:
+    """The life of forked worker w: run its chunks and leave through
+    ``os._exit``, never back into the caller's stack. An exception goes to
+    the pipe ``wfd``, pickled with its traceback text; one that does not
+    survive the round trip (a constructor that takes other arguments) goes
+    as a RuntimeError naming its type and message."""
+    status = 1
+    try:
+        try:
+            run_chunks(w)
+            status = 0
+        except BaseException as exc:
+            text = "".join(traceback.format_exception(exc))
+            try:
+                payload = pickle.dumps((exc, text))
+                pickle.loads(payload)
+            except Exception:
+                payload = pickle.dumps((RuntimeError(f"{type(exc).__name__}: {exc}"), text))
+            with os.fdopen(wfd, "wb") as pipe:
+                pipe.write(payload)
+    finally:
+        os._exit(status)
 
 
 def simulate_ensemble(model: SpectralModel, p: float, config: EnsembleConfig,
@@ -283,15 +369,19 @@ def simulate_ensemble(model: SpectralModel, p: float, config: EnsembleConfig,
     data with exact transitions, discards the burn-in fraction of each, and
     averages outer products of the mode coefficients. Standard errors come
     from the spread of per-trajectory time averages. Chunks of trajectories
-    run on up to ``threads`` worker threads (default: all cores; see
-    ``_chunk_plan``). Each worker streams the noise of its chunk in time
-    blocks of at most 2048 normals per generator call (``_ROW_DRAWS``) and at
-    most 8 MiB over the chunk (``_BLOCK_BYTES``); the row rule sets the block
-    for chunks narrower than 512 trajectories whose horizon is longer than
-    1024/dim steps. Fully deterministic for a fixed master seed, at any
-    thread count and block length; a ``mixing_warning`` flags horizons
-    shorter than five relaxation times of the slowest mode. Logs the plan
-    (workers, chunks, width, block steps, buffer MiB) once at debug level.
+    run on up to ``threads`` worker processes (default: all cores; see
+    ``_chunk_plan``): the caller runs worker 0 and forks one child for each
+    other worker (``_run_workers``), which needs Linux; elsewhere the caller
+    runs every chunk. Each worker streams the noise of its chunk, in its own
+    process, in time blocks of at most 2048 normals per generator call
+    (``_ROW_DRAWS``) and at most 8 MiB over the chunk (``_BLOCK_BYTES``); the
+    row rule sets the block for chunks narrower than 512 trajectories whose
+    horizon is longer than 1024/dim steps. The caller's own resource usage
+    (``ru_maxrss``) counts only its own block, not the children's. Fully
+    deterministic for a fixed master seed, at any worker count and block
+    length; a ``mixing_warning`` flags horizons shorter than five relaxation
+    times of the slowest mode. Logs the plan (workers, forked children,
+    chunks, width, block steps, buffer MiB per worker) once at debug level.
 
     ``modes`` is the contiguous range of mode rows whose second moments are
     accumulated (default: all of them); the result is the principal block of
@@ -331,10 +421,11 @@ def simulate_ensemble(model: SpectralModel, p: float, config: EnsembleConfig,
     workers, chunks = _chunk_plan(n, threads, dim)
     width = -(-n // chunks)
     block = max(1, min(n_steps, _ROW_DRAWS // (2 * dim), _BLOCK_BYTES // (width * dim * 16)))
-    log.debug("ensemble plan at p=%r: workers=%d chunks=%d width=%d block_steps=%d "
-              "buffer_mib=%.2f", float(p), workers, chunks, width, block,
-              width * block * dim * 16 / (1 << 20))
-    stats = np.empty((n, r, r), dtype=complex)
+    log.debug("ensemble plan at p=%r: workers=%d forked=%d chunks=%d width=%d "
+              "block_steps=%d buffer_mib=%.2f", float(p), workers, workers - 1, chunks,
+              width, block, width * block * dim * 16 / (1 << 20))
+    shared = mmap.mmap(-1, n * r * r * 16)  # the time averages, written by every worker
+    stats = np.frombuffer(shared, dtype=complex).reshape(n, r, r)
 
     def run_chunks(w: int) -> None:
         z = np.empty((width, block, dim), dtype=complex)
@@ -371,15 +462,18 @@ def simulate_ensemble(model: SpectralModel, p: float, config: EnsembleConfig,
                         acc += outer
             stats[c0:c1] = (acc / keep).transpose(2, 0, 1)
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run_chunks, range(workers)))  # re-raises a worker's exception
-    mean = stats.mean(axis=0)
-    mat = 0.5 * (mean + mean.conj().T)
-    # nothing reads stats after the mean: the deviations overwrite it and
-    # their squared moduli fill one real array, half the size of stats
-    stats -= mean
-    dev2 = np.abs(stats)
-    se = np.sqrt(np.sum(np.square(dev2, out=dev2), axis=0) / (n * (n - 1)))
+    try:
+        _run_workers(run_chunks, workers)
+        mean = stats.mean(axis=0)
+        mat = 0.5 * (mean + mean.conj().T)
+        # nothing reads stats after the mean: the deviations overwrite it and
+        # their squared moduli fill one real array, half the size of stats
+        stats -= mean
+        dev2 = np.abs(stats)
+        se = np.sqrt(np.sum(np.square(dev2, out=dev2), axis=0) / (n * (n - 1)))
+    finally:
+        del stats  # the mapping closes only once no array views it
+        shared.close()
     read = slice(modes.start - lo, modes.stop - lo)
     return EmpiricalCovariance(matrix=mat[read, read], standard_error=se[read, read],
                                mixing_warning=mixing_warning)

@@ -668,7 +668,7 @@ class TestLogging:
         # 400 one-mode trajectories in one chunk: the byte budget, not the
         # 1024-step generator row, sets the 800-step block
         assert [r.getMessage() for r in caplog.records if r.name == "warnlab.sde"] == [
-            f"ensemble plan at p={p!r}: workers=1 chunks=1 width=400 block_steps=800 "
+            f"ensemble plan at p={p!r}: workers=1 forked=0 chunks=1 width=400 block_steps=800 "
             "buffer_mib=4.88" for p in (-0.5, -0.25, -0.125)]
         assert "DEBUG warnlab.sde: ensemble plan at p=-0.5: " in capsys.readouterr().err
         csv = "sweep_critical_diagonal.csv"

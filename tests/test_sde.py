@@ -1,6 +1,8 @@
 import math
+import os
+import signal
 import sys
-import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -383,6 +385,38 @@ class TestTimeBlocks:
         assert peak < 6 << 20
 
 
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="chunk workers fork only on Linux")
+
+
+def failing_ensemble(monkeypatch, in_caller=None, in_child=None):
+    """Run 16 trajectories on two workers, the caller with chunks 0 and 2 and
+    one child with chunks 1 and 3, calling ``in_caller`` or ``in_child`` at
+    the start of each chunk of that side; return the exception the run
+    raised, after checking that no child is left and no descriptor leaked."""
+    monkeypatch.setattr(sde.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sde, "_MIN_CHUNK_WORK", 1)
+    monkeypatch.setattr(sde, "_CHUNK", 4)
+    assert _chunk_plan(16, 2, 1) == (2, 4)
+    caller = os.getpid()
+    real = sde._chunk_generators
+
+    def chunk(seed, c0, c1):
+        action = in_caller if os.getpid() == caller else in_child
+        if action is not None:
+            action()
+        return real(seed, c0, c1)
+
+    monkeypatch.setattr(sde, "_chunk_generators", chunk)
+    cfg = EnsembleConfig(dt=0.05, horizon=1.0, n_trajectories=16, master_seed=5)
+    fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(BaseException) as info:
+        simulate_ensemble(single_mode_model(), -0.5, cfg, threads=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == fds
+    return info.value
+
+
 class TestChunkPool:
     @pytest.mark.parametrize("n,threads,cores,chunk,plan", [
         (10_000, 2, 2, 2048, (2, 6)),  # 5 chunks of 2048 would split 3/2
@@ -443,22 +477,17 @@ class TestChunkPool:
 
     @pytest.mark.parametrize("n", [10, 50])
     def test_bits_do_not_depend_on_workers_or_chunk_width(self, monkeypatch, n):
-        # up to three workers on any box, however narrow the chunks, with
-        # thread switches forced often, and chunk widths from 2 to n
+        # up to three worker processes on any box, however narrow the chunks,
+        # and chunk widths from 2 to n
         monkeypatch.setattr(sde.os, "cpu_count", lambda: 3)
         monkeypatch.setattr(sde, "_MIN_CHUNK_WORK", 1)
         model = dim8_dense_model()
         cfg = EnsembleConfig(dt=0.05, horizon=2.0, n_trajectories=n, master_seed=31)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            runs = {}
-            for chunk in (2048, 3):
-                monkeypatch.setattr(sde, "_CHUNK", chunk)
-                for threads in (1, 2, 3):
-                    runs[chunk, threads] = simulate_ensemble(model, -0.4, cfg, threads)
-        finally:
-            sys.setswitchinterval(interval)
+        runs = {}
+        for chunk in (2048, 3):
+            monkeypatch.setattr(sde, "_CHUNK", chunk)
+            for threads in (1, 2, 3):
+                runs[chunk, threads] = simulate_ensemble(model, -0.4, cfg, threads)
         ref = runs[2048, 1]
         for est in runs.values():
             assert np.array_equal(est.matrix, ref.matrix)
@@ -467,39 +496,75 @@ class TestChunkPool:
         assert np.array_equal(ref.matrix, mat)
         assert np.array_equal(ref.standard_error, se)
 
-    def test_one_worker_runs_its_chunk_on_the_pool(self, monkeypatch):
-        # single_mode_mc.json's size: N = 400 at dim 1 plans one worker
-        threads = []
+    @pytest.mark.parametrize("n,platform", [
+        (400, "linux"),  # single_mode_mc.json's size: N = 400 at dim 1 plans one worker
+        (4096, "darwin"),  # two workers' work, but no fork off Linux
+    ])
+    def test_one_worker_runs_in_the_caller_and_never_forks(self, monkeypatch, n, platform):
+        monkeypatch.setattr(sde.os, "cpu_count", lambda: 2)
+        cfg = EnsembleConfig(dt=0.05, horizon=1.0, n_trajectories=n, master_seed=5)
+        ref = simulate_ensemble(single_mode_model(), -0.5, cfg, threads=1)
+        pids = []
         real = sde._chunk_generators
 
         def recorded(seed, c0, c1):
-            threads.append(threading.current_thread())
+            pids.append(os.getpid())
             return real(seed, c0, c1)
+
+        def no_fork():
+            raise AssertionError("forked")
 
         monkeypatch.setattr(sde, "_chunk_generators", recorded)
-        cfg = EnsembleConfig(dt=0.05, horizon=1.0, n_trajectories=400, master_seed=5)
-        assert _chunk_plan(cfg.n_trajectories, 2, 1) == (1, 1)
-        simulate_ensemble(single_mode_model(), -0.5, cfg, threads=2)
-        assert len(threads) == 1
-        assert threads[0] is not threading.main_thread()
+        monkeypatch.setattr(sde.os, "fork", no_fork)
+        monkeypatch.setattr(sde.sys, "platform", platform)
+        assert _chunk_plan(n, 2, 1)[0] == 1
+        est = simulate_ensemble(single_mode_model(), -0.5, cfg, threads=2)
+        assert pids and set(pids) == {os.getpid()}
+        assert np.array_equal(est.matrix, ref.matrix)
+        assert np.array_equal(est.standard_error, ref.standard_error)
 
+    @linux_only
     def test_worker_exception_reaches_caller(self, monkeypatch):
-        monkeypatch.setattr(sde.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(sde, "_MIN_CHUNK_WORK", 1)
-        monkeypatch.setattr(sde, "_CHUNK", 4)
-        boom = MemoryError("no room for chunk")
-        real = sde._chunk_generators
+        def boom():
+            raise MemoryError("no room for chunk")
 
-        def failing(seed, c0, c1):
-            if c0 > 0:
-                raise boom
-            return real(seed, c0, c1)
+        error = failing_ensemble(monkeypatch, in_child=boom)
+        assert type(error) is MemoryError
+        assert str(error) == "no room for chunk"
+        assert "chunk worker 1 failed" in str(error.__cause__)
+        assert "no room for chunk" in str(error.__cause__)
 
-        monkeypatch.setattr(sde, "_chunk_generators", failing)
-        cfg = EnsembleConfig(dt=0.05, horizon=1.0, n_trajectories=16, master_seed=5)
-        with pytest.raises(MemoryError) as info:
-            simulate_ensemble(single_mode_model(), -0.5, cfg, threads=2)
-        assert info.value is boom
+    @linux_only
+    def test_exception_that_cannot_be_rebuilt_keeps_type_and_message(self, monkeypatch):
+        class TwoArgError(Exception):
+            def __init__(self, a, b):
+                super().__init__(f"{a} and {b}")
+
+        def boom():
+            raise TwoArgError("x", "y")
+
+        error = failing_ensemble(monkeypatch, in_child=boom)
+        assert type(error) is RuntimeError
+        assert str(error) == "TwoArgError: x and y"
+
+    @linux_only
+    def test_child_killed_by_a_signal_is_named(self, monkeypatch):
+        error = failing_ensemble(monkeypatch,
+                                 in_child=lambda: os.kill(os.getpid(), signal.SIGKILL))
+        assert type(error) is RuntimeError
+        assert "chunk worker 1" in str(error)
+        assert f"signal {int(signal.SIGKILL)}" in str(error)
+
+    @linux_only
+    def test_caller_failure_kills_a_running_child(self, monkeypatch):
+        def interrupt():
+            raise KeyboardInterrupt
+
+        start = time.monotonic()
+        error = failing_ensemble(monkeypatch, in_caller=interrupt,
+                                 in_child=lambda: time.sleep(60))
+        assert type(error) is KeyboardInterrupt
+        assert time.monotonic() - start < 30  # killed, not waited for
 
 
 class TestModeBlock:
