@@ -20,11 +20,7 @@ from .spectrum import (
     spectral_abscissa,
     weyl_defect,
 )
-from .lyapunov import (
-    XiEstimate,
-    model_covariance,
-    noise_limit_xi,
-)
+from .lyapunov import model_covariance
 from .sde import (
     EmpiricalCovariance,
     EnsembleConfig,
@@ -65,7 +61,6 @@ __all__ = [
     "WarnlabError",
     "WarningSignVerdict",
     "WeylVector",
-    "XiEstimate",
     "bifurcation_parameter",
     "build_weyl_sequence",
     "classify_warning_sign",
@@ -74,7 +69,6 @@ __all__ = [
     "load_config",
     "make_p_grid",
     "model_covariance",
-    "noise_limit_xi",
     "parse_quantity",
     "run_parameter_sweep",
     "select_window",

@@ -34,6 +34,7 @@ variable (error, info, debug) controls verbosity.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import functools
 import io
@@ -48,7 +49,6 @@ from pathlib import Path
 
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, NumericalError
-from .lyapunov import noise_limit_xi
 from .scaling import (
     classify_warning_sign,
     fit_quantity,
@@ -103,10 +103,9 @@ def _preflight(cfg: ExperimentConfig):
     """The checks every command runs on a loaded config before it sweeps;
     returns the spectral abscissa at each grid point and ``sde._mixing``.
 
-    For spectral models: a power_of_p noise law, which vanishes at p*, has
-    the two grid points its limit Xi needs and is finite at both ends of the
-    grid (NumericalError otherwise), and one curve alone enters the spectral
-    gap at p*. For multiplication models: every Weyl vector, of
+    For spectral models: the noise law is finite at both ends of the grid
+    (NumericalError otherwise), and one curve alone enters the spectral gap
+    at p*. For multiplication models: every Weyl vector, of
     ``weyl.k_values`` or a quantity, has 3 grid points in its support around
     the model's ``weyl_center``. For every model the drift is strictly stable
     at each grid point (each curve evaluated once there), the sweep's closed
@@ -117,12 +116,8 @@ def _preflight(cfg: ExperimentConfig):
     model, p_star, grid = cfg.model, cfg.p_star, cfg.grid
     log.info("bifurcation parameter p* = %r", p_star)
     if isinstance(model, SpectralModel):
-        if model.sigma_depends_on_p:
-            if grid.size < 2:
-                raise ConfigError("sweep.count: a power_of_p noise law needs at least 2 grid "
-                                  "points for its noise limit Xi")
-            for p in (grid[0], grid[-1]):  # |p - p*| is monotone on the grid
-                model.sigma_at(float(p))
+        for p in (grid[0], grid[-1]):  # |p - p*| is monotone on the grid
+            model.sigma_at(float(p))
         for k, lam, _, _ in model.modes(p_star):
             if k != model.critical_index and lam.real > -cfg.spectral_gap:
                 raise ConfigError(
@@ -259,10 +254,10 @@ def _quantity_result(cfg, sweep, name, xi) -> dict:
 def _sweep_report(command, cfg, sweep, elapsed) -> dict:
     """The report every sweep command writes: config echo, p*, timings (the
     whole command and each grid point), one result per quantity and, for a
-    power_of_p noise law, the noise limit Xi on the grid (reported once per
-    sweep, and read by each verdict)."""
+    power_of_p noise law, the model's noise limit Xi (reported once, with
+    its kind: finite, zero or diverging, and read by each verdict)."""
     model = cfg.model
-    xi = noise_limit_xi(model, sweep.p_values) \
+    xi = model.noise_limit_xi \
         if isinstance(model, SpectralModel) and model.sigma_depends_on_p else None
     report = {
         "schema_version": _SCHEMA_VERSION,
@@ -278,12 +273,10 @@ def _sweep_report(command, cfg, sweep, elapsed) -> dict:
         "results": {name: _quantity_result(cfg, sweep, name, xi) for name in sweep.quantities},
     }
     if xi is not None:
-        val = complex(xi.value)
+        finite = cmath.isfinite(xi)
         report["noise_limit_xi"] = {
-            "value": [val.real, val.imag],
-            "converged": xi.converged,
-            "samples": [[float(p), complex(v).real, complex(v).imag]
-                        for p, v in xi.samples],
+            "kind": "diverging" if not finite else "zero" if xi == 0 else "finite",
+            "value": [xi.real, xi.imag] if finite else None,
         }
     return report
 

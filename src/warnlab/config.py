@@ -2,8 +2,9 @@
 
 Validation errors name the offending field by dotted path (for example
 ``model.curves[1].slope``) so a config can be fixed without reading code.
-This module types the JSON; the model, engine and sweep rules are their
-constructors' and ``make_p_grid``'s, whose messages it prefixes with a path.
+This module types the JSON; the model, engine, sweep and fit-window rules
+are their constructors', ``make_p_grid``'s and ``parse_window``'s, whose
+messages it prefixes with a path.
 Once every other field checks out, p* and the sweep grid are resolved, so
 load_config raises NumericalError for a model without a p*.
 """
@@ -18,7 +19,7 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigError
-from .scaling import _entry_index, make_p_grid, parse_quantity
+from .scaling import _entry_index, make_p_grid, parse_quantity, parse_window
 from .sde import EnsembleConfig
 from .spectrum import (
     DEFAULT_HALF_WIDTH,
@@ -298,18 +299,12 @@ def resolve_config(raw: dict) -> ExperimentConfig:
                               "quantity nor a weyl_pairing of weyl.k_values")
         if key in fit_windows:
             raise ConfigError(f"fit_windows.{raw_key}: a second window for {key!r}")
-        if isinstance(win, str):
-            if win not in ("last_decade", "all"):
-                raise ConfigError(f"fit_windows.{raw_key}: unknown window {win!r}")
-            fit_windows[key] = win
-        elif isinstance(win, list) and len(win) == 2:
-            lo = _as_number(win[0], f"fit_windows.{raw_key}[0]")
-            hi = _as_number(win[1], f"fit_windows.{raw_key}[1]")
-            if hi <= lo:
-                raise ConfigError(f"fit_windows.{raw_key}: hi must exceed lo")
-            fit_windows[key] = (lo, hi)
-        else:
-            raise ConfigError(f"fit_windows.{raw_key}: expected a window name or [lo, hi]")
+        if isinstance(win, list) and len(win) == 2:  # JSON-typed, as the sweep block is
+            win = [_as_number(w, f"fit_windows.{raw_key}[{i}]") for i, w in enumerate(win)]
+        try:
+            fit_windows[key] = parse_window(win)
+        except ValueError as exc:
+            raise ConfigError(f"fit_windows.{raw_key}: {exc}") from exc
 
     output_raw = _as_mapping(raw.get("output", {}), "output")
     directory = output_raw.get("directory", "out")

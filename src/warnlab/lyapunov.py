@@ -28,30 +28,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError
 from .spectrum import MultiplicationSymbolModel, SpectralModel, build_weyl_sequence
 
-_XI_TOL = 1e-8
 # |z t| up to which the time moments come from their Taylor series; above it
 # the upward recurrence amplifies rounding by n / |z t| per step, a bounded
 # factor for the moment orders n <= 2m - 2 of small blocks
 _SERIES_RADIUS = 2.0
 _SERIES_TERMS = 30  # 2^30 / 30! < 1e-23
-
-
-@dataclass(frozen=True)
-class XiEstimate:
-    """Limit estimate of sigma(p)^2 / (2 lambda_{k*}(p)) as p increases to p*:
-    the last sample's value, every (p, value) sample, and whether the last
-    two samples agree within ``_XI_TOL``."""
-
-    value: complex
-    samples: tuple
-    converged: bool
 
 
 def _finite_moments(z: complex, t: float, n_max: int) -> list:
@@ -115,29 +102,6 @@ def block_pair_covariance(lam_k: complex, m_k: int, lam_j: complex, m_j: int, c_
                 w = num[a + b] / (math.factorial(a) * math.factorial(b))
                 v[: m_k - a, : m_j - b] += c[a:, b:] * w / den[a + b]
     return v
-
-
-def noise_limit_xi(model: SpectralModel, p_sequence) -> XiEstimate:
-    """Evaluate sigma(p)^2 / (2 lambda_{k*}(p)) along an increasing sequence.
-
-    The returned estimate carries the whole sample path; ``converged`` records
-    whether the last two values differ by less than ``_XI_TOL``.
-    """
-    p_seq = np.asarray(p_sequence, dtype=float)
-    if p_seq.ndim != 1 or p_seq.size < 2:
-        raise ValueError("p_sequence: need at least two parameter values")
-    if np.any(np.diff(p_seq) <= 0):
-        raise ValueError("p_sequence: must be strictly increasing toward p*")
-    samples = []
-    for p in p_seq:
-        lam = model.lambda_at(model.critical_index, float(p))
-        if lam == 0:
-            raise NumericalError(f"critical eigenvalue vanishes at p={p}")
-        s = model.sigma_at(float(p))
-        samples.append((float(p), (s * s) / (2.0 * lam)))
-    value = samples[-1][1]
-    converged = abs(samples[-1][1] - samples[-2][1]) < _XI_TOL
-    return XiEstimate(value=value, samples=tuple(samples), converged=converged)
 
 
 class _Pairing:

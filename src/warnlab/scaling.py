@@ -17,6 +17,7 @@ warning-sign verdict. The module does no I/O: ``cli`` writes every output.
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
 import warnings
@@ -26,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import NumericalError
-from .lyapunov import XiEstimate, _StableShift, model_covariance
+from .lyapunov import _StableShift, model_covariance
 from .sde import EnsembleConfig, simulate_ensemble, splitmix64
 from .spectrum import SpectralModel, WeylVector, bifurcation_parameter
 
@@ -336,29 +337,42 @@ def fit_power_law(distances, values) -> ScalingFit:
     )
 
 
+def parse_window(window):
+    """The one statement of the fit-window forms: ``"last_decade"``,
+    ``"all"`` or a pair (lo, hi) of distances with hi > lo. Returns the
+    window as ``select_window`` reads it, a pair as two floats; any other
+    window is a ValueError."""
+    if isinstance(window, str):
+        if window not in ("last_decade", "all"):
+            raise ValueError(f"unknown window {window!r}")
+        return window
+    if not (isinstance(window, (list, tuple)) and len(window) == 2):
+        raise ValueError("expected a window name or [lo, hi]")
+    lo, hi = float(window[0]), float(window[1])
+    if hi <= lo:
+        raise ValueError("hi must exceed lo")
+    return lo, hi
+
+
 def select_window(distances, window="last_decade") -> np.ndarray:
-    """Resolve a fit window to grid indices.
+    """Resolve a fit window (``parse_window``) to grid indices.
 
     ``"last_decade"`` keeps points within a factor 10 of the smallest
     distance (at least 3 points); ``"all"`` keeps everything; a pair
-    (lo, hi) keeps distances inside the closed interval. Any other window is
-    a ValueError.
+    (lo, hi) keeps distances inside the closed interval.
     """
     d = np.asarray(distances, dtype=float)
-    if isinstance(window, str):
-        if window == "all":
-            return np.arange(d.size)
-        if window == "last_decade":
-            dmin = float(np.min(d))
-            idx = np.nonzero(d <= 10.0 * dmin * (1.0 + 1e-9))[0]
-            if idx.size < 3:
-                idx = np.argsort(d)[:3]
-                idx.sort()
-            return idx
-        raise ValueError(f"window: unknown specification {window!r}")
-    if len(window) != 2:
-        raise ValueError(f"window: expected a name or a (lo, hi) pair, got {window!r}")
-    lo, hi = float(window[0]), float(window[1])
+    window = parse_window(window)
+    if window == "all":
+        return np.arange(d.size)
+    if window == "last_decade":
+        dmin = float(np.min(d))
+        idx = np.nonzero(d <= 10.0 * dmin * (1.0 + 1e-9))[0]
+        if idx.size < 3:
+            idx = np.argsort(d)[:3]
+            idx.sort()
+        return idx
+    lo, hi = window
     idx = np.nonzero((d >= lo) & (d <= hi))[0]
     if idx.size < 3:
         raise NumericalError(f"window [{lo}, {hi}]: fewer than 3 sweep points inside")
@@ -375,13 +389,14 @@ def fit_quantity(sweep: SweepResult, quantity: str, window="last_decade") -> Sca
     return replace(fit, window=tuple(int(i) for i in idx))
 
 
-def classify_warning_sign(fit: ScalingFit, xi: XiEstimate | None = None) -> WarningSignVerdict:
+def classify_warning_sign(fit: ScalingFit, xi: complex | None = None) -> WarningSignVerdict:
     """Warning-sign verdict of one power-law fit, such as ``fit_quantity`` returns.
 
     diverging: fitted exponent < -0.5 with r_squared > 0.99. vanishing:
-    exponent > 0.5. finite_limit: |exponent| <= 0.1 (with a converged noise
-    limit Xi when the noise amplitude depends on p). Ambiguous fits fall back
-    to finite_limit with the reservation spelled out in the rationale.
+    exponent > 0.5. finite_limit: |exponent| <= 0.1, with a finite noise
+    limit Xi (``SpectralModel.noise_limit_xi``, given when the noise
+    amplitude depends on p). Ambiguous fits fall back to finite_limit with
+    the reservation spelled out in the rationale.
     """
     exp = fit.exponent
     base = (
@@ -392,14 +407,14 @@ def classify_warning_sign(fit: ScalingFit, xi: XiEstimate | None = None) -> Warn
         cls, note = "diverging", "clean divergence"
     elif exp > 0.5:
         cls, note = "vanishing", "decay toward p*"
-    elif abs(exp) <= 0.1 and (xi is None or xi.converged):
+    elif abs(exp) <= 0.1 and (xi is None or cmath.isfinite(xi)):
         cls, note = "finite_limit", "flat series"
         if xi is not None:
-            note += f"; noise limit Xi = {xi.value:.6g} (converged)"
+            note += f"; noise limit Xi = {xi:.6g}"
     else:
         cls, note = "finite_limit", "inconclusive fit, defaulting to finite_limit"
-        if xi is not None and not xi.converged:
-            note += "; Xi estimate not converged"
+        if xi is not None and not cmath.isfinite(xi):
+            note += "; noise limit Xi diverges"
     return WarningSignVerdict(
         classification=cls, fitted_exponent=float(exp), rationale=f"{base}; {note}"
     )

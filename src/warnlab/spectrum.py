@@ -162,6 +162,26 @@ class SpectralModel:
             raise NumericalError(f"sigma(p) is not finite at p={p!r}")
         return s
 
+    @property
+    def noise_limit_xi(self) -> complex:
+        """Xi, the limit of sigma(p)^2 / (2 lambda_{k*}(p)) as p rises to p*.
+
+        With d = p* - p, sigma^2 = s^2 d^(2e) and lambda_{k*} = -slope d + i b,
+        so Xi is 0 for s = 0; for b = 0 it is 0 for e > 1/2, -s^2 / (2 slope)
+        at e = 1/2 and diverges for e < 1/2; for b != 0 it is 0 for e > 0,
+        s^2 / (2 i b) at e = 0 and diverges for e < 0. A diverging limit
+        reads complex(inf, 0). NumericalError if p* does not exist.
+        """
+        bifurcation_parameter(self)
+        curve = self.curve(self.critical_index)
+        s, e, b = self.sigma, self.sigma_exponent, curve.offset.imag
+        balance = 0.5 if b == 0.0 else 0.0  # the e at which sigma^2 and |lambda| match
+        if s == 0.0 or e > balance:
+            return 0j
+        if e < balance:
+            return complex(math.inf, 0.0)
+        return complex(-s * s / (2.0 * curve.slope)) if b == 0.0 else s * s / (2j * b)
+
 
 @dataclass(frozen=True, eq=False)
 class MultiplicationSymbolModel:

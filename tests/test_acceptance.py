@@ -23,7 +23,6 @@ from warnlab import (
     classify_warning_sign,
     fit_quantity,
     make_p_grid,
-    noise_limit_xi,
     run_parameter_sweep,
     simulate_ensemble,
     weyl_defect,
@@ -130,11 +129,11 @@ def test_criterion_4_degenerate_noise_classifications():
         for b in (1.0, 2.0):
             balanced = single_mode(sigma_exponent=0.5, noise=b)
             sweep = run_parameter_sweep(balanced, grid, ["critical_diagonal"])
-            xi = noise_limit_xi(balanced, grid)
+            xi = balanced.noise_limit_xi
             verdict = classify_warning_sign(fit_quantity(sweep, "critical_diagonal"), xi=xi)
             assert verdict.classification == "finite_limit", verdict.rationale
             assert abs(sweep.quantities["critical_diagonal"][-1] - b / 2.0) <= 1e-8
-            assert abs(xi.value - (-0.5)) <= 1e-10
+            assert abs(xi - (-0.5)) <= 1e-10
 
         fast = single_mode(sigma_exponent=1.0)
         sweep = run_parameter_sweep(fast, grid, ["critical_diagonal"])

@@ -216,8 +216,7 @@ class TestValidate:
         assert res["verdict"]["classification"] == "finite_limit"
         assert abs(res["fit"]["exponent"]) < 1e-10
         assert 0.0 <= res["fit"]["r_squared"] <= 1.0
-        xi = report["noise_limit_xi"]
-        assert xi["converged"] and abs(xi["value"][0] + 0.5) < 1e-12
+        assert report["noise_limit_xi"] == {"kind": "finite", "value": [-0.5, 0.0]}
 
     def test_p_star_key_of_old_configs_is_ignored(self, tmp_path):
         cfg = self.off_zero_power_law()
@@ -425,13 +424,14 @@ class TestPreflight:
                "grid points, need at least 3 (refine the grid or lower k)\n")
         assert outcomes["analytic"] == outcomes["weyl"] == outcomes["validate"]
 
-    def test_power_of_p_noise_on_one_point_grid_fails_every_command(self, tmp_path, capsys):
+    def test_power_of_p_noise_on_one_point_grid_runs_every_command(self, tmp_path, capsys):
+        # Xi is the model's closed form, so no grid size is asked of the law
         cfg = self.empirical(minimal_spectral(sweep={"start": -0.5, "count": 1}))
         cfg["model"]["sigma"] = {"kind": "power_of_p", "exponent": 0.5}
         outcomes = self.run_all(write_json(tmp_path, cfg), tmp_path, capsys)
-        rc, err = outcomes["validate"]
-        assert rc == 2 and "config error: sweep.count" in err
-        assert outcomes["analytic"] == outcomes["simulate"] == (rc, err)
+        assert outcomes == {command: (0, "") for command in outcomes}
+        report = json.loads((tmp_path / "out_analytic" / "report.json").read_text())
+        assert "at least 3 points" in report["results"]["critical_diagonal"]["fit_error"]
 
 
 # extreme configs: each edit is (keys into the config, value); spectral ones
@@ -797,7 +797,8 @@ class TestAnalyticCommand:
     # pairing summed over the whole grid; table_symbol pins a tabulated
     # symbol on a nonuniform grid, with its argmax off-centre, so that the
     # window of weyl_pairing:2 is clipped at the last node; constant_symbol
-    # pins the constant symbol, whose argmax set is the whole grid
+    # pins the constant symbol, whose argmax set is the whole grid;
+    # balanced_noise pins a power_of_p law anchored at p* = 0.5 under dense noise
     GOLDEN_CONFIGS = {
         "single_mode": CONFIG_DIR / "single_mode.json",
         "jordan_block": CONFIG_DIR / "jordan_block.json",
@@ -806,6 +807,7 @@ class TestAnalyticCommand:
         "quadratic_symbol_coarse": CONFIG_DIR / "quadratic_symbol_coarse.json",
         "table_symbol": DATA_DIR / "table_symbol.json",
         "constant_symbol": DATA_DIR / "constant_symbol.json",
+        "balanced_noise": DATA_DIR / "balanced_noise.json",
     }
 
     @pytest.mark.parametrize("name", list(GOLDEN_CONFIGS))

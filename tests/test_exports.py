@@ -15,9 +15,10 @@ def test_every_export_resolves_once():
 
 
 def test_deleted_multiplication_closed_forms_stay_gone():
-    # the analytic sweep is the one multiplication-model path
+    # the analytic sweep is the one multiplication-model path, and the noise
+    # limit Xi is the model's closed form (SpectralModel.noise_limit_xi)
     for name in ("multiplication_covariance_norm", "quadratic_form_pairing",
-                 "stationary_pairing"):
+                 "stationary_pairing", "noise_limit_xi", "XiEstimate"):
         assert name not in warnlab.__all__
         assert not hasattr(warnlab, name)
         assert not hasattr(warnlab.lyapunov, name)

@@ -12,7 +12,6 @@ from warnlab import (
     NumericalError,
     SpectralModel,
     model_covariance,
-    noise_limit_xi,
     run_parameter_sweep,
 )
 from oracles import (
@@ -137,43 +136,6 @@ class TestFiniteSolve:
     def test_unstable_drift_signals(self):
         with pytest.raises(NumericalError, match="stab"):
             finite_lyapunov_solve(np.array([[0.5]]), np.array([[1.0]]), 1.0)
-
-
-class TestNoiseLimitXi:
-    def make(self, sigma=1.0, sigma_exponent=0.0):
-        return SpectralModel(
-            curves=[EigenvalueCurve(0, 1.0)],
-            noise_matrix=np.array([[1.0]]),
-            critical_index=0,
-            sigma=sigma,
-            sigma_exponent=sigma_exponent,
-        )
-
-    def test_balanced_noise_gives_minus_half(self):
-        model = self.make(sigma_exponent=0.5)  # sigma^2 = |p|
-        grid = -0.5 * 0.5 ** np.arange(10)[::-1] * 2  # increasing toward 0
-        xi = noise_limit_xi(model, np.sort(grid))
-        assert xi.converged
-        assert abs(xi.value - (-0.5)) < 1e-12
-
-    def test_fast_noise_vanishes(self):
-        model = self.make(sigma_exponent=1.0)  # sigma^2 = p^2
-        grid = np.sort(-(0.5 ** np.arange(1, 30)))
-        xi = noise_limit_xi(model, grid)
-        assert xi.converged
-        assert abs(xi.value) < 1e-6
-
-    def test_constant_noise_diverges(self):
-        model = self.make(1.0)
-        grid = np.sort(-(0.5 ** np.arange(1, 12)))
-        xi = noise_limit_xi(model, grid)
-        assert not xi.converged
-        assert abs(xi.value) > 100.0
-
-    def test_vanishing_eigenvalue_signals(self):
-        model = self.make(1.0)
-        with pytest.raises(NumericalError):
-            noise_limit_xi(model, np.array([-1.0, 0.0]))
 
 
 class TestMultiplicationForms:

@@ -17,7 +17,6 @@ from warnlab import (
     fit_quantity,
     load_config,
     make_p_grid,
-    noise_limit_xi,
     parse_quantity,
     run_parameter_sweep,
     select_window,
@@ -139,7 +138,7 @@ class TestWindows:
         assert list(select_window(np.array([1.0, 0.5, 0.25]), (0, 2))) == [0, 1, 2]
 
     def test_index_list_rejected(self):
-        with pytest.raises(ValueError, match="a name or a \\(lo, hi\\) pair"):
+        with pytest.raises(ValueError, match="expected a window name or \\[lo, hi\\]"):
             select_window(np.ones(6), [0, 2, 4])
 
 
@@ -328,13 +327,37 @@ class TestClassification:
         model = single_mode(sigma_exponent=0.5)  # sigma^2 = |p|
         grid = self.grid()
         sweep = run_parameter_sweep(model, grid, ["critical_diagonal"])
-        xi = noise_limit_xi(model, grid)
+        xi = model.noise_limit_xi
         verdict = classify_warning_sign(fit_quantity(sweep, "critical_diagonal"), xi=xi)
         assert verdict.classification == "finite_limit"
         assert abs(verdict.fitted_exponent) < 1e-10
-        assert xi.converged and abs(xi.value - (-0.5)) < 1e-12
+        assert xi == -0.5
+        assert verdict.rationale.endswith("; flat series; noise limit Xi = -0.5+0j")
         # the series itself sits at b/2
         assert_allclose(sweep.quantities["critical_diagonal"], 0.5, rtol=1e-12)
+
+    @pytest.mark.parametrize("count", [10, 26])
+    def test_complex_balanced_noise_verdict_does_not_depend_on_the_grid(self, count):
+        # lambda = p + i with sigma^2 = |p|: Xi is exactly 0, however close the grid gets
+        model = single_mode(omega=1.0, sigma_exponent=0.5)
+        sweep = run_parameter_sweep(model, make_p_grid(0.0, -0.5, count), ["critical_diagonal"])
+        verdict = classify_warning_sign(fit_quantity(sweep, "critical_diagonal"),
+                                        xi=model.noise_limit_xi)
+        assert verdict.classification == "finite_limit"
+        assert verdict.rationale.partition(" nearest p*; ")[2] == \
+            "flat series; noise limit Xi = 0+0j"
+
+    def test_flat_series_with_diverging_xi_falls_back(self):
+        # sigma^2 = |p|^(1 - 2e-9) against lambda = p: the series is flat to the
+        # fit, yet Xi = -|p|^(-2e-9) / 2 diverges at p*
+        model = single_mode(sigma_exponent=0.5 - 1e-9)
+        sweep = run_parameter_sweep(model, self.grid(), ["critical_diagonal"])
+        verdict = classify_warning_sign(fit_quantity(sweep, "critical_diagonal"),
+                                        xi=model.noise_limit_xi)
+        assert abs(verdict.fitted_exponent) <= 0.1
+        assert verdict.classification == "finite_limit"
+        assert verdict.rationale.endswith(
+            "; inconclusive fit, defaulting to finite_limit; noise limit Xi diverges")
 
     def test_fast_noise_vanishes(self):
         model = single_mode(sigma_exponent=1.0)  # sigma^2 = p^2

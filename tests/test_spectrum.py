@@ -1,5 +1,7 @@
+import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -193,6 +195,54 @@ class TestNoiseLaw:
                               critical_index=0, sigma=1.0, sigma_exponent=1000.0)
         with pytest.raises(NumericalError, match="sigma"):
             model.sigma_at(-10.0)
+
+
+def xi_kind(xi: complex) -> str:
+    return "diverging" if not cmath.isfinite(xi) else "zero" if xi == 0 else "finite"
+
+
+class TestNoiseLimitXi:
+    """SpectralModel.noise_limit_xi against sigma^2 / (2 lambda) in mpmath at
+    |p - p*| = 1e-40, with sigma = s |p - p*|^e and lambda = slope (p - p*) + i b."""
+
+    @staticmethod
+    def model(s, e, slope, b):
+        # Re(offset) = -0.3 keeps p* = 0.3 / slope off zero
+        return SpectralModel(curves=[EigenvalueCurve(0, slope, complex(-0.3, b))],
+                             critical_index=0, sigma=s, sigma_exponent=e)
+
+    @pytest.mark.parametrize("s, e, slope, b, kind", [
+        (1.0, 0.0, 1.0, 0.0, "diverging"),
+        (1.5, 0.25, 0.8, 0.0, "diverging"),
+        (1.5, 0.5, 0.8, 0.0, "finite"),
+        (1.5, 0.75, 0.8, 0.0, "zero"),
+        (1.5, 1.0, 0.8, 0.0, "zero"),
+        (1.5, -0.5, 0.8, 0.7, "diverging"),
+        (1.5, 0.0, 0.8, 0.7, "finite"),
+        (1.5, 0.5, 0.8, -0.7, "zero"),
+        (0.0, -0.5, 0.8, 0.0, "zero"),
+    ])
+    def test_matches_mpmath_limit(self, s, e, slope, b, kind):
+        xi = self.model(s, e, slope, b).noise_limit_xi
+        assert xi_kind(xi) == kind
+        with mpmath.workdps(60):
+            d = mpmath.mpf("1e-40")
+            near = complex((s * s * d ** (2 * e)) / (2 * mpmath.mpc(-slope * d, b)))
+        if kind == "finite":
+            assert abs(xi - near) <= 1e-10 * abs(near)
+        elif kind == "zero":
+            assert abs(near) < 1e-15
+        else:
+            assert xi == complex(math.inf, 0.0) and abs(near) > 1e15
+
+    @pytest.mark.parametrize("e, kind", [(0.5 + 1e-9, "zero"), (0.5 - 1e-9, "diverging")])
+    def test_exponent_next_to_the_balance_reads_its_kind(self, e, kind):
+        # d^(+-2e-9) is still 1 +- 2e-7 at d = 1e-40, so no sample reaches these limits
+        assert xi_kind(self.model(1.0, e, 1.0, 0.0).noise_limit_xi) == kind
+
+    def test_model_without_p_star_signals(self):
+        with pytest.raises(NumericalError, match="slope"):
+            self.model(1.0, 0.5, 0.0, 0.0).noise_limit_xi
 
 
 class TestAbscissaAndBifurcation:
