@@ -9,20 +9,20 @@ Subcommands:
 Every command loads its config, which resolves p* and the grid (NumericalError
 for a model without a p*), checks its own requirements (simulate's empirical
 engine, weyl's multiplication model and k_values) and runs the one pre-flight
-(``_preflight``): the noise law at the grid's ends and the spectral gap
-(spectral models) or every Weyl vector's support (multiplication models),
-strict stability of the drift at every grid point, the closed form of the
-quantities at the grid's ends and the mixing warning. So a config that
-``validate`` rejects fails every command that accepts its kind alike.
+(``_preflight``): the spectral gap (spectral models) or every Weyl vector's
+support (multiplication models), then the closed form of the quantities over
+the whole grid, and the mixing warning. So a config that ``validate`` rejects
+fails every command that accepts its kind alike.
 
-The three sweep commands sweep the grid once (weyl on the
-``weyl_pairing:k`` quantities of ``weyl.k_values``) and report through one
+analytic reports the pre-flight's closed form and simulate audits its Monte
+Carlo sweep against it; weyl sweeps the ``weyl_pairing:k`` quantities of
+``weyl.k_values`` once more. The three sweep commands report through one
 builder (``_sweep_report``): each quantity's series, its power-law fit
 (fitted once) and the verdict classified from that fit, with the command's
 and each grid point's wall time. simulate adds its seed record and Monte
 Carlo diagnostics, weyl each Weyl vector's defect. This module is the only
 one that writes files. Every path a sweep command will write is checked
-before it sweeps (``_planned_outputs``), so an output that cannot be
+after the pre-flight (``_planned_outputs``), so an output that cannot be
 written fails the run before any file changes; each file is then written
 in one write over its old bytes (``_write_file``).
 
@@ -100,24 +100,21 @@ def _resolve_formats(args, cfg: ExperimentConfig) -> tuple:
 
 
 def _preflight(cfg: ExperimentConfig):
-    """The checks every command runs on a loaded config before it sweeps;
-    returns the spectral abscissa at each grid point and ``sde._mixing``.
+    """The checks every command runs on a loaded config first; returns the
+    closed-form sweep of the quantities over the whole grid and
+    ``sde._mixing`` (None without an ensemble).
 
-    For spectral models: the noise law is finite at both ends of the grid
-    (NumericalError otherwise), and one curve alone enters the spectral gap
-    at p*. For multiplication models: every Weyl vector, of
-    ``weyl.k_values`` or a quantity, has 3 grid points in its support around
-    the model's ``weyl_center``. For every model the drift is strictly stable
-    at each grid point (each curve evaluated once there), the sweep's closed
-    form of the quantities is finite at both grid ends (where the affine
-    Re(lambda_k + conj lambda_j) and sigma(p) peak, and every multiplication
-    quantity, growing toward p*, peaks), and a horizon too short to mix warns.
+    For spectral models one curve alone enters the spectral gap at p*. For
+    multiplication models every Weyl vector, of ``weyl.k_values`` or a
+    quantity, has 3 grid points in its support around the model's
+    ``weyl_center``. Then the closed form runs at every grid point, so a
+    noise law, a drift that is not strictly stable or a quantity that is not
+    finite there fails with the sweep's own "sweep failed at p=..." line, and
+    a horizon too short to mix warns.
     """
     model, p_star, grid = cfg.model, cfg.p_star, cfg.grid
     log.info("bifurcation parameter p* = %r", p_star)
     if isinstance(model, SpectralModel):
-        for p in (grid[0], grid[-1]):  # |p - p*| is monotone on the grid
-            model.sigma_at(float(p))
         for k, lam, _, _ in model.modes(p_star):
             if k != model.critical_index and lam.real > -cfg.spectral_gap:
                 raise ConfigError(
@@ -134,28 +131,22 @@ def _preflight(cfg: ExperimentConfig):
                 _weyl_support(model, k, model.weyl_center)
             except NumericalError as exc:
                 raise ConfigError(f"{path}: {exc}") from exc
-    abscissae = [spectral_abscissa(model, float(p)) for p in grid]
-    for p, a in zip(grid, abscissae):
-        if a >= 0.0:
-            raise NumericalError(
-                f"drift not strictly stable at p={float(p)!r}: spectral abscissa {a:.6g}"
-            )
-    # the sweep's own closed-form path, at grid[0] and grid[-1]
-    run_parameter_sweep(model, grid[::max(grid.size - 1, 1)], cfg.quantities)
-    mixing = None if cfg.ensemble is None else _mixing(cfg.ensemble.horizon, abscissae)
+    exact = run_parameter_sweep(model, grid, cfg.quantities)
+    mixing = None if cfg.ensemble is None else _mixing(
+        cfg.ensemble.horizon, [spectral_abscissa(model, float(p)) for p in grid])
     if mixing is not None and mixing[1] is not None:
         print("warning: horizon is short against the slowest relaxation time "
               f"({mixing[1]} on the grid)", file=sys.stderr)
-    return abscissae, mixing
+    return exact, mixing
 
 
 def _planned_outputs(cfg, args, names) -> tuple[Path, dict, Path | None]:
     """The output directory, the CSV path of each quantity in ``names``
     (canonical, as the sweep keys its series) and the report path (None when
-    no report is written). Checked before the sweep, so that a run that
-    cannot write every output writes none: an existing output directory must
-    be a directory and each output file absent or a regular file, else a
-    ConfigError naming the path."""
+    no report is written). Checked before anything is written, so that a
+    run that cannot write every output writes none: an existing output
+    directory must be a directory and each output file absent or a regular
+    file, else a ConfigError naming the path."""
     outdir = Path(args.out) if args.out else Path(cfg.output_directory)
     formats = _resolve_formats(args, cfg)
     csvs = {name: outdir / f"sweep_{_sanitize(name)}.csv" for name in names} \
@@ -281,12 +272,12 @@ def _sweep_report(command, cfg, sweep, elapsed) -> dict:
     return report
 
 
-def _mc_diagnostics(cfg, sweep, ratios) -> dict:
-    """Audit of a Monte Carlo sweep against the closed forms: for each point
-    the mixing ratio horizon * |spectral abscissa| and, for each quantity,
-    the closed-form |V| and the z-score (value - closed_form) / stderr (None
-    at zero stderr), plus the share of estimates within 3 standard errors."""
-    exact = run_parameter_sweep(cfg.model, sweep.p_values, cfg.quantities)
+def _mc_diagnostics(sweep, exact, ratios) -> dict:
+    """Audit of a Monte Carlo sweep against ``exact``, the pre-flight's
+    closed-form sweep of the same grid: for each point the mixing ratio
+    horizon * |spectral abscissa| and, for each quantity, the closed-form |V|
+    and the z-score (value - closed_form) / stderr (None at zero stderr),
+    plus the share of estimates within 3 standard errors."""
     points = []
     hits = total = 0
     for i, p in enumerate(sweep.p_values):
@@ -305,9 +296,8 @@ def _mc_diagnostics(cfg, sweep, ratios) -> dict:
 def cmd_analytic(args) -> int:
     start = time.perf_counter()
     cfg = load_config(args.config)
-    _preflight(cfg)
+    sweep, _ = _preflight(cfg)
     outputs = _planned_outputs(cfg, args, cfg.quantities)
-    sweep = run_parameter_sweep(cfg.model, cfg.grid, cfg.quantities)
     elapsed = time.perf_counter() - start
     report = _sweep_report("analytic", cfg, sweep, elapsed)
     _write_outputs(outputs, sweep, report)
@@ -321,8 +311,8 @@ def cmd_simulate(args) -> int:
         raise ConfigError("engine.kind: command 'simulate' requires an empirical engine")
     ensemble = cfg.ensemble
     if args.seed is not None:
-        ensemble = replace(ensemble, master_seed=args.seed & 0xFFFFFFFFFFFFFFFF)
-    _, (ratios, short) = _preflight(cfg)
+        ensemble = replace(ensemble, master_seed=args.seed)
+    exact, (ratios, short) = _preflight(cfg)
     outputs = _planned_outputs(cfg, args, cfg.quantities)
     log.info("simulating %d grid points, %d trajectories each",
              cfg.grid.size, ensemble.n_trajectories)
@@ -334,7 +324,7 @@ def cmd_simulate(args) -> int:
         "master_seed": ensemble.master_seed,
         "point_seeds": list(sweep.point_seeds),
     }
-    report["diagnostics"] = diagnostics = _mc_diagnostics(cfg, sweep, ratios)
+    report["diagnostics"] = diagnostics = _mc_diagnostics(sweep, exact, ratios)
     report["mixing_warning"] = short is not None
     if diagnostics["within_3se_frac"] < 0.95:
         print(f"warning: only {diagnostics['within_3se_frac']:.1%} of the estimates lie "
@@ -375,7 +365,8 @@ def cmd_weyl(args) -> int:
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     model, grid = cfg.model, cfg.grid
-    abscissae, _ = _preflight(cfg)
+    _preflight(cfg)
+    abscissae = [spectral_abscissa(model, float(p)) for p in (grid[0], grid[-1])]
     if isinstance(model, SpectralModel):
         kind, modes = "spectral", model.total_dim
     else:

@@ -400,7 +400,9 @@ class TestPreflight:
         cfg["model"]["noise_matrix"] = [[1.0, 0.0], [0.0, 1.0]]
         outcomes = self.run_all(write_json(tmp_path, cfg), tmp_path, capsys)
         rc, err = outcomes["validate"]
-        assert rc == 3 and "drift not strictly stable at p=-1.0" in err
+        assert rc == 3 and err == (
+            "numerical failure: sweep failed at p=-1.0: stationary covariance needs "
+            "Re(lambda) < 0, got ((-1+0j), (0.5+0j))\n")
         assert outcomes["analytic"] == outcomes["simulate"] == (rc, err)
 
     @pytest.mark.parametrize("field,path", [("weyl", "weyl.k_values[2]"),
@@ -534,7 +536,8 @@ class TestExitContract:
         for command in ("validate", "analytic", "simulate"):
             rc, err = self.run_quietly(command, path, tmp_path / command, capsys)
             assert rc == 3 and len(err.splitlines()) == 1
-            assert err == "numerical failure: sigma(p) is not finite at p=-10.0\n"
+            assert err == ("numerical failure: sweep failed at p=-10.0: "
+                           "sigma(p) is not finite at p=-10.0\n")
 
     def test_overflowing_grid_is_config_error(self, tmp_path, capsys):
         path, _ = self.write_extreme("huge_offset", tmp_path)
@@ -771,16 +774,20 @@ class TestAnalyticCommand:
     def test_overflowing_closed_form_is_numerical_failure(self, tmp_path, capsys):
         # |p - p*|^{-3} overflows a double once the grid comes within 2^-342
         # of p*; within 2^-343 1 / (-z)^3 overflows too, and within 2^-359
-        # (-z)^3 underflows to 0. The pre-flight finds each at the grid's
-        # last point, 2^-(count - 1) from p*, and reports an overflow, not nan
+        # (-z)^3 underflows to 0. The pre-flight sweeps the whole grid, so a
+        # grid from -1 fails at its first point within 2^-342, and a grid that
+        # starts inside a region fails there at its first point
         cfg = json.loads((CONFIG_DIR / "jordan_block.json").read_text())
-        for count, failure in [
-            (343, "block_entry:1,1 evaluates to inf"),
-            (350, f"1 / (-z) ** 3 overflows for z = {complex(-2.0 ** -348)}"),
-            (400, f"1 / (-z) ** 3 overflows for z = {complex(-2.0 ** -398)}"),
+        for start, count, failure in [
+            (-1.0, 343, "block_entry:1,1 evaluates to inf"),
+            (-1.0, 350, "block_entry:1,1 evaluates to inf"),
+            (-1.0, 400, "block_entry:1,1 evaluates to inf"),
+            (-2.0 ** -348, 3, f"1 / (-z) ** 3 overflows for z = {complex(-2.0 ** -347)}"),
+            (-2.0 ** -398, 3, f"1 / (-z) ** 3 overflows for z = {complex(-2.0 ** -397)}"),
         ]:
-            cfg["sweep"]["count"] = count
+            cfg["sweep"].update(start=start, count=count)
             config = write_json(tmp_path, cfg)
+            first = max(start, -2.0 ** -342)
             for command in ("validate", "analytic"):
                 out = tmp_path / command
                 with warnings.catch_warnings(record=True) as caught:
@@ -788,7 +795,7 @@ class TestAnalyticCommand:
                     assert run(command, "--config", config, "--out", out) == 3
                 assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
                 assert capsys.readouterr().err == (
-                    f"numerical failure: sweep failed at p={-2.0 ** (1 - count)}: {failure}\n")
+                    f"numerical failure: sweep failed at p={first}: {failure}\n")
                 assert not out.exists()
 
     # jordan_dense_noise sweeps non-dyadic p under complex dense noise, so
@@ -990,6 +997,17 @@ class TestSimulateCommand:
         assert (out1 / "sweep_critical_diagonal.csv").read_bytes() != \
                (out2 / "sweep_critical_diagonal.csv").read_bytes()
 
+    def test_negative_seed_wraps_to_64_bits(self, tmp_path):
+        # the ensemble config owns the mask: --seed -1 is 2**64 - 1
+        cfg = CONFIG_DIR / "single_mode_mc.json"
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run("simulate", "--config", cfg, "--out", out1, "--seed", -1) == 0
+        assert run("simulate", "--config", cfg, "--out", out2, "--seed", 2**64 - 1) == 0
+        report = json.loads((out1 / "report.json").read_text())
+        assert report["seed_record"]["master_seed"] == 18446744073709551615
+        assert (out1 / "sweep_critical_diagonal.csv").read_bytes() == \
+               (out2 / "sweep_critical_diagonal.csv").read_bytes()
+
     def test_values_track_closed_form(self, tmp_path):
         out = tmp_path / "out"
         assert run("simulate", "--config", CONFIG_DIR / "single_mode_mc.json", "--out", out) == 0
@@ -1102,6 +1120,39 @@ class TestOneFitPerQuantity:
         assert len(calls) == 3
 
 
+class TestOneClosedForm:
+    """Each command evaluates the closed form once, over the whole grid, in
+    the pre-flight; analytic reports it and simulate audits against it."""
+
+    @pytest.mark.parametrize("command,config,extra", [
+        ("validate", "single_mode_mc.json", []),
+        ("analytic", "single_mode_mc.json", []),
+        ("simulate", "single_mode_mc.json", ["empirical"]),
+        ("weyl", "quadratic_symbol.json", ["weyl_pairing:2", "weyl_pairing:5",
+                                           "weyl_pairing:10"]),
+    ], ids=["validate", "analytic", "simulate", "weyl"])
+    def test_closed_form_runs_once_per_command(self, command, config, extra, tmp_path,
+                                               monkeypatch, capsys):
+        calls = []
+        sweep = cli.run_parameter_sweep
+
+        def counted(model, grid, quantities, config=None, **kwargs):
+            calls.append((list(grid), list(quantities),
+                          "analytic" if config is None else "empirical"))
+            return sweep(model, grid, quantities, config=config, **kwargs)
+
+        monkeypatch.setattr(cli, "run_parameter_sweep", counted)
+        assert run(command, "--config", CONFIG_DIR / config, "--out", tmp_path / "out") == 0
+        cfg = load_config(CONFIG_DIR / config)
+        grid, quantities = list(cfg.grid), list(cfg.quantities)
+        expected = [(grid, quantities, "analytic")]
+        if extra == ["empirical"]:
+            expected.append((grid, quantities, "empirical"))
+        elif extra:
+            expected.append((grid, extra, "analytic"))
+        assert calls == expected
+
+
 class TestWeylCommand:
     def test_probe_prints_defect_table(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1128,10 +1179,10 @@ class TestWeylCommand:
         assert run("weyl", "--config", CONFIG_DIR / "quadratic_symbol.json",
                    "--out", tmp_path / "out") == 0
         grid = load_config(CONFIG_DIR / "quadratic_symbol.json").grid
-        # the pre-flight's closed form at the grid's two ends, then the probe
-        # once over the whole grid
+        # the pre-flight's closed form over the whole grid, then the probe
+        # once over it
         assert [(list(p), list(q)) for _, p, q in calls] == [
-            ([grid[0], grid[-1]], ["norm"]),
+            (list(grid), ["norm"]),
             (list(grid), ["weyl_pairing:2", "weyl_pairing:5", "weyl_pairing:10"]),
         ]
 
