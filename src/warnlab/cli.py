@@ -7,16 +7,18 @@ Subcommands:
     validate   run the pre-flight alone and summarize the config
 
 Every command loads its config, which resolves p* and the grid (NumericalError
-for a model without a p*), checks its own requirements (simulate's empirical
-engine, weyl's multiplication model and k_values) and runs the one pre-flight
-(``_preflight``): the spectral gap (spectral models) or every Weyl vector's
-support (multiplication models), then the closed form of the quantities over
-the whole grid, and the mixing warning. So a config that ``validate`` rejects
-fails every command that accepts its kind alike.
+for a model without a p*) and checks the spectral gap (spectral models) or
+every Weyl vector's support (multiplication models); then it checks its own
+requirements (simulate's empirical engine, weyl's multiplication model and
+k_values) and runs the one pre-flight (``_preflight``): the closed form of
+the quantities it reports over the whole grid, and the mixing warning. So a
+config that ``validate`` rejects fails every command that accepts its kind
+alike.
 
 analytic reports the pre-flight's closed form and simulate audits its Monte
-Carlo sweep against it; weyl sweeps the ``weyl_pairing:k`` quantities of
-``weyl.k_values`` once more. The three sweep commands report through one
+Carlo sweep against it; weyl's pre-flight sweeps the configured quantities
+and the ``weyl_pairing:k`` quantities of ``weyl.k_values`` together, and it
+reports the pairings. The three sweep commands report through one
 builder (``_sweep_report``): each quantity's series, its power-law fit
 (fitted once) and the verdict classified from that fit, with the command's
 and each grid point's wall time. simulate adds its seed record and Monte
@@ -49,20 +51,9 @@ from pathlib import Path
 
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, NumericalError
-from .scaling import (
-    classify_warning_sign,
-    fit_quantity,
-    parse_quantity,
-    run_parameter_sweep,
-)
+from .scaling import classify_warning_sign, fit_quantity, run_parameter_sweep
 from .sde import _mixing
-from .spectrum import (
-    MultiplicationSymbolModel,
-    SpectralModel,
-    _weyl_support,
-    spectral_abscissa,
-    weyl_defect,
-)
+from .spectrum import MultiplicationSymbolModel, SpectralModel, spectral_abscissa, weyl_defect
 
 _SCHEMA_VERSION = 1
 
@@ -99,41 +90,18 @@ def _resolve_formats(args, cfg: ExperimentConfig) -> tuple:
     return (args.format,)
 
 
-def _preflight(cfg: ExperimentConfig):
-    """The checks every command runs on a loaded config first; returns the
-    closed-form sweep of the quantities over the whole grid and
-    ``sde._mixing`` (None without an ensemble).
-
-    For spectral models one curve alone enters the spectral gap at p*. For
-    multiplication models every Weyl vector, of ``weyl.k_values`` or a
-    quantity, has 3 grid points in its support around the model's
-    ``weyl_center``. Then the closed form runs at every grid point, so a
-    noise law, a drift that is not strictly stable or a quantity that is not
-    finite there fails with the sweep's own "sweep failed at p=..." line, and
-    a horizon too short to mix warns.
+def _preflight(cfg: ExperimentConfig, names):
+    """What every command runs first on its loaded config: the closed-form
+    sweep of the quantities ``names`` over the whole grid, returned with
+    ``sde._mixing`` (None without an ensemble). A noise law, a drift that is
+    not strictly stable or a quantity that is not finite at a grid point
+    fails with the sweep's own "sweep failed at p=..." line, and a horizon
+    too short to mix warns.
     """
-    model, p_star, grid = cfg.model, cfg.p_star, cfg.grid
-    log.info("bifurcation parameter p* = %r", p_star)
-    if isinstance(model, SpectralModel):
-        for k, lam, _, _ in model.modes(p_star):
-            if k != model.critical_index and lam.real > -cfg.spectral_gap:
-                raise ConfigError(
-                    f"model.curves: curve {k} has Re(lambda) = {lam.real:.6g} at p* = "
-                    f"{p_star!r}, inside the spectral gap {cfg.spectral_gap:g} "
-                    f"reserved for the critical curve {model.critical_index}"
-                )
-    else:
-        weyl = [(f"weyl.k_values[{i}]", k) for i, k in enumerate(cfg.weyl_k_values)]
-        weyl += [(f"quantities[{i}]", parse_quantity(q).k) for i, q in enumerate(cfg.quantities)
-                 if q.startswith("weyl_pairing:")]
-        for path, k in weyl:
-            try:
-                _weyl_support(model, k, model.weyl_center)
-            except NumericalError as exc:
-                raise ConfigError(f"{path}: {exc}") from exc
-    exact = run_parameter_sweep(model, grid, cfg.quantities)
+    log.info("bifurcation parameter p* = %r", cfg.p_star)
+    exact = run_parameter_sweep(cfg.model, cfg.grid, names)
     mixing = None if cfg.ensemble is None else _mixing(
-        cfg.ensemble.horizon, [spectral_abscissa(model, float(p)) for p in grid])
+        cfg.ensemble.horizon, [spectral_abscissa(cfg.model, float(p)) for p in cfg.grid])
     if mixing is not None and mixing[1] is not None:
         print("warning: horizon is short against the slowest relaxation time "
               f"({mixing[1]} on the grid)", file=sys.stderr)
@@ -296,7 +264,7 @@ def _mc_diagnostics(sweep, exact, ratios) -> dict:
 def cmd_analytic(args) -> int:
     start = time.perf_counter()
     cfg = load_config(args.config)
-    sweep, _ = _preflight(cfg)
+    sweep, _ = _preflight(cfg, cfg.quantities)
     outputs = _planned_outputs(cfg, args, cfg.quantities)
     elapsed = time.perf_counter() - start
     report = _sweep_report("analytic", cfg, sweep, elapsed)
@@ -312,7 +280,7 @@ def cmd_simulate(args) -> int:
     ensemble = cfg.ensemble
     if args.seed is not None:
         ensemble = replace(ensemble, master_seed=args.seed)
-    exact, (ratios, short) = _preflight(cfg)
+    exact, (ratios, short) = _preflight(cfg, cfg.quantities)
     outputs = _planned_outputs(cfg, args, cfg.quantities)
     log.info("simulating %d grid points, %d trajectories each",
              cfg.grid.size, ensemble.n_trajectories)
@@ -341,10 +309,10 @@ def cmd_weyl(args) -> int:
         raise ConfigError("model.kind: command 'weyl' requires a multiplication model")
     if not cfg.weyl_k_values:
         raise ConfigError("weyl.k_values: required for the weyl command")
-    _preflight(cfg)
     names = [f"weyl_pairing:{k}" for k in cfg.weyl_k_values]
+    sweep, _ = _preflight(cfg, list(dict.fromkeys([*cfg.quantities, *names])))
     outputs = _planned_outputs(cfg, args, names)
-    sweep = run_parameter_sweep(model, cfg.grid, names)
+    sweep = replace(sweep, quantities={name: sweep.quantities[name] for name in names})
     defects = {k: weyl_defect(model, sweep.weyl_vectors[k], model.esssup)
                for k in cfg.weyl_k_values}
     elapsed = time.perf_counter() - start
@@ -365,7 +333,7 @@ def cmd_weyl(args) -> int:
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     model, grid = cfg.model, cfg.grid
-    _preflight(cfg)
+    _preflight(cfg, cfg.quantities)
     abscissae = [spectral_abscissa(model, float(p)) for p in (grid[0], grid[-1])]
     if isinstance(model, SpectralModel):
         kind, modes = "spectral", model.total_dim

@@ -6,7 +6,11 @@ This module types the JSON; the model, engine, sweep and fit-window rules
 are their constructors', ``make_p_grid``'s and ``parse_window``'s, whose
 messages it prefixes with a path.
 Once every other field checks out, p* and the sweep grid are resolved, so
-load_config raises NumericalError for a model without a p*.
+load_config raises NumericalError for a model without a p*. Then come the
+two rules the warning-sign laws ask of a config: one curve alone enters the
+spectral gap at p* (spectral models), and every Weyl vector, of
+``weyl.k_values`` or a quantity, has 3 grid points in its support around the
+model's ``weyl_center`` (multiplication models).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .scaling import _entry_index, make_p_grid, parse_quantity, parse_window
 from .sde import EnsembleConfig
 from .spectrum import (
@@ -27,6 +31,7 @@ from .spectrum import (
     EigenvalueCurve,
     MultiplicationSymbolModel,
     SpectralModel,
+    _weyl_support,
     bifurcation_parameter,
 )
 
@@ -45,7 +50,6 @@ class ExperimentConfig:
     fit_windows: dict
     output_directory: str
     output_formats: tuple
-    spectral_gap: float
     echo: dict
 
 
@@ -239,7 +243,8 @@ def _build_engine(raw, path: str) -> EnsembleConfig | None:
 
 
 def resolve_config(raw: dict) -> ExperimentConfig:
-    """Validate a parsed JSON document; build its model, p* and sweep grid."""
+    """Validate a parsed JSON document; build its model, p* and sweep grid,
+    and check the spectral gap or the Weyl supports on them."""
     raw = _as_mapping(raw, "config")
     name = raw.get("name", "experiment")
     if not isinstance(name, str):
@@ -328,6 +333,22 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"sweep.{exc}") from exc  # each message starts with its field
     grid.flags.writeable = False
+    if isinstance(model, SpectralModel):
+        for k, lam, _, _ in model.modes(p_star):
+            if k != model.critical_index and lam.real > -gap:
+                raise ConfigError(
+                    f"model.curves: curve {k} has Re(lambda) = {lam.real:.6g} at p* = "
+                    f"{p_star!r}, inside the spectral gap {gap:g} reserved for the "
+                    f"critical curve {model.critical_index}")
+    else:
+        weyl = [(f"weyl.k_values[{i}]", k) for i, k in enumerate(k_values)]
+        weyl += [(f"quantities[{i}]", parse_quantity(q).k) for i, q in enumerate(quantities)
+                 if q.startswith("weyl_pairing:")]
+        for path, k in weyl:
+            try:
+                _weyl_support(model, k, model.weyl_center)
+            except NumericalError as exc:
+                raise ConfigError(f"{path}: {exc}") from exc
     return ExperimentConfig(
         name=name,
         model=model,
@@ -339,7 +360,6 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         fit_windows=fit_windows,
         output_directory=directory,
         output_formats=tuple(dict.fromkeys(formats_raw)),
-        spectral_gap=gap,
         echo=raw,
     )
 
@@ -348,7 +368,9 @@ def load_config(path) -> ExperimentConfig:
     """Read and resolve a JSON config file.
 
     Raises:
-        ConfigError: unreadable file, invalid JSON, or schema violations.
+        ConfigError: unreadable file, invalid JSON, schema violations, a
+            second curve inside the spectral gap at p* or a Weyl vector
+            with fewer than 3 grid points in its support.
         NumericalError: the model has no p*.
     """
     try:

@@ -20,7 +20,8 @@ PCG64 is seeded from its precomputed row, which skips the per-generator
 hashing but not a bit of the stream.
 
 Trajectories run in near-equal chunks on worker processes, at most one per
-core and one per ``_MIN_CHUNK_WORK`` trajectories · modes (``_chunk_plan``).
+core and one per ``_MIN_CHUNK_WORK`` trajectories · steps · modes
+(``_chunk_plan``).
 The caller is worker 0, and each other worker is a child forked for the call
 (``_run_workers``), so no interpreter lock serializes the step loop; forking
 needs Linux, and elsewhere the plan keeps one worker, the caller. Chunks share
@@ -29,11 +30,20 @@ of the per-trajectory time averages, which live in one anonymous shared
 mapping and reduce over all N in index order once every child is reaped. A
 child's exception comes back through a pipe and is raised in the caller; a
 failure anywhere kills and reaps the remaining children, so none outlives the
-call. Each chunk streams its horizon in time blocks through its worker's noise
-buffer, held in that worker's own process, so memory stays bounded whatever
-the horizon. A block holds at most ``_ROW_DRAWS`` = 2048 normals per
-generator call, one row per trajectory, and at most ``_BLOCK_BYTES`` = 8 MiB
-per worker over all rows of its chunk.
+call. The child's first bytes down its pipe are its pid, so the caller kills
+and reaps it even when ``os.fork`` raises after the child exists. From Python
+3.12, ``os.fork`` warns (DeprecationWarning) when the process has other
+threads after the fork, and ``_run_workers`` silences exactly that warning:
+the child runs only numpy on arrays made before the fork, plus pickle and os
+calls on a failure, and leaves through ``os._exit``. numpy's OpenBLAS stops
+its thread pool in a ``pthread_atfork`` handler, so its threads do not count,
+and in the child the pool restarts at the first BLAS call with the caller's
+bits (the tests check the child's one thread under ``/proc/self/task`` and
+those bits). Each chunk streams its horizon in time blocks through its
+worker's noise buffer, held in that worker's own process, so memory stays
+bounded whatever the horizon. A block holds at most ``_ROW_DRAWS`` = 2048
+normals per generator call, one row per trajectory, and at most
+``_BLOCK_BYTES`` = 8 MiB per worker over all rows of its chunk.
 The row rule bites on chunks narrower than 512 trajectories with horizons
 longer than 1024/dim steps, where it holds the buffer to 16 KiB per
 trajectory of the chunk, at a call overhead of a few percent.
@@ -59,6 +69,7 @@ import pickle
 import signal
 import sys
 import traceback
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,11 +82,15 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _CHUNK = 2048  # widest chunk of trajectories
-# trajectories · modes per worker below which a second worker slows an ensemble
-# down: forking and reaping a child took about 2.5 ms on a 2-core x86 host, and
-# at N = 400, dim 1, 800 steps (single_mode_mc.json) a point took 21.7 ms on two
-# workers against 19.5 ms on one (at N = 800 two workers won, 32.9 against 42.8)
-_MIN_CHUNK_WORK = 1024
+# trajectories · steps · modes per worker below which a second worker slows an
+# ensemble down. Medians of alternating pairs, one worker against two, dim 1,
+# 2-core x86 host: at 800 steps N = 200 took 10.4 against 12.4 ms, N = 400
+# (single_mode_mc.json, 1.6e5 a worker) 19.0 against 19.2 ms, N = 800 55.9
+# against 38.6 ms; at 100 steps N = 1000 took 8.6 against 9.7 ms
+_MIN_CHUNK_WORK = 1 << 18
+_PID_BYTES = 8  # a forked child's pid, the first bytes down its pipe
+# the DeprecationWarning of os.fork in a process with threads (Python >= 3.12)
+_FORK_WARNING = r"This process .*is multi-threaded, use of fork\(\)"
 _BLOCK_BYTES = 8 << 20  # bytes of one worker's noise buffer, over all trajectories of its chunk
 # normals one generator call draws into its row of the block: a call costs about
 # 1.5 us on top of about 17 ns a draw, so a 2048-draw row spends about 4% of its
@@ -268,24 +283,22 @@ def _mixing(horizon: float, abscissae) -> tuple[list[float], str | None]:
     return ratios, f"horizon * |spectral abscissa| < {_MIXING_THRESHOLD:g}" if short else None
 
 
-def _chunk_plan(n: int, threads: int, dim: int) -> tuple[int, int]:
-    """Worker and chunk counts for n >= 2 trajectories of a dim-mode model.
+def _chunk_plan(n: int, threads: int, work: int) -> tuple[int, int]:
+    """Worker and chunk counts for n >= 2 trajectories of ``work`` = steps ·
+    modes each.
 
     Workers are capped by the core count and by the work of a chunk: more
-    than one worker runs only while each worker's share keeps width · dim at
-    ``_MIN_CHUNK_WORK`` or more, because below that forking and reaping the
-    child cost more than the second core saves (measured on
-    ``single_mode_mc.json``: 400 trajectories of one mode ran 11% slower on
-    two workers than on one). Chunks are the smallest multiple of the
-    workers that keeps them at most ``_CHUNK`` wide, so the workers get
-    equal shares. Chunk k holds
-    trajectories k·n // chunks to (k+1)·n // chunks. Both counts are capped at
-    n // 2 to keep two or more in each: matmul rounds a one-row product with
-    another kernel, so at dim >= 2 a lone trajectory's bits would depend on
-    the layout. Off Linux the plan keeps one worker, because only there does
-    ``_run_workers`` fork."""
+    than one worker runs only while each worker's share keeps width · work
+    at ``_MIN_CHUNK_WORK`` or more, because below that forking and reaping
+    the child cost more than the second core saves. Chunks are the smallest
+    multiple of the workers that keeps them at most ``_CHUNK`` wide, so the
+    workers get equal shares. Chunk k holds trajectories k·n // chunks to
+    (k+1)·n // chunks. Both counts are capped at n // 2 to keep two or more
+    in each: matmul rounds a one-row product with another kernel, so at dim
+    >= 2 a lone trajectory's bits would depend on the layout. Off Linux the
+    plan keeps one worker, because only there does ``_run_workers`` fork."""
     cores = (os.cpu_count() or 1) if sys.platform == "linux" else 1
-    workers = min(threads, cores, n // 2, max(1, n * dim // _MIN_CHUNK_WORK))
+    workers = min(threads, cores, n // 2, max(1, n * work // _MIN_CHUNK_WORK))
     chunks = min(n // 2, -(-n // (_CHUNK * workers)) * workers)
     return workers, chunks
 
@@ -296,29 +309,37 @@ def _run_workers(run_chunks, workers: int) -> None:
     child has exited cleanly. A child's exception is raised here with its
     type and message (its traceback text as the cause), and a child killed by
     a signal or exiting nonzero without one is a RuntimeError naming the
-    worker. On any failure, the caller's own chunks or an interrupt included,
-    the remaining children are killed, and every child is reaped and every
-    pipe closed before the exception leaves."""
-    children = []  # (worker, pid, read end of its error pipe), none reaped yet
+    worker. On any failure, the caller's own chunks, an interrupt or an
+    exception out of ``os.fork`` after the child exists included, the
+    remaining children are killed, and every child is reaped and every pipe
+    closed before the exception leaves. Python 3.12's warning of a fork in a
+    process with threads is silenced (see the module docstring)."""
+    children = []  # (worker, pid, read end of its pipe), none reaped yet
     try:
         for w in range(1, workers):
             rfd, wfd = os.pipe()
+            reader = os.fdopen(rfd, "rb")
             try:
-                pid = os.fork()
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+                    pid = os.fork()
             except BaseException:
-                os.close(rfd)
-                os.close(wfd)
+                os.close(wfd)  # so the read ends at once when there is no child
+                sent = reader.read(_PID_BYTES)
+                if sent:
+                    children.append((w, int.from_bytes(sent, "little"), reader))
+                else:
+                    reader.close()
                 raise
             if pid == 0:
-                os.close(rfd)
                 _child(run_chunks, w, wfd)
             os.close(wfd)
-            children.append((w, pid, os.fdopen(rfd, "rb")))
+            children.append((w, pid, reader))
         run_chunks(0)
         while children:
             w, pid, reader = children[0]
             with reader:
-                payload = reader.read()  # empty unless the child failed
+                payload = reader.read()[_PID_BYTES:]  # empty unless the child failed
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[0]
             if payload:
@@ -337,13 +358,14 @@ def _run_workers(run_chunks, workers: int) -> None:
 
 
 def _child(run_chunks, w: int, wfd: int) -> None:
-    """The life of forked worker w: run its chunks and leave through
-    ``os._exit``, never back into the caller's stack. An exception goes to
-    the pipe ``wfd``, pickled with its traceback text; one that does not
-    survive the round trip (a constructor that takes other arguments) goes
-    as a RuntimeError naming its type and message."""
+    """The life of forked worker w: send its pid down the pipe ``wfd``, run
+    its chunks and leave through ``os._exit``, never back into the caller's
+    stack. An exception follows the pid, pickled with its traceback text;
+    one that does not survive the round trip (a constructor that takes other
+    arguments) goes as a RuntimeError naming its type and message."""
     status = 1
     try:
+        os.write(wfd, os.getpid().to_bytes(_PID_BYTES, "little"))
         try:
             run_chunks(w)
             status = 0
@@ -418,7 +440,7 @@ def simulate_ensemble(model: SpectralModel, p: float, config: EnsembleConfig,
     trans = _drift_expm(model, p, config.dt).T.copy()
     noise_factor = _psd_factor(model_covariance(model, p, config.dt)).T.copy()
     n = config.n_trajectories
-    workers, chunks = _chunk_plan(n, threads, dim)
+    workers, chunks = _chunk_plan(n, threads, n_steps * dim)
     width = -(-n // chunks)
     block = max(1, min(n_steps, _ROW_DRAWS // (2 * dim), _BLOCK_BYTES // (width * dim * 16)))
     log.debug("ensemble plan at p=%r: workers=%d forked=%d chunks=%d width=%d "

@@ -19,6 +19,7 @@ import warnlab.sde as sde
 import warnlab.spectrum as spectrum
 from warnlab.cli import _build_parser, main
 from warnlab.config import load_config
+from warnlab.errors import ConfigError
 from warnlab.scaling import make_p_grid
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -330,7 +331,8 @@ class TestConfigNumbers:
 
 
 class TestPreflight:
-    """Every command runs validate's checks before it sweeps."""
+    """Every command runs validate's checks before it sweeps: the config's
+    own, at load, then the pre-flight's closed form."""
 
     def empirical(self, cfg):
         cfg["engine"] = {"kind": "empirical", "dt": 0.1, "horizon": 20.0,
@@ -355,6 +357,42 @@ class TestPreflight:
         rc, err = outcomes["validate"]
         assert rc == 2 and "model.curves: curve 1" in err
         assert outcomes["analytic"] == outcomes["simulate"] == (rc, err)
+
+    def test_gap_violation_is_raised_by_load_config(self, tmp_path, capsys):
+        # a library caller gets the check the command line prints
+        cfg = minimal_spectral()
+        cfg["model"]["curves"].append({"id": 1, "kind": "affine", "slope": 1.0, "offset": 0.0})
+        cfg["model"]["noise_matrix"] = [[1.0, 0.0], [0.0, 1.0]]
+        path = write_json(tmp_path, cfg)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == (
+            "model.curves: curve 1 has Re(lambda) = 0 at p* = 0.0, inside the spectral gap "
+            "1e-06 reserved for the critical curve 0")
+        # the gap error comes before simulate's own requirement of an engine,
+        # and before weyl's of a multiplication model
+        for command in ("validate", "simulate", "weyl"):
+            assert run(command, "--config", path) == 2
+            assert capsys.readouterr().err == f"config error: {info.value}\n"
+
+    @pytest.mark.parametrize("field,path", [("weyl", "weyl.k_values[2]"),
+                                            ("quantities", "quantities[1]")])
+    def test_undersized_weyl_support_is_raised_by_load_config(self, field, path, tmp_path,
+                                                              capsys):
+        cfg = json.loads((CONFIG_DIR / "quadratic_symbol.json").read_text())
+        if field == "weyl":
+            cfg["weyl"]["k_values"] = [2, 5, 10_000]
+        else:
+            cfg["quantities"] = ["norm", "weyl_pairing:10000"]
+            del cfg["weyl"]  # weyl's own requirement of k_values comes second
+        config = write_json(tmp_path, cfg)
+        with pytest.raises(ConfigError) as info:
+            load_config(config)
+        assert str(info.value) == (
+            f"{path}: weyl vector k=10000 at center=0.0: support contains 1 grid points, "
+            "need at least 3 (refine the grid or lower k)")
+        assert run("weyl", "--config", config) == 2
+        assert capsys.readouterr().err == f"config error: {info.value}\n"
 
     def test_steep_affine_curve_is_accepted(self, tmp_path, capsys):
         # lambda = 5e3 p: an affine curve has no jump however steep it is
@@ -911,21 +949,25 @@ class TestOutputFiles:
         assert blocked.is_dir() and not any(blocked.iterdir())
 
     def test_weyl_checks_its_outputs_before_the_probe(self, tmp_path, monkeypatch, capsys):
+        # the pairings are swept in the pre-flight, as every command sweeps
+        # its closed form; the outputs are checked right after it, before
+        # any fit, defect or file
         out = tmp_path / "out"
         (out / "report.json").mkdir(parents=True)
+        calls = []
         sweep = cli.run_parameter_sweep
 
-        def preflight_only(model, grid, quantities, **kwargs):
-            # the pre-flight sweeps the configured quantities; the probe,
-            # on the weyl_pairing names, must not be reached
-            assert not any(q.startswith("weyl_pairing:") for q in quantities)
+        def counted(model, grid, quantities, **kwargs):
+            calls.append(list(quantities))
             return sweep(model, grid, quantities, **kwargs)
 
-        monkeypatch.setattr(cli, "run_parameter_sweep", preflight_only)
+        monkeypatch.setattr(cli, "run_parameter_sweep", counted)
         assert run("weyl", "--config", CONFIG_DIR / "quadratic_symbol.json", "--out", out) == 2
-        err = capsys.readouterr().err
-        assert err == f"config error: output {out / 'report.json'}: cannot write " \
-                      "(not a regular file)\n"
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: output {out / 'report.json'}: cannot write " \
+                               "(not a regular file)\n"
+        assert captured.out == ""
+        assert calls == [["norm", "weyl_pairing:2", "weyl_pairing:5", "weyl_pairing:10"]]
         assert sorted(path.name for path in out.iterdir()) == ["report.json"]
 
     def test_csv_layout_and_determinism(self, tmp_path):
@@ -1122,7 +1164,8 @@ class TestOneFitPerQuantity:
 
 class TestOneClosedForm:
     """Each command evaluates the closed form once, over the whole grid, in
-    the pre-flight; analytic reports it and simulate audits against it."""
+    the pre-flight; analytic reports it, simulate audits against it and weyl
+    sweeps its pairings in it, after the configured quantities."""
 
     @pytest.mark.parametrize("command,config,extra", [
         ("validate", "single_mode_mc.json", []),
@@ -1149,7 +1192,7 @@ class TestOneClosedForm:
         if extra == ["empirical"]:
             expected.append((grid, quantities, "empirical"))
         elif extra:
-            expected.append((grid, extra, "analytic"))
+            expected = [(grid, quantities + extra, "analytic")]
         assert calls == expected
 
 
@@ -1179,11 +1222,10 @@ class TestWeylCommand:
         assert run("weyl", "--config", CONFIG_DIR / "quadratic_symbol.json",
                    "--out", tmp_path / "out") == 0
         grid = load_config(CONFIG_DIR / "quadratic_symbol.json").grid
-        # the pre-flight's closed form over the whole grid, then the probe
-        # once over it
+        # the pre-flight's one closed form over the whole grid: the
+        # configured quantities, then the probe's pairings
         assert [(list(p), list(q)) for _, p, q in calls] == [
-            (list(grid), ["norm"]),
-            (list(grid), ["weyl_pairing:2", "weyl_pairing:5", "weyl_pairing:10"]),
+            (list(grid), ["norm", "weyl_pairing:2", "weyl_pairing:5", "weyl_pairing:10"]),
         ]
 
     def test_builds_each_weyl_vector_once(self, tmp_path, monkeypatch, capsys):

@@ -4,6 +4,7 @@ import signal
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -435,24 +436,28 @@ class TestChunkPool:
         monkeypatch.setattr(sde, "_CHUNK", chunk)
         assert _chunk_plan(n, threads, 1) == plan
 
-    # both sides of the work floor, _MIN_CHUNK_WORK = 1024 trajectories · modes
-    # per worker, with 2048-wide chunks
+    # both sides of the work floor, _MIN_CHUNK_WORK = 2**18 trajectories ·
+    # steps · modes per worker, with 2048-wide chunks; each plan is given
+    # with the step count it holds at, as (steps, (workers, chunks))
     @pytest.mark.parametrize("n,threads,cores,dim,plan", [
-        (400, 2, 2, 1, (1, 1)),  # single_mode_mc.json: one worker
-        (10_000, 2, 2, 1, (2, 6)),  # perfbench's N = 1e4 single mode
-        (10_000, 2, 2, 2, (2, 6)),  # and size-2 Jordan block
-        (512, 2, 2, 8, (2, 2)),  # perfbench's dim-8 ensemble
-        (2046, 2, 2, 1, (1, 1)),
-        (2048, 2, 2, 1, (2, 2)),
-        (255, 2, 2, 8, (1, 1)),
-        (256, 2, 2, 8, (2, 2)),
-        (3072, 4, 4, 1, (3, 3)),  # three shares of the work, not four
-        (10_000, 10_000, 2, 1, (2, 6)),  # still clamped to the cores
+        (400, 2, 2, 1, (800, (1, 1))),  # single_mode_mc.json: one worker
+        (10_000, 2, 2, 1, (1000, (2, 6))),  # perfbench's N = 1e4 single mode
+        (10_000, 2, 2, 2, (1000, (2, 6))),  # and size-2 Jordan block
+        (512, 2, 2, 8, (8000, (2, 2))),  # perfbench's dim-8 ensemble
+        (2046, 2, 2, 1, (256, (1, 1))),
+        (2048, 2, 2, 1, (256, (2, 2))),
+        (255, 2, 2, 8, (256, (1, 1))),
+        (256, 2, 2, 8, (256, (2, 2))),
+        (3072, 4, 4, 1, (256, (3, 3))),  # three shares of the work, not four
+        (10_000, 10_000, 2, 1, (1000, (2, 6))),  # still clamped to the cores
+        (800, 2, 2, 1, (800, (2, 2))),  # two workers won by 30% at this size
+        (1000, 2, 2, 1, (100, (1, 1))),  # and lost at this one
     ])
     def test_plan_follows_chunk_work(self, monkeypatch, n, threads, cores, dim, plan):
         monkeypatch.setattr(sde.os, "cpu_count", lambda: cores)
-        assert sde._MIN_CHUNK_WORK == 1024 and sde._CHUNK == 2048
-        assert _chunk_plan(n, threads, dim) == plan
+        assert sde._MIN_CHUNK_WORK == 2**18 and sde._CHUNK == 2048
+        steps, plan = plan
+        assert _chunk_plan(n, threads, steps * dim) == plan
 
     def test_plan_splits_evenly_in_chunks_of_two_or_more(self, monkeypatch):
         monkeypatch.setattr(sde.os, "cpu_count", lambda: 4)
@@ -497,12 +502,12 @@ class TestChunkPool:
         assert np.array_equal(ref.standard_error, se)
 
     @pytest.mark.parametrize("n,platform", [
-        (400, "linux"),  # single_mode_mc.json's size: N = 400 at dim 1 plans one worker
+        (400, "linux"),  # below the work floor at 160 steps: one worker
         (4096, "darwin"),  # two workers' work, but no fork off Linux
     ])
     def test_one_worker_runs_in_the_caller_and_never_forks(self, monkeypatch, n, platform):
         monkeypatch.setattr(sde.os, "cpu_count", lambda: 2)
-        cfg = EnsembleConfig(dt=0.05, horizon=1.0, n_trajectories=n, master_seed=5)
+        cfg = EnsembleConfig(dt=0.05, horizon=8.0, n_trajectories=n, master_seed=5)
         ref = simulate_ensemble(single_mode_model(), -0.5, cfg, threads=1)
         pids = []
         real = sde._chunk_generators
@@ -517,7 +522,7 @@ class TestChunkPool:
         monkeypatch.setattr(sde, "_chunk_generators", recorded)
         monkeypatch.setattr(sde.os, "fork", no_fork)
         monkeypatch.setattr(sde.sys, "platform", platform)
-        assert _chunk_plan(n, 2, 1)[0] == 1
+        assert _chunk_plan(n, 2, cfg.n_steps)[0] == 1
         est = simulate_ensemble(single_mode_model(), -0.5, cfg, threads=2)
         assert pids and set(pids) == {os.getpid()}
         assert np.array_equal(est.matrix, ref.matrix)
@@ -565,6 +570,65 @@ class TestChunkPool:
                                  in_child=lambda: time.sleep(60))
         assert type(error) is KeyboardInterrupt
         assert time.monotonic() - start < 30  # killed, not waited for
+
+    @linux_only
+    def test_fork_that_raises_after_the_child_exists_loses_no_child(self, monkeypatch):
+        real = os.fork
+
+        def interrupted_fork():
+            pid = real()
+            if pid != 0:
+                raise KeyboardInterrupt  # the pid never reaches the caller
+            return pid
+
+        monkeypatch.setattr(sde.os, "fork", interrupted_fork)
+        assert type(failing_ensemble(monkeypatch)) is KeyboardInterrupt
+
+    @linux_only
+    def test_fork_that_warns_as_python_3_12_does(self, monkeypatch):
+        # from Python 3.12 os.fork in a process with threads warns in the
+        # caller once the child exists, and this suite's error filter would
+        # turn the warning into an exception out of os.fork
+        real = os.fork
+        forks = []
+
+        def warning_fork():
+            pid = real()
+            if pid != 0:
+                forks.append(pid)
+                warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                              "fork() may lead to deadlocks in the child.",
+                              DeprecationWarning, stacklevel=2)
+            return pid
+
+        monkeypatch.setattr(sde.os, "cpu_count", lambda: 2)
+        cfg = EnsembleConfig(dt=0.05, horizon=8.0, n_trajectories=4096, master_seed=5)
+        assert _chunk_plan(4096, 2, cfg.n_steps) == (2, 2)
+        ref = simulate_ensemble(single_mode_model(), -0.5, cfg, threads=1)
+        monkeypatch.setattr(sde.os, "fork", warning_fork)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = simulate_ensemble(single_mode_model(), -0.5, cfg, threads=2)
+        assert len(forks) == 1
+        assert np.array_equal(est.matrix, ref.matrix)
+        assert np.array_equal(est.standard_error, ref.standard_error)
+
+    @linux_only
+    def test_child_starts_with_one_thread_and_the_callers_blas_bits(self, monkeypatch):
+        # numpy's OpenBLAS stops its thread pool at every fork
+        # (pthread_atfork), so the child starts with one thread, and a
+        # product big enough for the pool gives the caller's bits there; the
+        # child reports both through the exception it sends back
+        a = np.random.default_rng(3).normal(size=(256, 256))
+        product = a @ a
+
+        def probe():
+            threads = len(os.listdir("/proc/self/task"))
+            raise RuntimeError(f"{threads} threads, same bits: "
+                               f"{np.array_equal(a @ a, product)}")
+
+        error = failing_ensemble(monkeypatch, in_child=probe)
+        assert str(error) == "1 threads, same bits: True"
 
 
 class TestModeBlock:
