@@ -7,8 +7,9 @@ Subcommands:
     validate   run the pre-flight alone and summarize the config
 
 Every command loads its config, which resolves p* and the grid (NumericalError
-for a model without a p*) and checks the spectral gap (spectral models) or
-every Weyl vector's support (multiplication models); then it checks its own
+for a model without a p*, one with no rising curve) and checks the spectral
+gap around the model's own critical curve (spectral models) or every Weyl
+vector's support (multiplication models); then it checks its own
 requirements (simulate's empirical engine, weyl's multiplication model and
 k_values) and runs the one pre-flight (``_preflight``): the closed form of
 the quantities it reports over the whole grid, and the mixing warning. So a

@@ -7,10 +7,10 @@ are their constructors', ``make_p_grid``'s and ``parse_window``'s, whose
 messages it prefixes with a path.
 Once every other field checks out, p* and the sweep grid are resolved, so
 load_config raises NumericalError for a model without a p*. Then come the
-two rules the warning-sign laws ask of a config: one curve alone enters the
-spectral gap at p* (spectral models), and every Weyl vector, of
-``weyl.k_values`` or a quantity, has 3 grid points in its support around the
-model's ``weyl_center`` (multiplication models).
+two rules the warning-sign laws ask of a config: every curve but the model's
+critical one keeps Re(lambda(p*)) <= -1e-6 (spectral models), and every Weyl
+vector, of ``weyl.k_values`` or a quantity, has 3 grid points in its support
+around the model's ``weyl_center`` (multiplication models).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .spectrum import (
 )
 
 _FORMATS = ("csv", "json")
+_SPECTRAL_GAP = 1e-6  # every curve but the critical one keeps Re(lambda(p*)) <= -this
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,7 +144,6 @@ def _build_noise_matrix(raw, path: str) -> np.ndarray | None:
 
 def _build_spectral_model(raw: dict, path: str) -> SpectralModel:
     curves = _build_curves(_require(raw, "curves", path), f"{path}.curves")
-    critical = _as_int(_require(raw, "critical_index", path), f"{path}.critical_index")
     jordan_raw = _as_mapping(raw.get("jordan_sizes", {}), f"{path}.jordan_sizes")
     jordan = {}
     for key, val in jordan_raw.items():
@@ -158,7 +158,6 @@ def _build_spectral_model(raw: dict, path: str) -> SpectralModel:
         return SpectralModel(
             curves=curves,
             noise_matrix=noise,
-            critical_index=critical,
             jordan_sizes=jordan,
             sigma=sigma,
             sigma_exponent=exponent,
@@ -322,11 +321,6 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         if fmt not in _FORMATS:
             raise ConfigError(f"output.formats[{i}]: expected 'csv' or 'json'")
 
-    validation_raw = _as_mapping(raw.get("validation", {}), "validation")
-    gap = _as_number(validation_raw.get("spectral_gap", 1e-6), "validation.spectral_gap")
-    if gap <= 0:
-        raise ConfigError("validation.spectral_gap: must be > 0")
-
     p_star = bifurcation_parameter(model)
     try:
         grid = make_p_grid(p_star, **sweep)
@@ -335,10 +329,10 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     grid.flags.writeable = False
     if isinstance(model, SpectralModel):
         for k, lam, _, _ in model.modes(p_star):
-            if k != model.critical_index and lam.real > -gap:
+            if k != model.critical_index and lam.real > -_SPECTRAL_GAP:
                 raise ConfigError(
                     f"model.curves: curve {k} has Re(lambda) = {lam.real:.6g} at p* = "
-                    f"{p_star!r}, inside the spectral gap {gap:g} reserved for the "
+                    f"{p_star!r}, inside the spectral gap {_SPECTRAL_GAP:g} reserved for the "
                     f"critical curve {model.critical_index}")
     else:
         weyl = [(f"weyl.k_values[{i}]", k) for i, k in enumerate(k_values)]

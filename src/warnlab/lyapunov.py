@@ -11,7 +11,7 @@ evaluated by ``block_pair_covariance`` and assembled only by
 simple-mode law -sigma^2 b / (lambda_k + conj(lambda_j)) and the
 |p - p*|^{-(2m-1)} growth of a size-m Jordan block; the analytic sweep reads
 every spectral quantity from that matrix. A finite t = dt gives the exact
-step covariance of the Monte Carlo engine.
+step covariance of the Monte Carlo engine, at any dt the floats can hold.
 
 The multiplication drift p + T_f with unit noise has the diagonal stationary
 covariance 1 / (2 |p + f|) on the grid, so its norm is 1 / (2 |p + esssup f|)
@@ -39,23 +39,59 @@ from .spectrum import MultiplicationSymbolModel, SpectralModel, build_weyl_seque
 # factor for the moment orders n <= 2m - 2 of small blocks
 _SERIES_RADIUS = 2.0
 _SERIES_TERMS = 30  # 2^30 / 30! < 1e-23
+_NORMAL_MIN = 2.0 ** -1022  # the least normal float
 
 
 def _finite_moments(z: complex, t: float, n_max: int) -> list:
     """I_n = int_0^t e^{zs} s^n ds = t^{n+1} J_n(zt) for n = 0..n_max, with
     J_n(x) = int_0^1 e^{xu} u^n du from its Taylor series sum_k x^k / (k! (n+k+1))
-    for |x| <= 2 and from J_0 = expm1(x) / x, J_n = (e^x - n J_{n-1}) / x above."""
+    for |x| <= 2 and from J_0 = expm1(x) / x, J_n = (e^x - n J_{n-1}) / x above.
+    Where that product is not finite (t^{n+1} overflows) or J_n falls below
+    the normal floats (it is never 0), I_n comes from ``_moment_past_overflow``."""
     x = z * t
     if abs(x) <= _SERIES_RADIUS:
         k = np.arange(_SERIES_TERMS)
         terms = np.cumprod(np.concatenate(([1.0], x / k[1:])))
         moments = [np.sum(terms / (n + k + 1)) for n in range(n_max + 1)]
     else:
-        ex = cmath.exp(x)
+        try:
+            ex = cmath.exp(x)
+        except OverflowError:  # Re(zt) > 709: so is every I_n
+            raise NumericalError(f"e^(z t) overflows for z = {z}, t = {t!r}") from None
         moments = [np.expm1(x) / x]
         for n in range(1, n_max + 1):
             moments.append((ex - n * moments[-1]) / x)
-    return [t ** (n + 1) * jn for n, jn in enumerate(moments)]
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, jn in enumerate(moments):
+            try:
+                moment = t ** (n + 1) * jn
+            except OverflowError:  # float ** raises, it never gives inf
+                moment = math.inf
+            ok = abs(jn) >= _NORMAL_MIN and cmath.isfinite(moment)
+            out.append(moment if ok else _moment_past_overflow(z, t, n))
+    return out
+
+
+def _moment_past_overflow(z: complex, t: float, n: int) -> complex:
+    """I_n as n! / (-z)^{n+1} (1 - e^{zt} sum_{i<=n} (-zt)^i / i!), the moment
+    over [0, inf) less its tail over [t, inf). Each tail term is one
+    exponential, exp(zt + i log(-zt) - log i!), so it reads 0 where it
+    underflows, however large (zt)^i alone would be.
+
+    Raises:
+        NumericalError: if the moment is not finite.
+    """
+    x = z * t
+    try:
+        log_x = cmath.log(-x)
+        tail = sum(cmath.exp(x + i * log_x - math.lgamma(i + 1)) for i in range(n + 1))
+        moment = math.factorial(n) / (-z) ** (n + 1) * (1.0 - tail)
+    except (OverflowError, ZeroDivisionError, ValueError):  # log(0) is the ValueError
+        moment = complex(math.inf)
+    if not cmath.isfinite(moment):
+        raise NumericalError(f"time moment I_{n} over [0, {t!r}] is not finite for z = {z}")
+    return moment
 
 
 def block_pair_covariance(lam_k: complex, m_k: int, lam_j: complex, m_j: int, c_kj,

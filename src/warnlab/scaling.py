@@ -184,8 +184,8 @@ def make_p_grid(p_star: float, start: float, count: int, factor: float = 0.5,
 
 def _entry_index(model, spec: QuantitySpec) -> tuple[int, int] | None:
     """Row and column of a spectral quantity in the covariance matrix, for
-    both engines; None for a multiplication-model quantity. Checks the
-    quantity against the model: ValueError if the model does not define it."""
+    both engines; None for a multiplication-model quantity. ValueError if the
+    model does not define it, NumericalError for a critical one without p*."""
     if not isinstance(model, SpectralModel):
         if spec.kind not in _MULTIPLICATION_KINDS:
             raise ValueError(f"quantity {spec.name!r} is not defined for multiplication models")
@@ -197,15 +197,16 @@ def _entry_index(model, spec: QuantitySpec) -> tuple[int, int] | None:
                 raise ValueError(f"quantity {spec.name!r}: mode {idx} carries a Jordan "
                                  "block, use block_entry:l,m instead")
         return model.block_offset(spec.k), model.block_offset(spec.j)
+    if spec.kind not in ("critical_diagonal", "block_entry"):
+        raise ValueError(f"quantity {spec.name!r} is not defined for spectral models")
+    bifurcation_parameter(model)  # a model without p* has no critical block
     off = model.block_offset(model.critical_index)
     if spec.kind == "critical_diagonal":
         return off, off
-    if spec.kind == "block_entry":
-        size = model.block_size(model.critical_index)
-        if max(spec.l, spec.m) > size:
-            raise ValueError(f"quantity {spec.name!r}: critical block has size {size}")
-        return off + spec.l - 1, off + spec.m - 1
-    raise ValueError(f"quantity {spec.name!r} is not defined for spectral models")
+    size = model.block_size(model.critical_index)
+    if max(spec.l, spec.m) > size:
+        raise ValueError(f"quantity {spec.name!r}: critical block has size {size}")
+    return off + spec.l - 1, off + spec.m - 1
 
 
 def _eval_point_empirical(model, p, indices, config, point_seed, threads):

@@ -242,8 +242,11 @@ class EmpiricalCovariance:
 
 def _jordan_expm(lam: complex, m: int, t: float) -> np.ndarray:
     """Closed-form e^{tJ} for J = lam I + N: e^{t lam} times the truncated
-    exponential series of the nilpotent part."""
+    exponential series of the nilpotent part; 0 where e^{t Re(lam)}
+    underflows, however large t^d / d! is."""
     e = np.zeros((m, m), dtype=complex)
+    if np.exp(lam.real * t) == 0.0:
+        return e
     base = np.exp(lam * t)
     coeff = 1.0
     for d in range(m):

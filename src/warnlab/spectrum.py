@@ -59,15 +59,16 @@ class SpectralModel:
     block of size m the block occupies m consecutive rows/columns. The noise
     law ``sigma(p) = sigma * |p - p*| ** sigma_exponent`` is anchored at
     ``bifurcation_parameter``; exponent 0 is a constant amplitude. ``modes(p)``
-    evaluates every curve at p once and lays the basis out.
+    evaluates every curve at p once and lays the basis out. ``critical_index``
+    is derived: the id of the first curve to cross the axis, None if none rises.
     """
 
     curves: Sequence[EigenvalueCurve]
-    critical_index: int
     noise_matrix: np.ndarray | None = None
     jordan_sizes: Mapping[int, int] = field(default_factory=dict)
     sigma: float = 1.0
     sigma_exponent: float = 0.0
+    critical_index: int | None = field(init=False)
 
     def __post_init__(self):
         curves = tuple(self.curves)
@@ -76,8 +77,6 @@ class SpectralModel:
         by_id = {c.id: c for c in curves}
         if len(by_id) != len(curves):
             raise ValueError("curves: duplicate mode ids")
-        if self.critical_index not in by_id:
-            raise ValueError("critical_index: no curve with this id")
         sizes = {}
         for k, m in dict(self.jordan_sizes).items():
             if int(k) not in by_id:
@@ -110,6 +109,12 @@ class SpectralModel:
             object.__setattr__(self, name, _finite_real(name, getattr(self, name)))
         if self.sigma < 0.0:
             raise ValueError("sigma: noise scale must be >= 0")
+
+        def crossing(c):  # least root, then largest Re(lambda) there, then model order
+            root = -c.offset.real / c.slope
+            return root, -(c.offset.real + c.slope * root)
+        critical = min((c for c in curves if c.slope > 0.0), key=crossing, default=None)
+        object.__setattr__(self, "critical_index", None if critical is None else critical.id)
         object.__setattr__(self, "curves", curves)
         object.__setattr__(self, "noise_matrix", b)
         object.__setattr__(self, "jordan_sizes", sizes)
@@ -306,22 +311,20 @@ def bifurcation_parameter(model: SpectralModel | MultiplicationSymbolModel) -> f
     """Parameter value where the drift loses stability, in closed form.
 
     For a multiplication model this is ``-esssup(f)``. For a spectral model
-    it is the root of Re(lambda_{k*}(p)) = Re(offset) + slope * p, the
-    correctly rounded quotient ``-Re(offset) / slope``; ``+ 0.0`` turns a
-    root of -0.0 into 0.0.
+    it is the root of Re(lambda_{k*}(p)) = Re(offset) + slope * p, k* its
+    ``critical_index``, the correctly rounded quotient ``-Re(offset) / slope``;
+    ``+ 0.0`` turns a root of -0.0 into 0.0.
 
     Raises:
-        NumericalError: if the critical slope is not > 0, so the critical
-            real part never changes sign from negative to positive, or if
-            the quotient overflows.
+        NumericalError: if no curve has slope > 0, so no real part changes
+            sign from negative to positive, or if the quotient overflows.
     """
     if isinstance(model, MultiplicationSymbolModel):
         return float(-model.esssup + 0.0)
     k = model.critical_index
+    if k is None:
+        raise NumericalError("no sign change of Re(lambda): no curve has slope > 0")
     curve = model.curve(k)
-    if not curve.slope > 0.0:
-        raise NumericalError(f"no sign change of Re(lambda_{k}) from negative to positive: "
-                             f"its slope {curve.slope!r} is not > 0")
     p_star = -curve.offset.real / curve.slope + 0.0
     if not math.isfinite(p_star):
         raise NumericalError(f"p* = -Re(offset) / slope of curve {k} overflows")

@@ -53,7 +53,6 @@ def single_mode(sigma=1.0, noise=1.0, omega=0.0, sigma_exponent=0.0):
     return SpectralModel(
         curves=[EigenvalueCurve(0, 1.0, 1j * omega)],
         noise_matrix=np.array([[noise]]),
-        critical_index=0,
         sigma=sigma,
         sigma_exponent=sigma_exponent,
     )
@@ -63,7 +62,6 @@ def jordan_mode():
     return SpectralModel(
         curves=[EigenvalueCurve(0, 1.0)],
         noise_matrix=np.eye(2),
-        critical_index=0,
         jordan_sizes={0: 2},
     )
 

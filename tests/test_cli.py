@@ -52,7 +52,6 @@ def minimal_spectral(**overrides):
         "model": {
             "kind": "spectral",
             "curves": [{"id": 0, "kind": "affine", "slope": 1.0, "offset": 0.0}],
-            "critical_index": 0,
             "noise_matrix": [[1.0]],
         },
         "sweep": {"start": -0.5, "count": 4},
@@ -153,7 +152,7 @@ class TestValidate:
         (("sigma",), {"kind": "power_of_p", "scale": -1.0, "exponent": 0.5},
          "model.sigma: noise scale must be >= 0"),
         (("noise_matrix",), [[1.0, 1.0], [0.0, 1.0]], "model.noise_matrix: must be Hermitian"),
-        (("critical_index",), 5, "model.critical_index: no curve with this id"),
+        (("jordan_sizes",), {"7": 2}, "model.jordan_sizes: unknown mode id 7"),
         (("curves", 0, "id"), -1, "model.curves[0].id: must be a non-negative integer"),
     ])
     def test_model_error_names_its_dotted_path(self, keys, value, message, tmp_path, capsys):
@@ -186,17 +185,45 @@ class TestValidate:
         assert run("validate", "--config", write_json(tmp_path, cfg)) == 2
         assert "spectral gap" in capsys.readouterr().err
 
-    def test_gap_width_is_configurable(self, tmp_path, capsys):
+    def test_gap_margin_is_fixed(self, tmp_path, capsys):
+        # the margin is 1e-6 below the axis: Re(lambda_1(p*)) = -5e-7 is inside it
         cfg = minimal_spectral()
         cfg["model"]["curves"].append(
-            {"id": 1, "kind": "affine", "slope": 0.0, "offset": -0.5}
+            {"id": 1, "kind": "affine", "slope": 0.0, "offset": -5e-7}
         )
         cfg["model"]["noise_matrix"] = [[1.0, 0.0], [0.0, 1.0]]
-        assert run("validate", "--config", write_json(tmp_path, cfg)) == 0
-        capsys.readouterr()
-        cfg["validation"] = {"spectral_gap": 1.0}
         assert run("validate", "--config", write_json(tmp_path, cfg)) == 2
-        assert "curve 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: model.curves: curve 1 has Re(lambda) = -5e-07 at p* = 0.0, "
+            "inside the spectral gap 1e-06 reserved for the critical curve 0\n")
+        cfg["model"]["curves"][1]["offset"] = -2e-6
+        assert run("validate", "--config", write_json(tmp_path, cfg)) == 0
+        assert "config OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("legacy", [
+        {"critical_index": 0, "validation": {"spectral_gap": 1e-6}},
+        {"critical_index": 1, "validation": {"spectral_gap": 1.0}},
+        {"critical_index": "x", "validation": {"spectral_gap": -1.0, "lipschitz_budget": 2}},
+        {"critical_index": [0, 1], "validation": "none"},
+    ], ids=["defaults", "other-curve-wide-gap", "invalid-values", "wrong-types"])
+    def test_critical_index_and_validation_of_old_configs_are_ignored(self, legacy, tmp_path,
+                                                                       capsys):
+        cfg = minimal_spectral(quantities=["critical_diagonal", "entry:0,1", "entry:1,1"])
+        cfg["model"]["curves"].append({"id": 1, "kind": "affine", "slope": 0.5,
+                                       "offset": -1.0})
+        cfg["model"]["noise_matrix"] = [[1.0, 0.3], [0.3, 1.0]]
+        out = tmp_path / "out"
+        seen = []
+        for doc in (cfg, {**cfg, "validation": legacy["validation"],
+                          "model": {**cfg["model"], "critical_index": legacy["critical_index"]}}):
+            path = write_json(tmp_path, doc)
+            grid = load_config(path).grid
+            assert run("validate", "--config", path) == 0
+            assert run("analytic", "--config", path, "--out", out, "--format", "csv") == 0
+            seen.append((grid.tobytes(), capsys.readouterr(),
+                         {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+        assert seen[1] == seen[0]
+        assert len(seen[0][2]) == 3
 
 
     @staticmethod
@@ -242,17 +269,14 @@ class TestValidate:
 
 class TestConfigNumbers:
     @pytest.mark.parametrize("command,keys,value,dotted", [
-        ("validate", ("validation", "spectral_gap"), float("nan"), "validation.spectral_gap"),
-        ("validate", ("validation", "spectral_gap"), 10**400, "validation.spectral_gap"),
+        ("validate", ("sweep", "start"), float("nan"), "sweep.start"),
+        ("validate", ("model", "curves", 0, "slope"), 10**400, "model.curves[0].slope"),
         ("simulate", ("engine", "horizon"), float("inf"), "engine.horizon"),
         ("validate", ("model", "curves", 0, "offset"), float("nan"), "model.curves[0].offset"),
     ])
     def test_non_finite_number_is_config_error(self, command, keys, value, dotted,
                                                tmp_path, capsys):
-        # a second curve through the threshold, which a NaN gap would let through
-        cfg = minimal_spectral(validation={})
-        cfg["model"]["curves"].append({"id": 1, "kind": "affine", "slope": 1.0, "offset": 0.0})
-        cfg["model"]["noise_matrix"] = [[1.0, 0.0], [0.0, 1.0]]
+        cfg = minimal_spectral()
         cfg["engine"] = {"kind": "empirical", "dt": 0.1, "horizon": 5.0,
                          "n_trajectories": 4, "master_seed": 1}
         node = cfg
@@ -1098,6 +1122,18 @@ class TestSimulateCommand:
         cfg = self.small_mc_config(tmp_path, horizon=horizon)
         assert run("simulate", "--config", cfg, "--out", out) == 0
         assert json.loads((out / "report.json").read_text())["mixing_warning"] is warned
+
+    def test_huge_step_of_a_size_5_block_runs(self, tmp_path, capsys):
+        # t^(2m - 1) of the step's time moments overflows at dt = 1e80
+        cfg = json.loads((CONFIG_DIR / "jordan_block.json").read_text())
+        cfg["model"]["jordan_sizes"] = {"0": 5}
+        del cfg["model"]["noise_matrix"]
+        cfg["engine"] = {"kind": "empirical", "dt": 1e80, "horizon": 1e81,
+                         "n_trajectories": 4, "master_seed": 1}
+        path = write_json(tmp_path, cfg)
+        assert run("validate", "--config", path) == 0
+        assert run("simulate", "--config", path, "--out", tmp_path / "out") == 0
+        assert capsys.readouterr().err == ""
 
     def test_zero_noise_writes_zero_columns(self, tmp_path, capsys):
         cfg = json.loads((CONFIG_DIR / "single_mode_mc.json").read_text())

@@ -186,3 +186,13 @@ def test_stationary_needs_stable_pair():
     # a finite horizon has no such restriction
     assert block_pair_covariance(0.5, 1, 0.5, 1, [[1.0]], 1.0)[0, 0] == pytest.approx(
         math.expm1(1.0))
+
+
+@pytest.mark.parametrize("lam, message", [
+    (0.5, r"e\^\(z t\) overflows"),  # Re(z) t = 1e200
+    (1j, r"I_1 over \[0, 1e\+200\] is not finite"),  # z = 0: I_1 = t^2 / 2
+    (-1e-200, r"I_1 over \[0, 1e\+200\] is not finite"),  # z t = -2, I_1 ~ 0.2 t^2
+])
+def test_step_moment_beyond_the_floats_signals(lam, message):
+    with pytest.raises(NumericalError, match=message):
+        block_pair_covariance(lam, 2, lam, 2, np.eye(2), 1e200)

@@ -216,7 +216,6 @@ class TestAnalyticReport:
                 EigenvalueCurve(1, 0.0, -1.0 + 2.0j),
             ],
             noise_matrix=noise,
-            critical_index=0,
             sigma=0.8,
         )
         p = -0.3
@@ -229,7 +228,6 @@ class TestAnalyticReport:
         model = SpectralModel(
             curves=[EigenvalueCurve(0, 1.0)],
             noise_matrix=np.eye(2),
-            critical_index=0,
             jordan_sizes={0: 2},
         )
         got = model_covariance(model, -1.0, math.inf)
@@ -247,7 +245,6 @@ class TestAnalyticReport:
                 EigenvalueCurve(3, 0.0, -2.0 - 1.0j),
             ],
             noise_matrix=noise,
-            critical_index=0,
             jordan_sizes={0: 3, 2: 2},
             sigma=0.7,
         )
@@ -263,7 +260,6 @@ class TestAnalyticReport:
         model = SpectralModel(
             curves=[EigenvalueCurve(0, 1.0)],
             noise_matrix=np.eye(2),
-            critical_index=0,
             jordan_sizes={0: 2},
         )
         with pytest.raises(NumericalError, match=r"1 / \(-z\) \*\* 3 overflows"):
@@ -273,7 +269,6 @@ class TestAnalyticReport:
         model = SpectralModel(
             curves=[EigenvalueCurve(0, 1.0)],
             noise_matrix=np.array([[1.0]]),
-            critical_index=0,
         )
         with pytest.raises(NumericalError):
             model_covariance(model, 0.5, math.inf)

@@ -32,7 +32,6 @@ def single_mode(sigma=1.0, noise=1.0, omega=0.0, sigma_exponent=0.0):
     return SpectralModel(
         curves=[EigenvalueCurve(0, 1.0, 1j * omega)],
         noise_matrix=np.array([[noise]]),
-        critical_index=0,
         sigma=sigma,
         sigma_exponent=sigma_exponent,
     )
@@ -42,7 +41,6 @@ def jordan_mode(m=2):
     return SpectralModel(
         curves=[EigenvalueCurve(0, 1.0)],
         noise_matrix=np.eye(m),
-        critical_index=0,
         jordan_sizes={0: m},
     )
 
@@ -289,7 +287,6 @@ class TestAnalyticSweep:
                     EigenvalueCurve(1, 1.0),
                     EigenvalueCurve(2, 1.0, -0.5 + 2.0j)],
             noise_matrix=g @ g.conj().T,
-            critical_index=1,
             jordan_sizes={1: 2},
             sigma_exponent=0.25,
         )

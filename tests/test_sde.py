@@ -46,7 +46,6 @@ def single_mode_model(sigma=1.0, noise=1.0):
     return SpectralModel(
         curves=[EigenvalueCurve(0, 1.0)],
         noise_matrix=np.array([[noise]]),
-        critical_index=0,
         sigma=sigma,
     )
 
@@ -97,7 +96,6 @@ def jordan_plus_simple_model():
             EigenvalueCurve(2, 0.0, -0.7 - 0.5j),
         ],
         noise_matrix=g @ g.conj().T / 4.0,
-        critical_index=0,
         jordan_sizes={0: 2},
     )
 
@@ -116,7 +114,6 @@ def dim8_dense_model():
             EigenvalueCurve(4, 1.0, -2.0),
         ],
         noise_matrix=g @ g.conj().T / 8.0,
-        critical_index=0,
         jordan_sizes={0: 3, 1: 2},
     )
 
@@ -181,6 +178,26 @@ class TestJordanStep:
             j = lam * np.eye(m) + np.diag(np.ones(m - 1), 1)
             assert_allclose(_jordan_expm(lam, m, t), scipy.linalg.expm(j * t), rtol=1e-12)
 
+    @pytest.mark.parametrize("dt", [1e10, 1e34, 1e80, 1e100, 1e154, 1e200, 1e300])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_huge_step_is_the_stationary_law(self, m, dt):
+        # past dt ~ 1e34 t^(2m - 1) overflows, while the step has long mixed:
+        # e^{dt J} is exactly 0 and the step covariance is the stationary one;
+        # at p = -1e4 the scaled moments J_n(z dt) of dt = 1e100 and 1e154 are
+        # subnormal, though t^(n + 1) is finite
+        g = np.random.default_rng(m).normal(size=(m + 1, m + 1))
+        model = SpectralModel(
+            curves=[EigenvalueCurve(0, 1.0, 0.5j), EigenvalueCurve(1, 0.7, -1.0 + 2.0j)],
+            noise_matrix=g @ g.T,
+            jordan_sizes={0: m},
+        )
+        for p in (-1e4, -3.0, -0.25, -1e-3):
+            for _, lam, size, _ in model.modes(p):
+                assert not np.any(_jordan_expm(lam, size, dt))
+            assert not np.any(_drift_expm(model, p, dt))
+            assert_allclose(model_covariance(model, p, dt), model_covariance(model, p, math.inf),
+                            rtol=1e-12, atol=0.0)
+
     def test_one_step_second_moment_oracle(self):
         lam, dt = -1.0, 0.5
         j = lam * np.eye(2) + np.diag([1.0], 1)
@@ -194,7 +211,6 @@ class TestJordanStep:
         model = SpectralModel(
             curves=[EigenvalueCurve(0, 1.0)],
             noise_matrix=c,
-            critical_index=0,
             jordan_sizes={0: 2},
         )
         # horizon 1.2 dt rounds to one step, kept whole with burn_in = 0
@@ -279,7 +295,6 @@ class TestSimulateEnsemble:
                 EigenvalueCurve(1, 0.0, -1.0 + 2.0j),
             ],
             noise_matrix=np.diag([1.0, 2.0]),
-            critical_index=0,
         )
         est = simulate_ensemble(model, -0.5, self.config())
         for k, lam, b in [(0, -0.5 + 0j, 1.0), (1, -1.0 + 2.0j, 2.0)]:
@@ -290,7 +305,6 @@ class TestSimulateEnsemble:
         model = SpectralModel(
             curves=[EigenvalueCurve(0, 1.0)],
             noise_matrix=np.eye(2),
-            critical_index=0,
             jordan_sizes={0: 2},
         )
         est = simulate_ensemble(model, -0.5, self.config())
@@ -324,7 +338,6 @@ class TestTimeBlocks:
         "jordan2": lambda: SpectralModel(
             curves=[EigenvalueCurve(0, 1.0)],
             noise_matrix=np.array([[1.0, 0.3], [0.3, 0.5]]),
-            critical_index=0,
             jordan_sizes={0: 2},
         ),
         "jordan_plus_simple": jordan_plus_simple_model,
@@ -356,7 +369,6 @@ class TestTimeBlocks:
         model = SpectralModel(
             curves=[EigenvalueCurve(0, 1.0)],
             noise_matrix=np.eye(2),
-            critical_index=0,
             jordan_sizes={0: 2},
         )
         peaks = {}
@@ -695,7 +707,6 @@ def test_reduction_peak_stays_below_twice_the_time_averages(monkeypatch):
     model = SpectralModel(
         curves=[EigenvalueCurve(k, 1.0, -k) for k in range(4)],
         noise_matrix=np.eye(4),
-        critical_index=0,
     )
     n = 16384
     cfg = EnsembleConfig(dt=0.1, horizon=0.2, n_trajectories=n, master_seed=5)

@@ -4,6 +4,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from warnlab import (
@@ -23,7 +25,6 @@ def single_mode(slope=1.0, offset=0.0):
     return SpectralModel(
         curves=[EigenvalueCurve(0, slope, offset)],
         noise_matrix=np.array([[1.0]]),
-        critical_index=0,
     )
 
 
@@ -46,23 +47,21 @@ class TestModelValidation:
             SpectralModel(
                 curves=[EigenvalueCurve(0, 1.0), EigenvalueCurve(0, 1.0, -1.0)],
                 noise_matrix=np.eye(2),
-                critical_index=0,
             )
 
-    def test_missing_critical_index(self):
-        with pytest.raises(ValueError, match="critical"):
-            SpectralModel(
-                curves=[EigenvalueCurve(0, 1.0)],
-                noise_matrix=np.eye(1),
-                critical_index=3,
-            )
+    def test_critical_index_is_derived_not_given(self):
+        m = SpectralModel(curves=[EigenvalueCurve(4, 0.0, -1.0), EigenvalueCurve(2, 1.0)])
+        assert m.critical_index == 2
+        with pytest.raises(TypeError):
+            SpectralModel(curves=[EigenvalueCurve(0, 1.0)], critical_index=0)
+        with pytest.raises(AttributeError):
+            m.critical_index = 4
 
     def test_noise_dimension_must_match_blocks(self):
         with pytest.raises(ValueError):
             SpectralModel(
                 curves=[EigenvalueCurve(0, 1.0)],
                 noise_matrix=np.eye(3),
-                critical_index=0,
                 jordan_sizes={0: 2},
             )
 
@@ -71,7 +70,6 @@ class TestModelValidation:
             SpectralModel(
                 curves=[EigenvalueCurve(0, 1.0), EigenvalueCurve(1, 1.0, -1.0)],
                 noise_matrix=np.array([[1.0, 1.0], [0.0, 1.0]]),
-                critical_index=0,
             )
 
     def test_noise_must_be_psd(self):
@@ -79,7 +77,6 @@ class TestModelValidation:
             SpectralModel(
                 curves=[EigenvalueCurve(0, 1.0), EigenvalueCurve(1, 1.0, -1.0)],
                 noise_matrix=np.array([[1.0, 2.0], [2.0, 1.0]]),
-                critical_index=0,
             )
 
     def test_noise_matrix_read_only(self):
@@ -89,9 +86,8 @@ class TestModelValidation:
 
     def test_missing_noise_matrix_is_the_identity_of_the_basis(self):
         curves = [EigenvalueCurve(0, 1.0), EigenvalueCurve(1, 1.0, -1.0)]
-        for m in (SpectralModel(curves=curves, critical_index=0, jordan_sizes={0: 2}),
-                  SpectralModel(curves=curves, critical_index=0, jordan_sizes={0: 2},
-                                noise_matrix=None)):
+        for m in (SpectralModel(curves=curves, jordan_sizes={0: 2}),
+                  SpectralModel(curves=curves, jordan_sizes={0: 2}, noise_matrix=None)):
             assert m.total_dim == 3
             assert m.noise_matrix.dtype == complex
             assert np.array_equal(m.noise_matrix, np.eye(3))
@@ -169,7 +165,7 @@ class TestNoiseLaw:
     def test_rejects_non_data_laws(self, sigma, exponent, field):
         with pytest.raises(ValueError, match=field):
             SpectralModel(curves=[EigenvalueCurve(0, 1.0)], noise_matrix=np.eye(1),
-                          critical_index=0, sigma=sigma, sigma_exponent=exponent)
+                          sigma=sigma, sigma_exponent=exponent)
 
     def test_law_is_anchored_at_computed_p_star(self):
         rng = np.random.default_rng(22)
@@ -177,22 +173,20 @@ class TestNoiseLaw:
             slope, offset = rng.uniform(0.5, 2.0), rng.uniform(-3.0, 3.0)
             scale, exponent = rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)
             model = SpectralModel(curves=[EigenvalueCurve(0, slope, offset)],
-                                  noise_matrix=np.eye(1), critical_index=0,
-                                  sigma=scale, sigma_exponent=exponent)
+                                  noise_matrix=np.eye(1), sigma=scale, sigma_exponent=exponent)
             p_star = bifurcation_parameter(model)
             assert p_star != 0.0
             p = p_star - rng.uniform(1e-6, 1.0)
             assert model.sigma_at(p) == scale * abs(p - p_star) ** exponent
 
     def test_exponent_zero_is_the_constant_law(self):
-        model = SpectralModel(curves=[EigenvalueCurve(0, -1.0)], noise_matrix=np.eye(1),
-                              critical_index=0, sigma=0.7)
+        model = SpectralModel(curves=[EigenvalueCurve(0, -1.0)], noise_matrix=np.eye(1), sigma=0.7)
         assert not model.sigma_depends_on_p
         assert model.sigma_at(3.0) == 0.7  # no p* exists, none is needed
 
     def test_overflowing_law_signals(self):
         model = SpectralModel(curves=[EigenvalueCurve(0, 1.0)], noise_matrix=np.eye(1),
-                              critical_index=0, sigma=1.0, sigma_exponent=1000.0)
+                              sigma=1.0, sigma_exponent=1000.0)
         with pytest.raises(NumericalError, match="sigma"):
             model.sigma_at(-10.0)
 
@@ -209,7 +203,7 @@ class TestNoiseLimitXi:
     def model(s, e, slope, b):
         # Re(offset) = -0.3 keeps p* = 0.3 / slope off zero
         return SpectralModel(curves=[EigenvalueCurve(0, slope, complex(-0.3, b))],
-                             critical_index=0, sigma=s, sigma_exponent=e)
+                             sigma=s, sigma_exponent=e)
 
     @pytest.mark.parametrize("s, e, slope, b, kind", [
         (1.0, 0.0, 1.0, 0.0, "diverging"),
@@ -253,7 +247,6 @@ class TestAbscissaAndBifurcation:
                 EigenvalueCurve(1, 0.0, -1.0 + 2.0j),
             ],
             noise_matrix=np.eye(2),
-            critical_index=0,
         )
         assert spectral_abscissa(m, -0.3) == -0.3
         assert spectral_abscissa(m, -2.0) == -1.0
@@ -282,7 +275,6 @@ class TestAbscissaAndBifurcation:
         m = SpectralModel(
             curves=[EigenvalueCurve(0, 1.0, 10.0j)],
             noise_matrix=np.array([[1.0]]),
-            critical_index=0,
         )
         assert bifurcation_parameter(m) == 0.0
 
@@ -290,7 +282,6 @@ class TestAbscissaAndBifurcation:
         m = SpectralModel(
             curves=[EigenvalueCurve(0, 0.0, -1.0)],
             noise_matrix=np.array([[1.0]]),
-            critical_index=0,
         )
         with pytest.raises(NumericalError, match="sign change"):
             bifurcation_parameter(m)
@@ -319,6 +310,79 @@ class TestAbscissaAndBifurcation:
             m = single_mode(slope=a, offset=b)
             p_star = bifurcation_parameter(m)
             assert abs(a * p_star + b) < 1e-10
+
+
+def head_accepts(curves, k) -> bool:
+    """Whether a config naming curve k as critical loaded before the critical
+    curve was derived: k rises, its root is finite, and every other curve
+    keeps Re(lambda(p*)) <= -1e-6 there."""
+    named = curves[k]
+    if not named.slope > 0.0:
+        return False
+    p_star = -named.offset.real / named.slope + 0.0
+    if not math.isfinite(p_star):
+        return False
+    others = [c.offset + c.slope * p_star for c in curves if c.id != k]
+    return all(cmath.isfinite(lam) and lam.real <= -1e-6 for lam in others)
+
+
+# slopes of either sign, zero included, and small integers, whose roots tie
+_NUMBER = st.one_of(st.integers(-3, 3).map(float),
+                    st.floats(-10.0, 10.0, allow_subnormal=False))
+
+
+class TestCriticalCurve:
+    """SpectralModel derives its critical curve: the rising curve with the
+    smallest root, ties to the largest Re(lambda) at it, then model order."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(_NUMBER, _NUMBER, _NUMBER), min_size=1, max_size=6))
+    def test_derived_index_is_the_one_a_named_config_accepted(self, data):
+        curves = [EigenvalueCurve(i, s, complex(a, b)) for i, (s, a, b) in enumerate(data)]
+        model = SpectralModel(curves=curves)
+        rising = [c for c in curves if c.slope > 0.0]
+        if not rising:
+            assert model.critical_index is None
+        else:
+            root = min(-c.offset.real / c.slope for c in rising)
+            critical = model.curve(model.critical_index)
+            assert -critical.offset.real / critical.slope == root
+        for k in range(len(curves)):
+            if head_accepts(curves, k):
+                assert model.critical_index == k
+                named = -curves[k].offset.real / curves[k].slope + 0.0
+                assert bifurcation_parameter(model).hex() == named.hex()
+
+    def test_steep_curve_whose_root_rounds_to_p_star(self):
+        # both roots round to 0.27, where the steep curve has already crossed:
+        # Re(lambda_1(p*)) = 2^-15 against Re(lambda_0(p*)) = 0
+        m = SpectralModel(curves=[EigenvalueCurve(0, 1.0, -0.27),
+                                  EigenvalueCurve(1, 1e12, -2.7e11)])
+        assert m.critical_index == 1
+        assert bifurcation_parameter(m) == 0.27
+        assert m.lambda_at(1, 0.27).real == 2.0 ** -15 > m.lambda_at(0, 0.27).real == 0.0
+
+    def test_conjugate_pair_resolves_to_its_first_member(self):
+        for first, second in ((2j, -2j), (-2j, 2j), (0j, 0j)):
+            m = SpectralModel(curves=[EigenvalueCurve(5, 0.5, -3.0),
+                                      EigenvalueCurve(7, 1.0, -1.0 + first),
+                                      EigenvalueCurve(6, 1.0, -1.0 + second)])
+            assert m.critical_index == 7
+            assert bifurcation_parameter(m) == 1.0
+
+    def test_model_without_a_rising_curve(self):
+        from warnlab.scaling import _entry_index, parse_quantity
+
+        m = SpectralModel(curves=[EigenvalueCurve(0, 0.0, -1.0), EigenvalueCurve(1, -2.0)])
+        assert m.critical_index is None
+        for call in (lambda: bifurcation_parameter(m), lambda: m.noise_limit_xi,
+                     lambda: _entry_index(m, parse_quantity("critical_diagonal")),
+                     lambda: _entry_index(m, parse_quantity("block_entry:1,1"))):
+            with pytest.raises(NumericalError, match="^no sign change"):
+                call()
+        assert _entry_index(m, parse_quantity("entry:1,0")) == (1, 0)
+        with pytest.raises(ValueError, match="not defined for spectral models"):
+            _entry_index(m, parse_quantity("norm"))
 
 
 class TestWeylVectors:
@@ -399,7 +463,6 @@ def two_curve_model(second=(0.5, -1.0)):
     return SpectralModel(
         curves=[EigenvalueCurve(3, 1.0, 0.25j), EigenvalueCurve(1, *second)],
         noise_matrix=np.eye(3),
-        critical_index=3,
         jordan_sizes={3: 2},
     )
 
